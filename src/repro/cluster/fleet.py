@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -131,7 +132,7 @@ class FleetResult:
 # The shared lockstep driver (serial and sharded backends).
 # --------------------------------------------------------------------- #
 
-def precompute_feedback_free(policy, views, times: List[int],
+def precompute_feedback_free(policy, views, times: array,
                              sessions: np.ndarray,
                              n_nodes: int) -> List[List[int]]:
     """Dispatch a whole schedule up front (feedback-free policies only).
@@ -140,7 +141,7 @@ def precompute_feedback_free(policy, views, times: List[int],
     to the scalar loop, enforced by test); the per-request fallback
     keeps exotic feedback-free policies working.
     """
-    times_arr = np.asarray(times, dtype=np.int64)
+    times_arr = np.frombuffer(times, dtype=np.int64)
     nodes = policy.choose_batch(times_arr, sessions)
     if nodes is None:
         batches: List[List[int]] = [[] for _ in range(n_nodes)]
@@ -155,7 +156,7 @@ def precompute_feedback_free(policy, views, times: List[int],
 
 
 def drive_lockstep(config: FleetConfig, duration_ns: int,
-                   times: List[int], sessions: np.ndarray, policy,
+                   times: Sequence[int], sessions: np.ndarray, policy,
                    monitor: Optional[HealthMonitor],
                    arbiter: Optional[BudgetArbiter],
                    backend,
@@ -389,8 +390,10 @@ def fleet_load_shape(config: FleetConfig):
 def fleet_schedule(config: FleetConfig, duration_ns: int):
     """The fleet arrival schedule and session draws for one run."""
     arrival_rng = np.random.default_rng(config.arrival_seed())
-    times = [int(t) for t in generate_arrivals(
-        fleet_load_shape(config), duration_ns, arrival_rng)]
+    # A packed int64 array, not an ndarray: the lockstep loop indexes
+    # it one element at a time, which is slower on an ndarray.
+    times = array("q", generate_arrivals(
+        fleet_load_shape(config), duration_ns, arrival_rng).tobytes())
     return times, _session_ids(config, len(times))
 
 

@@ -38,47 +38,6 @@ MODE_INTERMITTENT = "intermittent"
 TIMELINE_MODES = (MODE_INTERRUPT, MODE_POLLING, MODE_BUSY_POLL,
                   MODE_INTERMITTENT)
 
-#: Freelist cap for consumed bare-ACK husks (mirrors the NAPI path).
-ACK_FREELIST_CAP = 512
-
-
-def grab_burst(queue, free_acks: list, budget: int,
-               txc_cycles: float, ack_cycles: float,
-               rx_cycles: float) -> Tuple[list, int, int, float]:
-    """Dequeue up to ``budget`` items (Tx completions first, then Rx).
-
-    The bypass-backend sibling of ``NapiContext._grab_batch``: returns
-    ``(data_packets, n_rx, n_items, cycles)`` where ``n_rx`` counts
-    every Rx item (the mode-accounting unit), ``n_items`` additionally
-    counts cleaned Tx completions (the budget unit), and
-    ``data_packets`` holds only the deliverable ones — bare ACKs are
-    consumed here and their husks go back to the NIC's freelist.
-    ``cycles`` excludes any fixed per-poll overhead (caller adds it).
-    """
-    cycles = 0.0
-    n = 0
-    while n < budget and queue.pop_txc() is not None:
-        n += 1
-    cycles += n * txc_cycles
-    pop_rx = queue.pop_rx
-    data_packets: list = []
-    append = data_packets.append
-    n_rx = 0
-    while n < budget:
-        pkt = pop_rx()
-        if pkt is None:
-            break
-        n += 1
-        n_rx += 1
-        if pkt.kind == "ack":
-            cycles += ack_cycles
-            if len(free_acks) < ACK_FREELIST_CAP:
-                free_acks.append(pkt)
-        else:
-            cycles += rx_cycles
-            append(pkt)
-    return data_packets, n_rx, n, cycles
-
 
 def stamp_poll_grab(sim_now: int, rx_packets: list) -> None:
     """Record the rx-queue -> poll-batch boundary on sampled requests."""

@@ -26,9 +26,10 @@ and ksoftirqd deferral — the hooks NMAP's Mode Transition Monitor uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.cpu.core import PRIORITY_HARDIRQ, PRIORITY_SOFTIRQ, PRIORITY_TASK, Work
+from repro.nic.queue import grab_burst
 from repro.units import MS
 
 MODE_INTERRUPT = "interrupt"
@@ -157,45 +158,6 @@ class NapiContext:
     # Poll batches
     # ------------------------------------------------------------------ #
 
-    def _grab_batch(self) -> Tuple[list, int, float]:
-        """Dequeue up to poll_budget items (Tx completions first, then Rx).
-
-        Returns (data_packets, n_rx, total_cycles): ``n_rx`` counts every
-        Rx item (the mode-attribution unit) while ``data_packets`` holds
-        only the deliverable ones — bare ACKs cost less per packet, are
-        consumed right here (never delivered upward), and their husks go
-        back to the NIC's ACK freelist.
-        """
-        cfg = self.config
-        queue = self.nic.queues[self.queue_id]
-        budget = cfg.poll_budget
-        cycles = cfg.poll_overhead_cycles
-        n = 0
-        while n < budget and queue.pop_txc() is not None:
-            n += 1
-        cycles += n * cfg.txc_cycles_per_packet
-        ack_cycles = cfg.ack_cycles_per_packet
-        rx_cycles = cfg.rx_cycles_per_packet
-        free_acks = self.nic.free_acks
-        pop_rx = queue.pop_rx
-        data_packets = []
-        append = data_packets.append
-        n_rx = 0
-        while n < budget:
-            pkt = pop_rx()
-            if pkt is None:
-                break
-            n += 1
-            n_rx += 1
-            if pkt.kind == "ack":
-                cycles += ack_cycles
-                if len(free_acks) < 512:
-                    free_acks.append(pkt)
-            else:
-                cycles += rx_cycles
-                append(pkt)
-        return data_packets, n_rx, cycles
-
     def _stamp_poll_grab(self, rx_packets: list, deferred: bool) -> None:
         """Record the rx-queue -> poll-batch boundary on sampled requests."""
         now = self.sim.now
@@ -208,7 +170,12 @@ class NapiContext:
                     ctx.via_ksoftirqd = deferred
 
     def _submit_softirq_poll(self) -> None:
-        rx_packets, n_rx, cycles = self._grab_batch()
+        cfg = self.config
+        rx_packets, n_rx, _, cycles = grab_burst(
+            self.nic.queues[self.queue_id], self.nic.free_acks,
+            cfg.poll_budget, cfg.txc_cycles_per_packet,
+            cfg.ack_cycles_per_packet, cfg.rx_cycles_per_packet)
+        cycles += cfg.poll_overhead_cycles
         if self.tracing and rx_packets:
             self._stamp_poll_grab(rx_packets, deferred=False)
         work = self._softirq_work
@@ -232,7 +199,12 @@ class NapiContext:
         if not self.nic.queues[self.queue_id].has_work:
             self._finish_session()
             return None
-        rx_packets, n_rx, cycles = self._grab_batch()
+        cfg = self.config
+        rx_packets, n_rx, _, cycles = grab_burst(
+            self.nic.queues[self.queue_id], self.nic.free_acks,
+            cfg.poll_budget, cfg.txc_cycles_per_packet,
+            cfg.ack_cycles_per_packet, cfg.rx_cycles_per_packet)
+        cycles += cfg.poll_overhead_cycles
         if self.tracing and rx_packets:
             self._stamp_poll_grab(rx_packets, deferred=True)
         work = self._deferred_work

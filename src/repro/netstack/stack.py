@@ -17,7 +17,7 @@ from repro.netstack.ksoftirqd import KsoftirqdThread
 from repro.netstack.napi import NapiConfig, NapiContext
 from repro.netstack.socket import SocketQueue
 from repro.nic.nic import MultiQueueNic
-from repro.nic.packet import Packet, TxCompletion
+from repro.nic.packet import Packet
 from repro.osched.scheduler import CoreScheduler
 from repro.units import MS
 
@@ -133,8 +133,8 @@ class NetworkStack:
                         size_bytes=max(64, last_size),
                         created_ns=self.sim.now, request=request)
         # Extra segments: Tx completions only (payload carried by `packet`).
-        for _ in range(n_segments - 1):
-            self.nic.queues[core_id].push_txc(TxCompletion(packet.packet_id))
+        if n_segments > 1:
+            self.nic.queues[core_id].push_txc(n_segments - 1)
         self.nic.transmit(packet, core_id, self.response_sink,
                           sink_at=self.response_sink_at)
         if request.acked_response:

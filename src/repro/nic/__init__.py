@@ -7,11 +7,11 @@ interrupt-mode packet counts are capped while polling-mode counts track
 load (Fig. 2).
 """
 
-from repro.nic.packet import Packet, TxCompletion
+from repro.nic.packet import Packet
 from repro.nic.queue import NicQueue
 from repro.nic.rss import RssDistributor
 from repro.nic.interrupt import InterruptModerator
 from repro.nic.nic import MultiQueueNic
 
-__all__ = ["Packet", "TxCompletion", "NicQueue", "RssDistributor",
+__all__ = ["Packet", "NicQueue", "RssDistributor",
            "InterruptModerator", "MultiQueueNic"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.nic.interrupt import InterruptModerator
-from repro.nic.packet import Packet, TxCompletion
+from repro.nic.packet import Packet
 from repro.nic.queue import NicQueue
 from repro.nic.rss import RssDistributor
 from repro.units import US
@@ -192,7 +192,7 @@ class MultiQueueNic:
         event per response enters the heap.
         """
         self.tx_packets += 1
-        self.queues[qid].push_txc(TxCompletion(packet.packet_id))
+        self.queues[qid].push_txc()
         self._maybe_raise_irq(qid)
         if sink_at is not None:
             sink_at(packet, self.sim.now + self.wire_latency_ns)

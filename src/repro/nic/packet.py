@@ -1,4 +1,4 @@
-"""Packets and transmit-completion descriptors."""
+"""Network packets."""
 
 from __future__ import annotations
 
@@ -44,12 +44,3 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Packet {self.packet_id} flow={self.flow_id} {self.size_bytes}B>"
-
-
-class TxCompletion:
-    """A transmit-completion descriptor cleaned up by the NAPI poll loop."""
-
-    __slots__ = ("packet_id",)
-
-    def __init__(self, packet_id: int):
-        self.packet_id = packet_id

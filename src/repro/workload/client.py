@@ -7,7 +7,8 @@ client would mask queueing collapse).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from array import array
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,11 +96,11 @@ class OpenLoopClient:
         #: stream is bit-identical to a client without retry support.
         self.retry = retry
 
-        self._arrivals: Optional[np.ndarray] = None
-        #: The same schedule as plain Python ints (per-element ndarray
-        #: indexing is several times slower than list indexing, and the
-        #: doorbell touches every element once).
-        self._arrival_list: list = []
+        #: Creation times (ns) of the whole schedule, generated or fed.
+        #: A packed int64 array: a list would box every element for the
+        #: whole run, and the doorbell's per-element indexing is slower
+        #: on an ndarray.
+        self._arrivals = array("q")
         self._next_idx = 0
         #: True while a doorbell/send event sits in the heap — lets an
         #: external feeder (:meth:`feed_arrivals`) know whether it must
@@ -118,21 +119,22 @@ class OpenLoopClient:
         #: Responses discarded because the request already completed
         #: (a retransmission raced its original's response).
         self.duplicates = 0
-        self._latencies: List[int] = []
-        self._completion_times: List[int] = []
+        #: Per-completion logs, packed like the schedule.
+        self._latencies = array("q")
+        self._completion_times = array("q")
 
     # ------------------------------------------------------------------ #
 
     def start(self, duration_ns: int) -> int:
         """Generate the arrival schedule and begin sending; returns count."""
-        self._arrivals = generate_arrivals(self.shape, duration_ns, self.rng)
-        self._arrival_list = [int(t) for t in self._arrivals]
+        self._arrivals = array("q", generate_arrivals(
+            self.shape, duration_ns, self.rng).tobytes())
         self._next_idx = 0
         if self.batch_arrivals:
             self._ring_next()
         else:
             self._schedule_next()
-        return int(self._arrivals.size)
+        return len(self._arrivals)
 
     def feed_arrivals(self, times_ns) -> None:
         """Append externally dispatched creation times to the schedule.
@@ -146,7 +148,7 @@ class OpenLoopClient:
         previous schedule had drained, so a pre-fed schedule behaves
         bit-identically to :meth:`start`'s.
         """
-        arrivals = self._arrival_list
+        arrivals = self._arrivals
         if times_ns:
             if arrivals and times_ns[0] < arrivals[-1]:
                 raise ValueError(
@@ -162,16 +164,16 @@ class OpenLoopClient:
     # -- batched path: one doorbell event per burst of due arrivals ----- #
 
     def _ring_next(self) -> None:
-        if self._next_idx >= len(self._arrival_list):
+        if self._next_idx >= len(self._arrivals):
             self._armed = False
             return
-        t_arrive = self._arrival_list[self._next_idx] + self.wire_latency_ns
+        t_arrive = self._arrivals[self._next_idx] + self.wire_latency_ns
         self.sim.schedule_at(max(t_arrive, self.sim.now), self._ring_doorbell)
         self._armed = True
 
     def _ring_doorbell(self) -> None:
         """Deliver every arrival due at (or before) now, then re-arm."""
-        arrivals = self._arrival_list
+        arrivals = self._arrivals
         now = self.sim.now
         wire = self.wire_latency_ns
         i = self._next_idx
@@ -221,15 +223,15 @@ class OpenLoopClient:
     # -- legacy path: one send event + one arrival event per request ---- #
 
     def _schedule_next(self) -> None:
-        if self._next_idx >= len(self._arrival_list):
+        if self._next_idx >= len(self._arrivals):
             self._armed = False
             return
-        t = self._arrival_list[self._next_idx]
+        t = self._arrivals[self._next_idx]
         self.sim.schedule_at(max(t, self.sim.now), self._send_one)
         self._armed = True
 
     def _send_one(self) -> None:
-        t = self._arrival_list[self._next_idx]
+        t = self._arrivals[self._next_idx]
         self._next_idx += 1
         packet = self._make_packet(t)
         # The request was *created* at t; it reaches the server NIC one
@@ -346,8 +348,9 @@ class OpenLoopClient:
 
     def latencies_ns(self) -> np.ndarray:
         """End-to-end latencies (int64 ns) of completed requests."""
-        return np.array(self._latencies, dtype=np.int64)
+        return np.frombuffer(self._latencies, dtype=np.int64).copy()
 
     def completion_times_ns(self) -> np.ndarray:
         """Completion timestamps aligned with :meth:`latencies_ns`."""
-        return np.array(self._completion_times, dtype=np.int64)
+        return np.frombuffer(self._completion_times,
+                             dtype=np.int64).copy()

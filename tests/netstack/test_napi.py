@@ -128,9 +128,7 @@ def test_txc_cleanup_counts_toward_budget(sim, core):
     config = NapiConfig(poll_budget=4)
     nic, napi, delivered = build(sim, core, config)
     nic.disable_irq(0)
-    from repro.nic.packet import TxCompletion
-    for i in range(3):
-        nic.queues[0].push_txc(TxCompletion(i))
+    nic.queues[0].push_txc(3)
     for _ in range(3):
         nic.receive(pkt())
     nic.enable_irq(0)
@@ -139,6 +137,7 @@ def test_txc_cleanup_counts_toward_budget(sim, core):
     assert napi.pkts_interrupt_mode == 1
     assert napi.pkts_polling_mode == 2
     assert len(delivered) == 3
+    assert nic.queues[0].txc_pending == 0
 
 
 def test_config_validation():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.nic.packet import Packet, TxCompletion
+from repro.nic.packet import Packet
 
 
 def test_unique_ids():
@@ -28,7 +28,3 @@ def test_invalid_size_rejected():
 def test_invalid_kind_rejected():
     with pytest.raises(ValueError):
         Packet(flow_id=0, size_bytes=64, created_ns=0, kind="rst")
-
-
-def test_tx_completion_carries_packet_id():
-    assert TxCompletion(42).packet_id == 42

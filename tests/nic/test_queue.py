@@ -1,8 +1,8 @@
-"""NIC queue rings."""
+"""NIC queue: Rx ring and Tx-completion count."""
 
 import pytest
 
-from repro.nic.packet import Packet, TxCompletion
+from repro.nic.packet import Packet
 from repro.nic.queue import NicQueue
 
 
@@ -31,11 +31,17 @@ def test_rx_tail_drop_when_full():
 
 def test_txc_ring():
     q = NicQueue(0)
-    q.push_txc(TxCompletion(1))
-    q.push_txc(TxCompletion(2))
-    assert q.pop_txc().packet_id == 1
-    assert q.pop_txc().packet_id == 2
-    assert q.pop_txc() is None
+    q.push_txc()
+    q.push_txc(4)
+    assert q.txc_pending == 5
+    assert q.txc_enqueued == 5
+    assert q.take_txc(3) == 3
+    assert q.txc_pending == 2
+    assert q.take_txc(0) == 0
+    assert q.take_txc(8) == 2
+    assert q.take_txc(8) == 0
+    assert q.txc_pending == 0
+    assert q.txc_enqueued == 5  # a lifetime total, not a depth
 
 
 def test_has_work_reflects_both_rings():
@@ -44,8 +50,11 @@ def test_has_work_reflects_both_rings():
     q.push_rx(pkt())
     assert q.has_work
     q.pop_rx()
-    q.push_txc(TxCompletion(7))
+    assert not q.has_work
+    q.push_txc()
     assert q.has_work
+    q.take_txc(1)
+    assert not q.has_work
 
 
 def test_rx_depth():

@@ -1,13 +1,18 @@
 """Load shapes and arrival generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import RandomStreams
 from repro.units import MS, S
+from repro.workload import shapes
+from repro.workload.changing import make_changing_load
+from repro.workload.profiles import levels_for
 from repro.workload.shapes import (BurstLoad, ConstantLoad, PiecewiseLoad,
-                                   ScaledLoad, generate_arrivals)
+                                   ScaledLoad, diurnal, generate_arrivals)
 
 
 def rng():
@@ -168,3 +173,95 @@ def test_burst_ramp_boundary_instants():
     assert shape.rate_at(int(burst_len)) == 0.0
     assert shape.rate_at(period - 1) == 0.0
     assert shape.rate_at(period) == 0.0  # wraps to the next burst start
+
+
+# -- blocked thinning == one-shot thinning ---------------------------------- #
+
+def one_shot_arrivals(shape, duration_ns, rng):
+    """Thinning over each whole chunk at once: the reference the blocked
+    generator must reproduce bit for bit."""
+    peak = shape.peak_rps
+    if peak <= 0:
+        return np.empty(0, dtype=np.int64)
+    expected = peak * duration_ns / S
+    arrivals = []
+    t_cursor = 0.0
+    chunk = max(1024, int(expected * 1.2))
+    while t_cursor < duration_ns:
+        gaps = rng.exponential(S / peak, size=chunk)
+        times = t_cursor + np.cumsum(gaps)
+        t_cursor = float(times[-1])
+        times = times[times < duration_ns]
+        if times.size == 0:
+            continue
+        accept = rng.random(times.size) < (np.asarray(shape.rate_at(times))
+                                           / peak)
+        arrivals.append(times[accept])
+    if not arrivals:
+        return np.empty(0, dtype=np.int64)
+    result = np.concatenate(arrivals)
+    result.sort()
+    return result.astype(np.int64)
+
+
+def changing_shape(duration_ns):
+    return make_changing_load(
+        levels_for("memcached"), duration_ns, switch_period_ns=100 * MS,
+        rng=RandomStreams(1).numpy_stream("changing-load"))
+
+
+EQUIVALENCE_SHAPES = {
+    "constant": lambda d: ConstantLoad(90_000.0),
+    "burst": lambda d: BurstLoad(peak_rps=120_000, period_ns=40 * MS,
+                                 duty=0.6, rise_frac=0.1, phase_ns=7 * MS),
+    "scaled": lambda d: ScaledLoad(BurstLoad(peak_rps=30_000,
+                                             period_ns=25 * MS), 3),
+    "changing": changing_shape,
+    # Every other segment is idle: a zero-rate segment rejects all of
+    # its candidates.
+    "diurnal": lambda d: diurnal(d, period_ns=60 * MS, duty=0.3,
+                                 peak_rps=150_000, trough_rps=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SHAPES))
+@pytest.mark.parametrize("seed", [1, 7, 23])
+@pytest.mark.parametrize("duration_ns", [3 * MS, 170 * MS, 700 * MS])
+def test_blocked_thinning_matches_one_shot(name, seed, duration_ns):
+    shape = EQUIVALENCE_SHAPES[name](duration_ns)
+    got = generate_arrivals(shape, duration_ns, np.random.default_rng(seed))
+    want = one_shot_arrivals(shape, duration_ns,
+                             np.random.default_rng(seed))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_block_size_never_changes_arrivals(monkeypatch, block):
+    """Blocks far smaller than a chunk (1000 does not divide the
+    candidate count) leave every arrival where it was."""
+    shape = diurnal(50 * MS, period_ns=10 * MS, duty=0.5,
+                    peak_rps=80_000, trough_rps=0.0)
+    want = one_shot_arrivals(shape, 50 * MS, np.random.default_rng(3))
+    monkeypatch.setattr(shapes, "THINNING_BLOCK", block)
+    got = generate_arrivals(shape, 50 * MS, np.random.default_rng(3))
+    assert want.size > 0
+    assert np.array_equal(got, want)
+
+
+def test_thinning_memory_is_bounded_by_the_draws():
+    """The 1.5 s Fig. 16 changing load on two cores (about 675k
+    candidates): only the gap and uniform draws are full-size, so the
+    traced peak stays well under the one-shot pass's ~35 MB."""
+    shape = ScaledLoad(make_changing_load(
+        levels_for("memcached"), 1500 * MS, switch_period_ns=500 * MS,
+        rng=RandomStreams(1).numpy_stream("changing-load")), 2)
+    tracemalloc.start()
+    try:
+        arrivals = generate_arrivals(shape, 1500 * MS,
+                                     np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert arrivals.size > 100_000
+    assert peak < 20 * 2**20
