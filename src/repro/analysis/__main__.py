@@ -14,7 +14,8 @@ Without ``--strict`` both commands report and exit 0 (informational).
 With it, any unsuppressed finding — including a suppression missing its
 justification (``S001``) — exits 1, which is what CI enforces on
 ``src/repro``. ``lint --strict`` additionally folds in the flow
-engine's findings, so the one gate covers both passes.
+engine's findings (the two rule sets are disjoint), so the one gate
+covers both passes.
 
 ``flow --debt`` ratchets suppression debt: the count of
 ``# repro: allow`` pragmas per (rule, module) may only stay equal or
@@ -71,15 +72,11 @@ def cmd_lint(args) -> int:
         return 2
     report = lint_paths(paths, select=select)
     if args.strict:
-        # The strict gate covers both passes: fold in interprocedural
-        # findings, deduplicating sites both engines flag.
-        flow_report = analyze_paths(paths, select=select)
-        seen = {(f.rule, f.path, f.line) for f in report.findings}
-        merged = report.findings + [
-            f for f in flow_report.findings
-            if (f.rule, f.path, f.line) not in seen]
-        merged.sort(key=Finding.sort_key)
-        report.findings = merged
+        # The strict gate covers both passes: fold in the flow engine's
+        # findings (a file that does not parse is already lint's P000).
+        report.findings += [f for f in analyze_paths(
+            paths, select=select).findings if f.rule != "P000"]
+        report.findings.sort(key=Finding.sort_key)
         report.rules = known
     print(report.render_text())
     if args.json:
@@ -146,7 +143,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lint_parser = sub.add_parser(
-        "lint", help="run the determinism linter (rules D001-D005, U001)")
+        "lint", help="run the determinism linter (rules D001, D005, U001, "
+                     "S001)")
     lint_parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)")

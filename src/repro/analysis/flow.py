@@ -1,7 +1,8 @@
 """Interprocedural determinism analysis over the project call graph.
 
-:mod:`repro.analysis.lint` checks one function at a time; this engine
-checks the *flows between* them. It builds a
+:mod:`repro.analysis.lint` checks what one file's syntax shows; this
+engine owns the rules that need dataflow, within a function and across
+the *flows between* them. It builds a
 :class:`~repro.analysis.callgraph.ProjectIndex` over the analyzed tree,
 then iterates per-function summaries to a fixpoint and replays the
 program against them, tracking two properties through returns,
@@ -17,7 +18,8 @@ parameters, attribute stores, and container round-trips:
   fields (``.seed`` / ``*_seed``) produce derived values; provenance
   follows assignments, returns, and call arguments.
 
-Rules (same report/JSON/pragma format as the linter):
+Rules (same report/JSON/pragma format as the linter, disjoint from its
+rule set):
 
 ========  ===========================================================
 Rule      Meaning
@@ -25,7 +27,11 @@ Rule      Meaning
 ``D002``  An RNG whose seed is not *provably* derived from the
           experiment seed — judged by dataflow, not call text. Flags
           constants, untraceable values, and calls that leave a
-          seed-sinking parameter to a non-derived default.
+          seed-sinking parameter to a non-derived default; also any
+          draw from the process-global PRNG (``random.randint(...)``
+          and the other module-level ``random`` functions, through
+          import aliases) and ``numpy.random.seed(...)`` whatever its
+          argument.
 ``D003``  Hash-ordered iteration reaching the event kernel
           (``schedule``/``schedule_at``/``push``), including through
           helper returns, parameters, and laundering containers.
@@ -78,7 +84,7 @@ FLOW_RULES: Dict[str, str] = {
     "P000": "file does not parse",
 }
 
-#: Event-kernel entry points (kept in sync with the linter).
+#: Event-kernel entry points.
 _SCHEDULE_NAMES = frozenset({"schedule", "schedule_at", "push"})
 #: Functions whose return value *is* a derived seed.
 _SEED_DERIVERS = frozenset({"derive_stream", "_derive_seed"})
@@ -105,6 +111,15 @@ _RNG_CONSTRUCTORS = frozenset({
     "numpy.random.default_rng", "numpy.random.RandomState",
     "numpy.random.PCG64", "numpy.random.Philox", "numpy.random.SFC64",
 })
+#: Module-level random functions that draw from the shared global PRNG.
+_GLOBAL_RANDOM = frozenset({
+    "betavariate", "choice", "choices", "expovariate", "gauss",
+    "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
+    "randbytes", "randint", "random", "randrange", "sample", "seed",
+    "shuffle", "triangular", "uniform", "vonmisesvariate", "weibullvariate",
+})
+#: Calls that re-seed a process-global PRNG, whatever the argument.
+_GLOBAL_SEEDERS = frozenset({"random.seed", "numpy.random.seed"})
 #: Methods of registry config classes whose reads are validation, not
 #: behavior — excluded from H-rule read evidence.
 _VALIDATION_METHODS = frozenset({"__post_init__", "validate"})
@@ -715,7 +730,8 @@ class _Analyzer:
                 self.env[name] = replace(val, unordered=False,
                                          u_params=frozenset())
             return CLEAN
-        if attr == "seed" and pos_vals:
+        if attr == "seed" and pos_vals and \
+                self.module.imports.dotted(func) not in _GLOBAL_SEEDERS:
             # ``rng.seed(x)`` re-seeds in place: same provenance rule.
             self._check_seed_val(node, pos_vals[0],
                                  f"{ast.unparse(func)}()")
@@ -753,6 +769,16 @@ class _Analyzer:
         tail = dotted.rsplit(".", 1)[-1]
         if tail in _SEED_DERIVERS:
             return DERIVED
+        if dotted == f"random.{tail}" and tail in _GLOBAL_RANDOM:
+            self._add("D002", node,
+                      f"{dotted}() draws from the process-global PRNG; "
+                      f"use a stream from repro.sim.rng instead")
+            return CLEAN
+        if dotted == "numpy.random.seed":
+            self._add("D002", node,
+                      "numpy.random.seed() mutates the global numpy PRNG; "
+                      "use repro.sim.rng streams")
+            return CLEAN
         if dotted in _RNG_CONSTRUCTORS:
             seed = (pos_vals[0] if pos_vals
                     else kw_vals.get("seed") or kw_vals.get("x"))

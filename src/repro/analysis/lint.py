@@ -1,10 +1,10 @@
-"""Determinism linter: AST rules for the reproducibility contract.
+"""Determinism linter: syntactic AST rules for the reproducibility contract.
 
 Simulation results must be a pure function of ``(config, seed)``. The
 hazards that break that are mundane Python: a ``time.time()`` snuck into
-a model, a ``random.random()`` bypassing the seeded stream registry, a
-``for x in some_set`` whose hash-dependent order leaks into event
-scheduling or float accumulation. Each rule here targets one hazard:
+a model, a mutable default shared between runs, a nanosecond quantity
+under a unitless name. Each rule here targets one hazard that a single
+file's syntax shows:
 
 ========  ===========================================================
 Rule      Meaning
@@ -13,15 +13,6 @@ Rule      Meaning
           ``time.perf_counter`` is allowed only in the modules of
           :data:`PERF_COUNTER_ALLOWLIST`, which measure wall time *about*
           simulations (never inside the model).
-``D002``  Unseeded or global randomness: module-level ``random.*``
-          draws, ``random.Random(...)`` not provably seeded via
-          :func:`repro.sim.rng.derive_stream` (or the module's own
-          ``_derive_seed``), ``numpy.random.default_rng()`` with no seed.
-``D003``  Iteration over an unordered collection (``set`` /
-          ``frozenset`` / ``vars()`` / ``__dict__``) whose order reaches
-          the event kernel (``schedule`` / ``schedule_at`` / ``push``).
-``D004``  Float accumulation over an unordered collection: ``sum()`` of
-          a set expression, or ``+=`` inside a loop over one.
 ``D005``  Mutable default argument (shared across calls — state leaks
           between runs).
 ``U001``  A name bound to a ``<n> * NS/US/MS/S`` time expression whose
@@ -35,13 +26,14 @@ Suppression is per line, with a mandatory justification::
 
     t0 = time.time()  # repro: allow[D001] -- operator-facing timestamp
 
-Dict iteration is *not* flagged: CPython dicts are insertion-ordered,
-so ``d.keys()`` is deterministic whenever the inserts were. Sets are
-the genuine hazard — string hashes vary per process unless
-``PYTHONHASHSEED`` is pinned.
+The dataflow rules — global or unseeded randomness (``D002``) and
+hash-ordered iteration reaching the event kernel or a float sum
+(``D003``/``D004``) — belong to :mod:`repro.analysis.flow`, which
+follows values across functions.
 
 Run ``python -m repro.analysis lint [--strict] [--json PATH] [paths]``;
-``--strict`` (the CI gate) exits non-zero on any unsuppressed finding.
+``--strict`` (the CI gate) also runs the flow engine and exits non-zero
+on any unsuppressed finding of either.
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.common import (Finding, ImportMap, Report,
                                    apply_suppressions, iter_python_files)
@@ -60,9 +52,6 @@ __all__ = ["RULES", "PERF_COUNTER_ALLOWLIST", "Finding", "LintReport",
 #: Rule id -> one-line meaning (stable: the JSON report embeds these).
 RULES: Dict[str, str] = {
     "D001": "wall-clock read in simulation code",
-    "D002": "unseeded or global random source",
-    "D003": "unordered iteration reaching the event kernel",
-    "D004": "float accumulation over an unordered collection",
     "D005": "mutable default argument",
     "U001": "time-valued name missing the _ns suffix",
     "S001": "suppression without a justification",
@@ -90,19 +79,6 @@ _PERF_COUNTER = frozenset({
     "time.perf_counter", "time.perf_counter_ns",
     "time.process_time", "time.process_time_ns",
 })
-#: Module-level random functions that draw from the shared global PRNG.
-_GLOBAL_RANDOM = frozenset({
-    "betavariate", "choice", "choices", "expovariate", "gauss",
-    "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
-    "randbytes", "randint", "random", "randrange", "sample", "seed",
-    "shuffle", "triangular", "uniform", "vonmisesvariate", "weibullvariate",
-})
-#: Callables that turn an experiment seed into a stream seed; a
-#: ``Random(...)`` whose argument passes through one of these is
-#: provably derived from the run's master seed.
-_SEED_DERIVERS = frozenset({"derive_stream", "_derive_seed"})
-#: Event-kernel entry points: set-ordered iteration must never feed them.
-_SCHEDULE_NAMES = frozenset({"schedule", "schedule_at", "push"})
 #: Time-unit constants from repro.units (ns-denominated).
 _UNIT_NAMES = frozenset({"NS", "US", "MS", "S"})
 
@@ -117,13 +93,6 @@ class LintReport(Report):
 # Per-file analysis
 # --------------------------------------------------------------------- #
 
-class _Scope:
-    """One lexical scope's knowledge: which local names hold sets."""
-
-    def __init__(self) -> None:
-        self.set_names: set = set()
-
-
 class _FileLinter(ast.NodeVisitor):
     """Single AST walk collecting findings for every rule."""
 
@@ -134,7 +103,6 @@ class _FileLinter(ast.NodeVisitor):
         #: Alias resolution ("np" -> "numpy", "perf_counter" ->
         #: "time.perf_counter"); shared with the flow engine.
         self.imports = ImportMap()
-        self.scopes: List[_Scope] = [_Scope()]
 
     # -- bookkeeping --------------------------------------------------- #
 
@@ -151,72 +119,12 @@ class _FileLinter(ast.NodeVisitor):
         self.imports.add_import_from(node)
         self.generic_visit(node)
 
-    def _dotted(self, func: ast.AST) -> Optional[str]:
-        """Resolve a call target through the imports (see ImportMap)."""
-        return self.imports.dotted(func)
-
-    # -- D003 / D004 helpers ------------------------------------------ #
-
-    def _is_unordered(self, node: ast.AST) -> bool:
-        """True when ``node`` evaluates to a hash-ordered collection."""
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return any(node.id in scope.set_names for scope in self.scopes)
-        if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
-            return (self._is_unordered(node.left)
-                    or self._is_unordered(node.right))
-        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in (
-                    "set", "frozenset", "vars"):
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in (
-                    "union", "intersection", "difference",
-                    "symmetric_difference"):
-                return self._is_unordered(func.value)
-        return False
-
-    @staticmethod
-    def _body_sinks(body: Sequence[ast.stmt]) -> Tuple[bool, bool]:
-        """(reaches event kernel, float-accumulates) for a loop body."""
-        schedules = False
-        accumulates = False
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _SCHEDULE_NAMES):
-                    schedules = True
-                elif (isinstance(node, ast.AugAssign)
-                        and isinstance(node.op, ast.Add)):
-                    accumulates = True
-        return schedules, accumulates
-
     # -- rule visitors -------------------------------------------------- #
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = self._dotted(node.func)
+        dotted = self.imports.dotted(node.func)
         if dotted is not None:
             self._check_wallclock(node, dotted)
-            self._check_random(node, dotted)
-        if (isinstance(node.func, ast.Name) and node.func.id == "sum"
-                and node.args):
-            arg = node.args[0]
-            if self._is_unordered(arg):
-                self._add("D004", node,
-                          "sum() over an unordered collection: float "
-                          "accumulation order depends on hashing")
-            elif isinstance(arg, ast.GeneratorExp) and any(
-                    self._is_unordered(gen.iter)
-                    for gen in arg.generators):
-                self._add("D004", node,
-                          "sum() over a generator driven by an unordered "
-                          "collection: accumulation order depends on "
-                          "hashing")
         self.generic_visit(node)
 
     def _check_wallclock(self, node: ast.Call, dotted: str) -> None:
@@ -230,57 +138,6 @@ class _FileLinter(ast.NodeVisitor):
             self._add("D001", node,
                       f"{dotted}() outside the perf-module allowlist "
                       f"(see repro.analysis.lint.PERF_COUNTER_ALLOWLIST)")
-
-    def _check_random(self, node: ast.Call, dotted: str) -> None:
-        if dotted.startswith("random.") and \
-                dotted.split(".", 1)[1] in _GLOBAL_RANDOM:
-            self._add("D002", node,
-                      f"{dotted}() draws from the process-global PRNG; "
-                      f"use a stream from repro.sim.rng instead")
-            return
-        if dotted in ("random.Random", "random.SystemRandom"):
-            if not node.args or not self._seed_derived(node.args[0]):
-                self._add("D002", node,
-                          "Random() not provably seeded via "
-                          "repro.sim.rng.derive_stream")
-            return
-        if dotted in ("numpy.random.default_rng", "numpy.random.RandomState",
-                      "numpy.random.Generator") and not node.args \
-                and not node.keywords:
-            self._add("D002", node,
-                      f"{dotted}() with no seed draws OS entropy; pass a "
-                      f"seed derived from the experiment seed")
-        elif dotted == "numpy.random.seed":
-            self._add("D002", node,
-                      "numpy.random.seed() mutates the global numpy PRNG; "
-                      "use repro.sim.rng streams")
-
-    @staticmethod
-    def _seed_derived(arg: ast.AST) -> bool:
-        """True when ``arg``'s value flows through a seed deriver."""
-        for node in ast.walk(arg):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else \
-                    func.id if isinstance(func, ast.Name) else None
-                if name in _SEED_DERIVERS:
-                    return True
-        return False
-
-    def visit_For(self, node: ast.For) -> None:
-        if self._is_unordered(node.iter):
-            schedules, accumulates = self._body_sinks(node.body)
-            if schedules:
-                self._add("D003", node,
-                          "iterating an unordered collection into the "
-                          "event kernel: same-timestamp event order "
-                          "would follow hash order — sort first")
-            elif accumulates:
-                self._add("D004", node,
-                          "accumulating over an unordered collection: "
-                          "float += order depends on hashing — sort "
-                          "first")
-        self.generic_visit(node)
 
     def _check_defaults(self, node) -> None:
         args = node.args
@@ -302,14 +159,12 @@ class _FileLinter(ast.NodeVisitor):
     def _visit_function(self, node) -> None:
         self._check_defaults(node)
         self._check_arg_units(node)
-        self.scopes.append(_Scope())
         self.generic_visit(node)
-        self.scopes.pop()
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
 
-    # -- U001 + set-name tracking -------------------------------------- #
+    # -- U001 ---------------------------------------------------------- #
 
     def _is_unit_expr(self, node: ast.AST) -> bool:
         """True when the expression multiplies by an ns-unit constant.
@@ -363,10 +218,6 @@ class _FileLinter(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             if isinstance(target, ast.Name):
-                if self._is_unordered(node.value):
-                    self.scopes[-1].set_names.add(target.id)
-                else:
-                    self.scopes[-1].set_names.discard(target.id)
                 if self._is_unit_expr(node.value):
                     self._check_unit_name(target.id, node)
             elif isinstance(target, ast.Attribute) and \
@@ -375,11 +226,9 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None and isinstance(node.target, ast.Name):
-            if self._is_unordered(node.value):
-                self.scopes[-1].set_names.add(node.target.id)
-            if self._is_unit_expr(node.value):
-                self._check_unit_name(node.target.id, node)
+        if node.value is not None and isinstance(node.target, ast.Name) \
+                and self._is_unit_expr(node.value):
+            self._check_unit_name(node.target.id, node)
         self.generic_visit(node)
 
 

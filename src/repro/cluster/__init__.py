@@ -18,8 +18,6 @@ See ``docs/CLUSTER.md`` for the co-simulation model and its determinism
 guarantees.
 """
 
-from repro.cluster.cache import (run_fleet_cached, run_many_fleet,
-                                 seed_fleet_cache)
 from repro.cluster.config import FleetConfig
 from repro.cluster.fleet import FleetResult, FleetSystem, run_fleet
 from repro.cluster.lb import POLICIES, DispatchPolicy, NodeView, make_policy
@@ -28,7 +26,6 @@ from repro.cluster.sharded import ShardedFleetSystem
 
 __all__ = [
     "FleetConfig", "FleetSystem", "FleetResult", "run_fleet",
-    "run_fleet_cached", "run_many_fleet", "seed_fleet_cache",
     "DispatchPolicy", "NodeView", "POLICIES", "make_policy",
     "PowerBudgetCoordinator", "BudgetArbiter", "ShardedFleetSystem",
 ]

@@ -1,176 +1,15 @@
-"""Cached + parallel fleet execution (mirrors ``experiments.runner``).
+"""Fleet names of the one run cache in :mod:`repro.experiments.runner`.
 
-Fleet results share the standalone runner's cache machinery: the same
-memo-then-disk lookup, the same :func:`~repro.experiments.runner.cache_dir`
-namespace (keys cannot collide — a ``FleetConfig`` canonicalizes
-differently from a ``ServerConfig``), and the same
-:func:`~repro.experiments.runner.cache_stats` counters, so experiment
-reports show one unified cache picture.
-
-:func:`run_many_fleet` fans independent fleet jobs over a process pool
-exactly like :func:`repro.experiments.parallel.run_many`; every
-``FleetResult`` is bit-identical to the serial run (enforced by test).
+Fleets share the runner's memo, disk store and counters; new code calls
+:func:`repro.experiments.runner.run_cached` and
+:func:`repro.experiments.parallel.run_many` directly.
 """
 
-from __future__ import annotations
+from repro.experiments import runner
 
-import os
-import pickle
-import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.cluster.config import FleetConfig
-from repro.cluster.fleet import FleetResult, run_fleet
-
-
-def _runner():
-    # Imported lazily: repro.experiments loads the experiment registry,
-    # whose fleet harnesses import repro.cluster — a module-level import
-    # here would close that cycle during package initialization.
-    from repro.experiments import runner
-    return runner
-
-#: One fan-out unit: a fleet configuration and how long to run it.
-FleetJob = Tuple[FleetConfig, int]
-
-_memo: Dict[str, FleetResult] = {}
-
-
-def _key(config: FleetConfig, duration_ns: int) -> str:
-    from repro.experiments.confighash import run_key
-    return run_key(config, duration_ns)
-
-
-def _disk_load(key: str) -> Optional[FleetResult]:
-    runner = _runner()
-    if not runner.disk_cache_enabled():
-        return None
-    try:
-        with open(runner.cache_dir() / f"{key}.pkl", "rb") as fh:
-            result = pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    return result if isinstance(result, FleetResult) else None
-
-
-def _disk_store(key: str, result: FleetResult) -> None:
-    runner = _runner()
-    if not runner.disk_cache_enabled():
-        return
-    directory = runner.cache_dir()
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, directory / f"{key}.pkl")
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        runner.cache_stats().disk_writes += 1
-    except OSError:
-        pass
-
-
-def _count_fresh(result: FleetResult) -> None:
-    stats = _runner().cache_stats()
-    stats.fresh_runs += 1
-    wall = 0.0
-    for node_result in result.node_results:
-        if node_result.perf is not None:
-            stats.fresh_events_fired += node_result.perf.events_fired
-            wall = max(wall, node_result.perf.wall_s)
-    stats.fresh_wall_s += wall
-
-
-def run_fleet_cached(config: FleetConfig, duration_ns: int) -> FleetResult:
-    """Run (or fetch the memoized/persisted result of) one fleet config."""
-    key = _key(config, duration_ns)
-    result = _memo.get(key)
-    if result is not None:
-        _runner().cache_stats().memo_hits += 1
-        return result
-    result = _disk_load(key)
-    if result is not None:
-        _runner().cache_stats().disk_hits += 1
-        _memo[key] = result
-        return result
-    result = run_fleet(config, duration_ns)
-    _count_fresh(result)
-    _memo[key] = result
-    _disk_store(key, result)
-    return result
-
-
-def peek_fleet_cached(config: FleetConfig,
-                      duration_ns: int) -> Optional[FleetResult]:
-    """Memoized/persisted result if present; never simulates."""
-    key = _key(config, duration_ns)
-    result = _memo.get(key)
-    if result is not None:
-        _runner().cache_stats().memo_hits += 1
-        return result
-    result = _disk_load(key)
-    if result is not None:
-        _runner().cache_stats().disk_hits += 1
-        _memo[key] = result
-    return result
-
-
-def seed_fleet_cache(config: FleetConfig, duration_ns: int,
-                     result: FleetResult) -> None:
-    """Install a result computed elsewhere (a parallel worker)."""
-    _memo[_key(config, duration_ns)] = result
-
-
-def clear_fleet_memo() -> None:
-    """Drop the in-process fleet memo (disk lives with runner's cache)."""
-    _memo.clear()
-
-
-def _fleet_worker(job: Tuple[int, FleetConfig, int]) -> Tuple[int,
-                                                              FleetResult]:
-    index, config, duration_ns = job
-    return index, run_fleet_cached(config, duration_ns)
-
-
-def run_many_fleet(jobs: Sequence[FleetJob],
-                   workers: Optional[int] = None) -> List[FleetResult]:
-    """Run every (config, duration) fleet job; results in job order.
-
-    Serial when the resolved worker count is 1 (or at most one job is
-    uncached) — that path is byte-for-byte the classic loop.
-    """
-    from repro.experiments import parallel
-    n_workers = parallel.resolve_workers(workers)
-    if n_workers <= 1 or len(jobs) <= 1:
-        return [run_fleet_cached(config, duration)
-                for config, duration in jobs]
-
-    results: List[Optional[FleetResult]] = [None] * len(jobs)
-    pending: List[int] = []
-    for i, (config, duration) in enumerate(jobs):
-        cached = peek_fleet_cached(config, duration)
-        if cached is not None:
-            results[i] = cached
-        else:
-            pending.append(i)
-    if len(pending) <= 1:
-        for i in pending:
-            results[i] = run_fleet_cached(*jobs[i])
-        return results  # type: ignore[return-value]
-
-    n_workers = min(n_workers, len(pending))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(_fleet_worker, (i, jobs[i][0], jobs[i][1]))
-                   for i in pending]
-        for future in as_completed(futures):
-            i, result = future.result()
-            results[i] = result
-            config, duration = jobs[i]
-            seed_fleet_cache(config, duration, result)
-            _count_fresh(result)
-    return results  # type: ignore[return-value]
+# Kept only because simbench/ imports or patches these names.
+run_fleet_cached = runner.run_cached
+clear_fleet_memo = runner._cache.clear
+_key = runner._key
+_disk_load = runner._disk_load
+_disk_store = runner._disk_store

@@ -70,7 +70,7 @@ class FleetConfig:
     #: processes stepped through the same window barriers
     #: (``repro.cluster.sharded``). Results are bit-identical for every
     #: value — the shard count is an execution detail, like
-    #: ``run_many_fleet``'s worker count.
+    #: ``repro.experiments.parallel.run_many``'s worker count.
     shards: int = 1
     #: Adaptive lookahead: the lockstep driver may coalesce up to this
     #: many consecutive windows into one stride when no dispatch, health

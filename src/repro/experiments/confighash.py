@@ -28,7 +28,7 @@ import numpy as np
 
 #: Version of the simulation model semantics. Part of every cache key and
 #: the on-disk cache namespace; bump on any change that alters RunResults.
-MODEL_VERSION = "2026.08-pr10"
+MODEL_VERSION = "2026.10-one-event-path"
 
 #: The fields each known config class contributes to its cache key, in
 #: definition order (so digests match the generic dataclass traversal).
@@ -47,9 +47,9 @@ HASHED_FIELDS: Dict[str, Tuple[str, ...]] = {
         "idle_governor_params", "nmap_thresholds",
         "ncap_threshold_rps", "stack", "power_model_params",
         "wire_latency_ns", "itr_gap_ns", "n_flows", "seed",
-        "arrival_seed", "trace", "trace_sample_rate", "batch_events",
-        "fault_plan", "retry", "timeline", "datapath",
-        "datapath_params", "pipeline", "flow_weights"),
+        "arrival_seed", "trace", "trace_sample_rate", "fault_plan",
+        "retry", "timeline", "datapath", "datapath_params", "pipeline",
+        "flow_weights"),
     "FleetConfig": (
         "node", "n_nodes", "policy", "policy_params",
         "lb_wire_latency_ns", "n_sessions", "session_skew",
@@ -67,9 +67,7 @@ HASHED_FIELDS: Dict[str, Tuple[str, ...]] = {
         "kind", "start_ns", "end_ns", "prob", "corrupt_prob",
         "rate_hz", "cycles", "cap_index", "factor", "rx_capacity",
         "cores"),
-    "StackConfig": (
-        "napi", "timeslice_ns", "mss_bytes", "ack_spacing_ns",
-        "batch_acks"),
+    "StackConfig": ("napi", "timeslice_ns", "mss_bytes", "ack_spacing_ns"),
     "PipelineProgram": (
         "stages", "parser_cycles", "deparser_cycles", "cost_model",
         "nic_hz"),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.cluster import FleetConfig, run_many_fleet
+from repro.cluster import FleetConfig
 from repro.cluster.health import HealthPolicy
 from repro.experiments import parallel
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
@@ -128,7 +128,7 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
     # (timeout-driven mark-down + failover + re-dispatch) recover it?
     fleet_jobs = [(fleet_config(scale, health), scale.duration_ns)
                   for health in (False, True)]
-    fleet_results = run_many_fleet(fleet_jobs)
+    fleet_results = parallel.run_many(fleet_jobs)
     fleet_loss: Dict[bool, float] = {}
     for (config, _), result in zip(fleet_jobs, fleet_results):
         health = config.health is not None

@@ -15,8 +15,10 @@ Four ways to run the same fleet:
 
 from __future__ import annotations
 
-from repro.cluster import FleetConfig, run_fleet_cached, run_many_fleet
+from repro.cluster import FleetConfig
+from repro.experiments import parallel
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
+from repro.experiments.runner import run_cached
 from repro.system import ServerConfig
 from repro.units import S
 
@@ -41,8 +43,8 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
                "mean power (W)", "vs performance (%)", "rebalances"]
     duration_s = scale.duration_ns / S
 
-    baseline = run_fleet_cached(fleet_config(scale, "performance"),
-                                scale.duration_ns)
+    baseline = run_cached(fleet_config(scale, "performance"),
+                          scale.duration_ns)
     baseline_w = baseline.energy_j / duration_s
     budget_w = round(BUDGET_FRAC * baseline_w, 1)
 
@@ -50,7 +52,7 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
                fleet_config(scale, "performance", budget_w=budget_w),
                fleet_config(scale, "ondemand"),
                fleet_config(scale, "nmap")]
-    results = run_many_fleet([(c, scale.duration_ns) for c in configs])
+    results = parallel.run_many([(c, scale.duration_ns) for c in configs])
 
     rows = []
     by_key = {}

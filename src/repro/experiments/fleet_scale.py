@@ -19,8 +19,8 @@ exactly what a serial run would produce, at a fraction of the wall time.
 from __future__ import annotations
 
 from repro.cluster import FleetConfig
-from repro.cluster.cache import run_fleet_cached
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
+from repro.experiments.runner import run_cached
 from repro.system import ServerConfig
 from repro.units import MS
 from repro.workload.shapes import diurnal
@@ -55,7 +55,7 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
     norm = {}
     for policy in POLICIES:
         config = fleet_config(scale, policy)
-        result = run_fleet_cached(config, scale.duration_ns)
+        result = run_cached(config, scale.duration_ns)
         fleet_norm = result.slo_result().normalized_p99
         worst_norm = (max(result.node_p99s_ns()) / result.slo_ns
                       if result.slo_ns else 0.0)

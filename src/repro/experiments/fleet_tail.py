@@ -12,7 +12,8 @@ every fleet size.
 
 from __future__ import annotations
 
-from repro.cluster import FleetConfig, run_many_fleet
+from repro.cluster import FleetConfig
+from repro.experiments import parallel
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 from repro.system import ServerConfig
 
@@ -38,7 +39,7 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
                "imbalance", "energy (J)"]
     jobs = [(fleet_config(scale, policy, n), scale.duration_ns)
             for policy in POLICIES for n in NODE_COUNTS]
-    results = run_many_fleet(jobs)
+    results = parallel.run_many(jobs)
 
     rows = []
     norm = {}

@@ -1,13 +1,14 @@
 """Parallel execution of independent simulation runs.
 
-Grid cells (and fig16's per-manager runs) are embarrassingly parallel:
-each is its own seeded :class:`~repro.system.ServerSystem`, so fanning
-them out over a :class:`~concurrent.futures.ProcessPoolExecutor` changes
-wall-clock only — every cell's ``RunResult`` is bit-identical to the
-serial run (enforced by test). Workers use :func:`runner.run_cached`, so
-they both consult and populate the persistent disk cache; the parent
-seeds its in-process memo from the returned results so figure pairs
-(12/13, 14/15) still share runs.
+Grid cells, fig16's per-manager runs and the fleet experiments' cells
+are embarrassingly parallel: each is its own seeded server or fleet, so
+fanning them out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+changes wall-clock only — every result is bit-identical to the serial
+run (enforced by test). :func:`run_many` is the one fan-out for jobs of
+either kind. Workers use :func:`runner.run_cached`, so they both consult
+and populate the persistent disk cache; the parent seeds its in-process
+memo from the returned results so figure pairs (12/13, 14/15) still
+share runs.
 
 Worker count resolution, most specific wins:
 
@@ -26,10 +27,11 @@ from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments import runner
-from repro.system import RunResult, ServerConfig
+from repro.experiments.runner import Result, RunConfig
 
-#: One fan-out unit: a configuration and how long to run it.
-Job = Tuple[ServerConfig, int]
+#: One fan-out unit: a server or fleet configuration and how long to
+#: run it.
+Job = Tuple[RunConfig, int]
 
 _ambient_workers: Optional[int] = None
 
@@ -67,14 +69,14 @@ def using_workers(workers: Optional[int]):
         _ambient_workers = prev
 
 
-def _worker_run(job: Tuple[int, ServerConfig, int]) -> Tuple[int, RunResult]:
+def _worker_run(job: Tuple[int, RunConfig, int]) -> Tuple[int, Result]:
     """Executed in the pool: run one configuration through the cache."""
     index, config, duration_ns = job
     return index, runner.run_cached(config, duration_ns)
 
 
 def run_many(jobs: Sequence[Job],
-             workers: Optional[int] = None) -> List[RunResult]:
+             workers: Optional[int] = None) -> List[Result]:
     """Run every (config, duration) job; results in job order.
 
     Serial when the resolved worker count is 1 (or there is at most one
@@ -86,7 +88,7 @@ def run_many(jobs: Sequence[Job],
         return [runner.run_cached(config, duration) for config, duration
                 in jobs]
 
-    results: List[Optional[RunResult]] = [None] * len(jobs)
+    results: List[Optional[Result]] = [None] * len(jobs)
     pending: List[int] = []
     for i, (config, duration) in enumerate(jobs):
         cached = runner.peek_cached(config, duration)
@@ -108,9 +110,5 @@ def run_many(jobs: Sequence[Job],
             results[i] = result
             config, duration = jobs[i]
             runner.seed_cache(config, duration, result)
-            stats = runner.cache_stats()
-            stats.fresh_runs += 1
-            if result.perf is not None:
-                stats.fresh_events_fired += result.perf.events_fired
-                stats.fresh_wall_s += result.perf.wall_s
+            runner.record_fresh_run(result)
     return results  # type: ignore[return-value]

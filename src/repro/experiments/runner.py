@@ -2,7 +2,13 @@
 
 Figs. 12/13 (and 14/15) report latency and energy of the *same* runs, so
 the runner memoizes results by configuration within the process — the
-energy figure reuses the latency figure's simulations.
+energy figure reuses the latency figure's simulations. This is the one
+run cache: a :class:`~repro.system.ServerConfig` runs as a
+:class:`~repro.system.ServerSystem`, a
+:class:`~repro.cluster.config.FleetConfig` through
+:func:`~repro.cluster.fleet.run_fleet`, and both kinds share the memo,
+the disk store and the counters (their keys cannot collide: the config
+class is part of the canonical form).
 
 Two cache levels:
 
@@ -29,12 +35,18 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
+from repro.cluster.config import FleetConfig
+from repro.cluster.fleet import FleetResult, run_fleet
 from repro.experiments.confighash import MODEL_VERSION, run_key
 from repro.system import RunResult, ServerConfig, ServerSystem
 
-_cache: Dict[str, RunResult] = {}
+#: What the cache runs, and what it answers with.
+RunConfig = Union[ServerConfig, FleetConfig]
+Result = Union[RunResult, FleetResult]
+
+_cache: Dict[str, Result] = {}
 _cache_dir_override: Optional[Path] = None
 
 
@@ -46,7 +58,8 @@ class CacheStats:
     disk_hits: int = 0
     fresh_runs: int = 0
     disk_writes: int = 0
-    #: Aggregate event-kernel figures over the fresh runs.
+    #: Aggregate event-kernel figures over the fresh runs (a fleet adds
+    #: its nodes' events and its slowest node's wall time).
     fresh_events_fired: int = 0
     fresh_wall_s: float = 0.0
 
@@ -101,7 +114,7 @@ def _disk_path(key: str) -> Path:
     return cache_dir() / f"{key}.pkl"
 
 
-def _disk_load(key: str) -> Optional[RunResult]:
+def _disk_load(key: str) -> Optional[Result]:
     if not disk_cache_enabled():
         return None
     try:
@@ -111,10 +124,10 @@ def _disk_load(key: str) -> Optional[RunResult]:
             ImportError, IndexError):
         # Missing, torn, or stale-format entry: treat as a miss.
         return None
-    return result if isinstance(result, RunResult) else None
+    return result if isinstance(result, (RunResult, FleetResult)) else None
 
 
-def _disk_store(key: str, result: RunResult) -> None:
+def _disk_store(key: str, result: Result) -> None:
     if not disk_cache_enabled():
         return
     directory = cache_dir()
@@ -139,11 +152,21 @@ def _disk_store(key: str, result: RunResult) -> None:
 # Public API
 # --------------------------------------------------------------------- #
 
-def _key(config: ServerConfig, duration_ns: int) -> str:
+def _key(config: RunConfig, duration_ns: int) -> str:
     return run_key(config, duration_ns)
 
 
-def run_cached(config: ServerConfig, duration_ns: int) -> RunResult:
+def record_fresh_run(result: Result) -> None:
+    """Count one simulated (not cache-served) run in :func:`cache_stats`."""
+    nodes = (result.node_results if isinstance(result, FleetResult)
+             else (result,))
+    perfs = [node.perf for node in nodes if node.perf is not None]
+    _stats.fresh_runs += 1
+    _stats.fresh_events_fired += sum(perf.events_fired for perf in perfs)
+    _stats.fresh_wall_s += max((perf.wall_s for perf in perfs), default=0.0)
+
+
+def run_cached(config: RunConfig, duration_ns: int) -> Result:
     """Run (or fetch the memoized/persisted result of) one configuration."""
     key = _key(config, duration_ns)
     result = _cache.get(key)
@@ -155,18 +178,17 @@ def run_cached(config: ServerConfig, duration_ns: int) -> RunResult:
         _stats.disk_hits += 1
         _cache[key] = result
         return result
-    result = ServerSystem(config).run(duration_ns)
-    _stats.fresh_runs += 1
-    if result.perf is not None:
-        _stats.fresh_events_fired += result.perf.events_fired
-        _stats.fresh_wall_s += result.perf.wall_s
+    if isinstance(config, FleetConfig):
+        result = run_fleet(config, duration_ns)
+    else:
+        result = ServerSystem(config).run(duration_ns)
+    record_fresh_run(result)
     _cache[key] = result
     _disk_store(key, result)
     return result
 
 
-def peek_cached(config: ServerConfig,
-                duration_ns: int) -> Optional[RunResult]:
+def peek_cached(config: RunConfig, duration_ns: int) -> Optional[Result]:
     """Memoized/persisted result if present; never simulates."""
     key = _key(config, duration_ns)
     result = _cache.get(key)
@@ -180,8 +202,7 @@ def peek_cached(config: ServerConfig,
     return result
 
 
-def seed_cache(config: ServerConfig, duration_ns: int,
-               result: RunResult) -> None:
+def seed_cache(config: RunConfig, duration_ns: int, result: Result) -> None:
     """Install a result computed elsewhere (a parallel worker) in the memo.
 
     Workers persist to disk themselves; seeding only the memo avoids a

@@ -32,11 +32,6 @@ class StackConfig:
     #: Gap between consecutive ACKs of one response arriving back
     #: (serialization on the wire plus client-side processing).
     ack_spacing_ns: int = 8_000
-    #: Schedule a multi-segment response's ACK flood as one chained train
-    #: event instead of one heap entry per segment (same arrival times;
-    #: the heap stays shallow). False restores the legacy per-ACK
-    #: scheduling and its exact event ordering.
-    batch_acks: bool = True
 
 
 class NetworkStack:
@@ -138,30 +133,24 @@ class NetworkStack:
         self.nic.transmit(packet, core_id, self.response_sink,
                           sink_at=self.response_sink_at)
         if request.acked_response:
-            rtt = 2 * self.nic.wire_latency_ns
-            if self.config.batch_acks and n_segments > 1:
-                # The whole train steers to one queue; hash the flow once.
-                qid = self.nic.rss.queue_for(request.flow_id)
-                self.sim.schedule(rtt, self._ack_train, request.flow_id,
-                                  n_segments, qid)
-            else:
-                for i in range(n_segments):
-                    self.sim.schedule(rtt + i * self.config.ack_spacing_ns,
-                                      self._ack_arrives, request.flow_id)
+            # The whole train steers to one queue; hash the flow once.
+            qid = self.nic.rss.queue_for(request.flow_id)
+            self.sim.schedule(2 * self.nic.wire_latency_ns, self._ack_train,
+                              request.flow_id, n_segments, qid)
 
     def _ack_train(self, flow_id: int, n_left: int, qid: int) -> None:
         """One chained event delivers a segment train's ACKs in sequence.
 
-        Arrival times match the legacy per-ACK scheduling exactly; only
-        one heap entry per in-flight train exists at a time, so an nginx
-        burst (~70 segments per response) no longer floods the heap.
+        ACKs arrive ``ack_spacing_ns`` apart, but only one heap entry per
+        in-flight train exists at a time, so an nginx burst (~70 segments
+        per response) does not flood the heap.
         """
         self._ack_arrives(flow_id, qid)
         if n_left > 1:
             self.sim.schedule(self.config.ack_spacing_ns, self._ack_train,
                               flow_id, n_left - 1, qid)
 
-    def _ack_arrives(self, flow_id: int, qid: Optional[int] = None) -> None:
+    def _ack_arrives(self, flow_id: int, qid: int) -> None:
         free = self.nic.free_acks
         if free:
             ack = free.pop()

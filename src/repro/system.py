@@ -116,10 +116,6 @@ class ServerConfig:
     #: path then pays nothing and results are bit-identical to untraced
     #: runs. Sampling is deterministic in (rate, seed, request index).
     trace_sample_rate: float = 0.0
-    #: Batch per-packet event scheduling (client arrival doorbell, ACK
-    #: trains). Arrival times are identical either way; False restores
-    #: the exact legacy event ordering (one heap entry per packet).
-    batch_events: bool = True
     #: Deterministic fault schedule (``repro.faults``; docs/FAULTS.md).
     #: None or an empty plan builds no injector at all — the run is
     #: bit-identical to one without fault support.
@@ -250,11 +246,8 @@ class ServerSystem:
         self.nic = MultiQueueNic(self.sim, n_queues=config.n_cores,
                                  wire_latency_ns=config.wire_latency_ns,
                                  itr_gap_ns=config.itr_gap_ns)
-        stack_config = config.stack
-        if not config.batch_events and stack_config.batch_acks:
-            stack_config = replace(stack_config, batch_acks=False)
         self.stack = NetworkStack(self.sim, self.processor, self.nic,
-                                  config=stack_config,
+                                  config=config.stack,
                                   datapath=config.datapath,
                                   datapath_params=config.datapath_params,
                                   rng=self.rng)
@@ -301,7 +294,6 @@ class ServerSystem:
             wire_latency_ns=config.wire_latency_ns,
             n_flows=config.n_flows,
             flow_weights=config.flow_weights,
-            batch_arrivals=config.batch_events,
             span_log=self.spans,
             retry=config.retry)
         if self.spans is not None:
@@ -311,10 +303,9 @@ class ServerSystem:
             self.stack.tracing = True
             self.datapath.set_tracing(True)
         self.stack.response_sink = self.client.on_response
-        if config.batch_events:
-            # The open-loop client is a pure recorder: let the NIC notify
-            # it synchronously at transmit time (no per-response event).
-            self.stack.response_sink_at = self.client.on_response_at
+        # The open-loop client is a pure recorder: let the NIC notify it
+        # synchronously at transmit time (no per-response event).
+        self.stack.response_sink_at = self.client.on_response_at
 
         # Idle governor (shared instance across cores). "nmap-sleep" is
         # the mode-aware extension: it needs the NMAP engines, so it is

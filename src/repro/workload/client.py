@@ -55,7 +55,6 @@ class OpenLoopClient:
                  wire_latency_ns: int = 5_000,
                  n_flows: Optional[int] = None,
                  flow_weights: Optional[Sequence[int]] = None,
-                 batch_arrivals: bool = True,
                  span_log: Optional[SpanLog] = None,
                  retry: Optional[RetryPolicy] = None):
         if n_flows is not None and n_flows < 1:
@@ -81,12 +80,6 @@ class OpenLoopClient:
         #: testbed's many-connection behaviour). A small number
         #: concentrates flows, producing per-core load imbalance.
         self.n_flows = n_flows
-        #: True = one pending "ring doorbell" event delivers each burst of
-        #: due arrivals to the NIC (identical arrival times/order, but the
-        #: heap holds one client event instead of one per in-flight
-        #: packet). False = legacy two-events-per-request scheduling,
-        #: preserving exact legacy event ordering.
-        self.batch_arrivals = batch_arrivals
         #: End-to-end span tracing: when set, the client attaches a
         #: TraceContext to each sampled request and folds it back into
         #: the log on response. None = tracing off (no per-request cost).
@@ -102,7 +95,7 @@ class OpenLoopClient:
         #: on an ndarray.
         self._arrivals = array("q")
         self._next_idx = 0
-        #: True while a doorbell/send event sits in the heap — lets an
+        #: True while a doorbell event sits in the heap — lets an
         #: external feeder (:meth:`feed_arrivals`) know whether it must
         #: re-arm after appending to an exhausted schedule.
         self._armed = False
@@ -130,10 +123,7 @@ class OpenLoopClient:
         self._arrivals = array("q", generate_arrivals(
             self.shape, duration_ns, self.rng).tobytes())
         self._next_idx = 0
-        if self.batch_arrivals:
-            self._ring_next()
-        else:
-            self._schedule_next()
+        self._ring_next()
         return len(self._arrivals)
 
     def feed_arrivals(self, times_ns) -> None:
@@ -156,12 +146,9 @@ class OpenLoopClient:
                     f"({times_ns[0]} < {arrivals[-1]})")
             arrivals.extend(times_ns)
         if not self._armed and self._next_idx < len(arrivals):
-            if self.batch_arrivals:
-                self._ring_next()
-            else:
-                self._schedule_next()
+            self._ring_next()
 
-    # -- batched path: one doorbell event per burst of due arrivals ----- #
+    # -- one doorbell event per burst of due arrivals ------------------- #
 
     def _ring_next(self) -> None:
         if self._next_idx >= len(self._arrivals):
@@ -219,26 +206,6 @@ class OpenLoopClient:
         return Packet(flow_id=request.flow_id,
                       size_bytes=request.size_bytes,
                       created_ns=created_ns, request=request)
-
-    # -- legacy path: one send event + one arrival event per request ---- #
-
-    def _schedule_next(self) -> None:
-        if self._next_idx >= len(self._arrivals):
-            self._armed = False
-            return
-        t = self._arrivals[self._next_idx]
-        self.sim.schedule_at(max(t, self.sim.now), self._send_one)
-        self._armed = True
-
-    def _send_one(self) -> None:
-        t = self._arrivals[self._next_idx]
-        self._next_idx += 1
-        packet = self._make_packet(t)
-        # The request was *created* at t; it reaches the server NIC one
-        # wire latency later (we are already at t when this event runs).
-        self.sim.schedule(self.wire_latency_ns, self._arrive, packet)
-        self.sent += 1
-        self._schedule_next()
 
     def _arrive(self, packet: Packet) -> None:
         if not self.nic.receive(packet):

@@ -54,11 +54,7 @@ def test_clean_counterpart_has_no_active_finding(rule):
     assert _active([path]) == [], f"{path.name} should be flow-clean"
 
 
-# D002 is excluded: the intraprocedural heuristic also fires on the
-# helper body (at a cruder location) — the flow engine's gain there is
-# precision at call sites, shown by clean_flow_d002, not pure recall.
-@pytest.mark.parametrize(
-    "filename", [f for f, r in sorted(BAD_CASES.items()) if r != "D002"])
+@pytest.mark.parametrize("filename", sorted(BAD_CASES))
 def test_intraprocedural_linter_misses_the_flow_cases(filename):
     """The corpus earns its name: lint alone cannot see these."""
     rule = BAD_CASES[filename]

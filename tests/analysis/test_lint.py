@@ -3,8 +3,9 @@
 Each ``bad_<rule>.py`` corpus file must be flagged by *exactly* its
 intended rule (no cross-talk between rules), and every
 ``clean_<rule>.py`` counterpart must come back with no active finding.
-The golden JSON test pins the machine-readable report format so CI
-consumers can rely on it.
+The dataflow rules' files (D002-D004) are checked through the flow
+engine, which owns those rules. The golden JSON test pins the
+machine-readable report format so CI consumers can rely on it.
 """
 
 import json
@@ -14,10 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.flow import FLOW_RULES, analyze_paths
 from repro.analysis.lint import (PERF_COUNTER_ALLOWLIST, RULES, lint_file,
                                  lint_paths)
 
 CORPUS = Path(__file__).parent / "corpus"
+CORPUS_FLOW = Path(__file__).parent / "corpus_flow"
+SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 #: bad corpus file -> the one rule its active finding must carry.
 BAD_CASES = {
@@ -31,9 +35,16 @@ BAD_CASES = {
 }
 
 
+def _findings(path: Path, rule: str):
+    """The findings of the engine that owns ``rule`` for one file."""
+    if rule in RULES:
+        return lint_file(path)
+    return analyze_paths([path]).findings
+
+
 @pytest.mark.parametrize("filename,rule", sorted(BAD_CASES.items()))
 def test_bad_corpus_flagged_by_exactly_its_rule(filename, rule):
-    findings = lint_file(CORPUS / filename)
+    findings = _findings(CORPUS / filename, rule)
     active = [f for f in findings if not f.suppressed]
     assert [f.rule for f in active] == [rule], (
         f"{filename}: expected exactly one active {rule}, got "
@@ -43,9 +54,15 @@ def test_bad_corpus_flagged_by_exactly_its_rule(filename, rule):
 @pytest.mark.parametrize("rule", sorted(BAD_CASES.values()))
 def test_clean_counterpart_has_no_active_finding(rule):
     path = CORPUS / f"clean_{rule.lower()}.py"
-    findings = lint_file(path)
+    findings = _findings(path, rule)
     assert [f for f in findings if not f.suppressed] == [], (
         f"{path.name} should be clean")
+
+
+def test_lint_and_flow_rule_sets_are_disjoint():
+    assert set(RULES) & set(FLOW_RULES) == {"P000"}
+    for rule in BAD_CASES.values():
+        assert (rule in RULES) != (rule in FLOW_RULES), rule
 
 
 def test_justified_suppression_records_why():
@@ -82,10 +99,14 @@ def test_perf_counter_allowlist(tmp_path):
 def test_import_aliases_resolved(tmp_path):
     path = tmp_path / "aliased.py"
     path.write_text("import time as t\n"
+                    "import numpy as np\n"
                     "from random import randint as ri\n"
                     "x = t.time()\n"
-                    "y = ri(0, 3)\n")
-    assert sorted(f.rule for f in lint_file(path)) == ["D001", "D002"]
+                    "y = ri(0, 3)\n"
+                    "np.random.seed(0)\n")
+    assert [f.rule for f in lint_file(path)] == ["D001"]
+    flow = analyze_paths([path]).findings
+    assert [(f.rule, f.line) for f in flow] == [("D002", 5), ("D002", 6)]
 
 
 def test_sum_over_set_expression(tmp_path):
@@ -95,7 +116,7 @@ def test_sum_over_set_expression(tmp_path):
                     "    b = sum(x * 2 for x in set(xs))\n"
                     "    c = sum(sorted(set(xs)))\n"
                     "    return a + b + c\n")
-    findings = lint_file(path)
+    findings = analyze_paths([path]).findings
     assert [f.rule for f in findings] == ["D004", "D004"]
     assert [f.line for f in findings] == [2, 3]
 
@@ -145,6 +166,17 @@ def test_cli_strict_gate(tmp_path):
         capture_output=True, text=True,
         env={"PYTHONPATH": str(src_root), "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("rule", ["d002", "d003", "d004"])
+def test_cli_strict_gate_passes_flow_clean_corpus(rule):
+    """The strict gate agrees with the flow engine on what is clean."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", "lint", "--strict",
+         str(CORPUS_FLOW / f"clean_flow_{rule}.py")],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(SRC_ROOT), "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_cli_rejects_unknown_rule_and_missing_path():

@@ -14,8 +14,8 @@ Two guarantees, both bit-level:
 import numpy as np
 
 from repro.cluster import FleetConfig, run_fleet
-from repro.cluster.cache import clear_fleet_memo, run_many_fleet
 from repro.experiments import runner
+from repro.experiments.parallel import run_many
 from repro.system import ServerConfig, ServerSystem
 from repro.units import MS
 
@@ -80,13 +80,10 @@ def test_serial_and_parallel_fleets_bit_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     jobs = _jobs()
     runner.clear_cache()
-    clear_fleet_memo()
-    serial = run_many_fleet(jobs, workers=1)
+    serial = run_many(jobs, workers=1)
     runner.clear_cache()
-    clear_fleet_memo()
-    parallel = run_many_fleet(jobs, workers=2)
+    parallel = run_many(jobs, workers=2)
     runner.clear_cache()
-    clear_fleet_memo()
     for a, b, (config, _) in zip(serial, parallel, jobs):
         assert a.config == config and b.config == config
         assert a.sent == b.sent

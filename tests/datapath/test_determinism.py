@@ -2,11 +2,12 @@
 
 Same config, same seed → bit-identical results (latency bytes, exact
 float energy, per-mode packet counts, event totals); different seeds →
-different runs; ``batch_events`` on/off → identical results (the fast
-paths change heap shape only). The Metronome backends draw timer jitter
-from derived RNG streams, so their determinism is worth proving, not
-assuming.
+different runs; and each backend's 60 ms cell reproduces its pinned
+golden exactly. The Metronome backends draw timer jitter from derived
+RNG streams, so their determinism is worth proving, not assuming.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -54,36 +55,53 @@ def test_different_seeds_differ(datapath, governor):
     assert not np.array_equal(a.latencies_ns, b.latencies_ns)
 
 
-# nmap-hybrid is absent: it requires an NMAP-family governor, and the
-# nmap governor's sampling events are tie-order sensitive across heap
-# shapes on the *kernel* path already (napi+nmap diverges by ~1 ns under
-# batch_events on/off) — the repo's batch_events bit-identity contract
-# (tests/test_batch_events.py) only covers governors without that
-# sensitivity. The aggregate test below covers hybrid instead.
-@pytest.mark.parametrize("datapath,governor",
-                         [("poll", "performance"),
-                          ("metronome", "ondemand")])
-def test_batch_events_paths_bit_identical(datapath, governor):
-    batched = ServerSystem(
-        _config(datapath, governor, batch_events=True)).run(DURATION)
-    legacy = ServerSystem(
-        _config(datapath, governor, batch_events=False)).run(DURATION)
-    # Everything but the event count — batching exists to shrink that.
-    assert _fingerprint(batched)[:-1] == _fingerprint(legacy)[:-1]
-    assert batched.perf.events_fired < legacy.perf.events_fired
+#: Pinned outputs of each backend's cell at DURATION. Floats are stored
+#: as ``float.hex()`` strings: parity means the same bits, not "close".
+GOLDENS = {
+    "poll": {
+        "latencies_sha256": "88084cf16359fce816cd4a6a0e1523dc"
+                            "29411fd908bead0a51a5fa4d5cdb1aa2",
+        "package_j_hex": "0x1.2c17eee3d4cf4p+0",
+        "cores_j_hex": "0x1.af3a1b384d758p-1",
+        "datapath_pkts": {"busy-poll": 7197},
+        "poll_loops": 52452, "sleep_wakes": 0, "events_fired": 61387,
+    },
+    "metronome": {
+        "latencies_sha256": "6335c62a13417aa872caaaa4b15d5a28"
+                            "ea7e64350e9a4261742b6de25e426d82",
+        "package_j_hex": "0x1.1c565eacdc4abp-1",
+        "cores_j_hex": "0x1.8af1d31720056p-2",
+        "datapath_pkts": {"intermittent": 4311, "polling": 2886},
+        "poll_loops": 9694, "sleep_wakes": 2464, "events_fired": 31468,
+    },
+    "nmap-hybrid": {
+        "latencies_sha256": "7f0332a179ddf784f699acb53bd2968b"
+                            "242852e3378345c858cc4f067eebdae2",
+        "package_j_hex": "0x1.4825f20259f8fp-1",
+        "cores_j_hex": "0x1.b7cf164383d56p-2",
+        "datapath_pkts": {"intermittent": 4502, "polling": 2695},
+        "poll_loops": 11017, "sleep_wakes": 3758, "events_fired": 33577,
+    },
+}
 
 
-def test_batch_events_keeps_hybrid_aggregates():
-    """Hybrid inherits the nmap governor's same-ns tie sensitivity, so
-    only the aggregate accounting is invariant across heap shapes."""
-    batched = ServerSystem(
-        _config("nmap-hybrid", "nmap", batch_events=True)).run(DURATION)
-    legacy = ServerSystem(
-        _config("nmap-hybrid", "nmap", batch_events=False)).run(DURATION)
-    assert batched.completed == legacy.completed
-    assert batched.datapath_pkts == legacy.datapath_pkts
-    assert batched.poll_loops == legacy.poll_loops
-    assert batched.sleep_wakes == legacy.sleep_wakes
+def _capture(result) -> dict:
+    return {
+        "latencies_sha256": hashlib.sha256(
+            result.latencies_ns.tobytes()).hexdigest(),
+        "package_j_hex": result.energy.package_j.hex(),
+        "cores_j_hex": result.energy.cores_j.hex(),
+        "datapath_pkts": dict(result.datapath_pkts),
+        "poll_loops": result.poll_loops,
+        "sleep_wakes": result.sleep_wakes,
+        "events_fired": result.perf.events_fired,
+    }
+
+
+@pytest.mark.parametrize("datapath,governor", BACKENDS)
+def test_backend_matches_golden(datapath, governor):
+    result = ServerSystem(_config(datapath, governor)).run(DURATION)
+    assert _capture(result) == GOLDENS[datapath]
 
 
 @pytest.mark.parametrize("datapath,governor", BACKENDS)

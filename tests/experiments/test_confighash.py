@@ -74,19 +74,19 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for the 2026.08-pr10 schema (ServerConfig grew
-    `pipeline` / `flow_weights`, with a MODEL_VERSION bump retiring
-    the old cache namespace). Any further drift without a schema
-    change silently invalidates every cached run key.
+    Re-pinned for the 2026.10-one-event-path schema (ServerConfig and
+    StackConfig each lost the flag selecting the legacy event path,
+    with a MODEL_VERSION bump retiring the old cache namespace). Any further drift without a
+    schema change silently invalidates every cached run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "c7c5415be318b4e4a6580a0a2b3a59b17a735845994431e436b213817d4146ef")
+        "57cb592351c8583469efc147e8c4a050a8ac7f7ccd2f35f06cdac4ced76f1952")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "3db3e92e186f2e3b179fdfc91f5c0c9a97afd3673d2ae25c16102392436a988e")
+        "87107384c1bc912afea92ad30d4b6fc19417e92eb75d82101058c8f2ee9f51f9")
     assert run_key(server, 1_000_000) == (
-        "81229e922bedd017226e767a52c19c58d96f8bb19000ca66a706b21a8169275b")
+        "9b34bebb3865d93662a24252d3d6fbc064c131f1bec093f1c935bafdf40ebd17")
 
 
 @pytest.mark.parametrize("cls", [ServerConfig, FleetConfig])

@@ -6,6 +6,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.parallel import (resolve_workers, run_many,
                                         using_workers)
+from repro.cluster import FleetConfig
 from repro.system import ServerConfig
 from repro.units import MS
 
@@ -49,26 +50,32 @@ def test_run_many_serial_preserves_job_order(tmp_path, monkeypatch):
 
 
 def test_serial_and_parallel_grids_bit_identical(tmp_path, monkeypatch):
-    """The ISSUE's determinism constraint: fanning a grid over worker
-    processes changes wall-clock only — every cell's RunResult matches
-    the serial run bit for bit."""
+    """Fanning server and fleet jobs over worker processes changes
+    wall-clock only — every cell's result (each fleet node's included)
+    matches the serial run bit for bit."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    jobs = _jobs()
+    fleet = FleetConfig(node=_jobs()[0][0], n_nodes=2, seed=43)
+    jobs = _jobs() + [(fleet, 15 * MS)]
     runner.clear_cache()
     serial = run_many(jobs, workers=1)
     runner.clear_cache()  # memo and disk: the parallel pass starts cold
     parallel = run_many(jobs, workers=2)
-    assert len(serial) == len(parallel) == 4
+    assert len(serial) == len(parallel) == 5
     for a, b in zip(serial, parallel):
+        assert type(a) is type(b)
         assert a.sent == b.sent
-        assert a.completed == b.completed
-        assert a.dropped == b.dropped
         assert np.array_equal(a.latencies_ns, b.latencies_ns)
-        assert np.array_equal(a.completion_times_ns, b.completion_times_ns)
         assert a.energy.package_j == b.energy.package_j
-        assert a.pkts_interrupt_mode == b.pkts_interrupt_mode
-        assert a.pkts_polling_mode == b.pkts_polling_mode
-        assert a.ksoftirqd_wakeups == b.ksoftirqd_wakeups
+        for x, y in zip(getattr(a, "node_results", [a]),
+                        getattr(b, "node_results", [b])):
+            assert x.completed == y.completed
+            assert x.dropped == y.dropped
+            assert np.array_equal(x.completion_times_ns,
+                                  y.completion_times_ns)
+            assert x.energy.package_j == y.energy.package_j
+            assert x.pkts_interrupt_mode == y.pkts_interrupt_mode
+            assert x.pkts_polling_mode == y.pkts_polling_mode
+            assert x.ksoftirqd_wakeups == y.ksoftirqd_wakeups
     runner.clear_cache()
 
 

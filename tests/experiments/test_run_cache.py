@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.cluster import FleetConfig
+from repro.cluster.cache import run_fleet_cached
 from repro.experiments import runner
 from repro.experiments.confighash import MODEL_VERSION
 from repro.system import ServerConfig
@@ -43,6 +45,21 @@ def test_fresh_run_is_served_from_disk_in_a_fresh_process(disk_cache):
     assert again.completed == result.completed
     assert np.array_equal(again.latencies_ns, result.latencies_ns)
     assert again.energy.package_j == result.energy.package_j
+
+
+def test_clear_cache_drops_fleet_results(disk_cache):
+    """Fleets share the one memo: clear_cache() must drop them too."""
+    fleet = FleetConfig(node=CONFIG, n_nodes=2, seed=5)
+    first = run_fleet_cached(fleet, 15 * MS)
+    runner.clear_cache()
+    runner.reset_cache_stats()
+    again = run_fleet_cached(fleet, 15 * MS)
+    stats = runner.cache_stats()
+    assert stats.fresh_runs == 1
+    assert stats.memo_hits == stats.disk_hits == 0
+    assert again is not first
+    assert stats.fresh_events_fired == sum(
+        node.perf.events_fired for node in again.node_results)
 
 
 def test_peek_cached_never_simulates(disk_cache):

@@ -123,18 +123,6 @@ def test_feed_arrivals_while_armed_extends_without_double_arming(sim, nic):
     assert nic.rx_packets == 2
 
 
-def test_feed_arrivals_legacy_event_path(sim, nic):
-    client = OpenLoopClient(sim, nic, ConstantLoad(1000),
-                            RandomStreams(4).numpy_stream("client"),
-                            wire_latency_ns=5 * US, batch_arrivals=False)
-    client.feed_arrivals([0, 1 * MS])
-    sim.run_until(5 * MS)
-    client.feed_arrivals([6 * MS])
-    sim.run_until(10 * MS)
-    assert client.sent == 3
-    assert nic.rx_packets == 3
-
-
 def test_feed_empty_batch_is_a_noop(sim, nic):
     client = make_client(sim, nic)
     client.feed_arrivals([])
