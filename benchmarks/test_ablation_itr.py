@@ -23,11 +23,11 @@ def run_sweep():
         config = ServerConfig(app="memcached", load_level="high",
                               freq_governor="performance", n_cores=2,
                               seed=1, itr_gap_ns=gap)
-        result = run_cached(config, 300 * MS)
-        ratio = result.pkts_polling_mode / max(1, result.pkts_interrupt_mode)
+        pkts = run_cached(config, 300 * MS).datapath_pkts
+        ratio = pkts["polling"] / max(1, pkts["interrupt"])
         ratios[gap] = ratio
-        rows.append([gap // US, result.pkts_interrupt_mode,
-                     result.pkts_polling_mode, round(ratio, 3)])
+        rows.append([gap // US, pkts["interrupt"], pkts["polling"],
+                     round(ratio, 3)])
     return rows, ratios
 
 

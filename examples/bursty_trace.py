@@ -50,8 +50,8 @@ def main() -> None:
     print(f"p99 = {result.p99_ns / 1e6:.3f} ms "
           f"(SLO {result.slo_ns / 1e6:.0f} ms), "
           f"energy = {result.energy_j:.2f} J, "
-          f"poll/intr = {result.pkts_polling_mode}"
-          f"/{result.pkts_interrupt_mode}")
+          f"poll/intr = {result.datapath_pkts['polling']}"
+          f"/{result.datapath_pkts['interrupt']}")
 
 
 if __name__ == "__main__":

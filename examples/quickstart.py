@@ -35,9 +35,11 @@ def main() -> None:
           f"{slo.slo_ns / 1e6:.0f} ms "
           f"({'OK' if slo.satisfied else 'VIOLATED'})")
     print(f"energy          : {result.energy.describe()}")
-    print(f"NAPI modes      : {result.pkts_interrupt_mode} interrupt / "
-          f"{result.pkts_polling_mode} polling packets")
-    print(f"ksoftirqd wakes : {result.ksoftirqd_wakeups}")
+    pkts = result.datapath_pkts
+    print(f"NAPI modes      : {pkts['interrupt']} interrupt / "
+          f"{pkts['polling']} polling packets")
+    print(f"ksoftirqd wakes : "
+          f"{result.telemetry.total('ksoftirqd_wakeups_total')}")
 
 
 if __name__ == "__main__":

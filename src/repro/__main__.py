@@ -56,9 +56,11 @@ def main(argv=None) -> int:
           f"{'OK' if slo.satisfied else 'VIOLATED'} "
           f"({100 * slo.violation_fraction:.2f}% of requests over)")
     print(f"  energy   : {result.energy.describe()}")
-    print(f"  NAPI     : {result.pkts_interrupt_mode} interrupt-mode / "
-          f"{result.pkts_polling_mode} polling-mode packets, "
-          f"{result.ksoftirqd_wakeups} ksoftirqd wakes")
+    pkts = result.datapath_pkts
+    wakes = result.telemetry.sum_of("ksoftirqd_wakeups_total")
+    print(f"  NAPI     : {pkts['interrupt']} interrupt-mode / "
+          f"{pkts['polling']} polling-mode packets, "
+          f"{wakes} ksoftirqd wakes")
     return 0 if slo.satisfied else 1
 
 

@@ -88,6 +88,14 @@ class AppWorkerThread(SimThread):
             work.on_complete = self._serve_done
         return work
 
+    def register_into(self, reg) -> None:
+        """Export this worker's service counters as telemetry."""
+        core = str(self.core_id)
+        reg.counter("app_requests_served_total", "Requests served",
+                    subsystem="app", core=core).inc(self.requests_served)
+        reg.gauge("app_service_cycles_total", "Service cycles accepted",
+                  subsystem="app", core=core).set(self.service_cycles_total)
+
     def _serve_done(self, work: Work) -> None:
         self._respond(self._serving)
 

@@ -317,8 +317,7 @@ def build_fleet_result(config: FleetConfig, duration_ns: int,
 
     telemetry = TelemetryRegistry()
     for i, result in enumerate(node_results):
-        if result.telemetry is not None:
-            telemetry.merge_from(result.telemetry, node=i)
+        telemetry.merge_from(result.telemetry, node=i)
     for i, count in enumerate(dispatched):
         telemetry.counter("lb_dispatched_total",
                           "Requests dispatched per node",

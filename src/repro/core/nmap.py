@@ -74,6 +74,17 @@ class NmapGovernor(FreqGovernor):
         """Current power-management mode of this core."""
         return self.engine.mode
 
+    def register_into(self, reg) -> None:
+        """Export the decision engine's mode entries and the fallback's
+        utilization samples."""
+        core = str(self.core_id)
+        reg.counter("nmap_mode_entries_total", "Decision-engine mode entries",
+                    subsystem="governor", core=core,
+                    mode="net-intensive").inc(self.engine.ni_entries)
+        reg.counter("nmap_mode_entries_total", subsystem="governor",
+                    core=core, mode="cpu-util").inc(self.engine.cu_entries)
+        self.fallback.register_into(reg)
+
     def start(self) -> None:
         super().start()
         self.fallback.start()

@@ -55,6 +55,10 @@ class NmapSimplGovernor(FreqGovernor):
         if self.trace is not None:
             self.trace.record(f"core{self.core_id}.nmap_mode", self.sim.now, 0)
 
+    def register_into(self, reg) -> None:
+        """Export the fallback's utilization samples."""
+        self.fallback.register_into(reg)
+
     def start(self) -> None:
         super().start()
         self.fallback.start()

@@ -132,6 +132,24 @@ class Processor:
         for core in self.cores:
             core.finalize()
 
+    def register_into(self, reg) -> None:
+        """Export per-core residency, P-state churn and work throughput."""
+        for core_obj in self.cores:
+            core = str(core_obj.core_id)
+            reg.gauge("core_busy_ns", "Busy residency", subsystem="cpu",
+                      core=core).set(core_obj.busy_ns)
+            reg.gauge("core_idle_ns", "Idle residency", subsystem="cpu",
+                      core=core).set(core_obj.idle_ns)
+            for state, ns in core_obj.cstate_residency_ns.items():
+                reg.gauge("cstate_residency_ns", "Residency per C-state",
+                          subsystem="cpu", core=core, state=state).set(ns)
+            reg.counter("pstate_changes_total", "Effective P-state changes",
+                        subsystem="cpu", core=core).inc(
+                            core_obj.pstate_changes)
+            reg.counter("works_completed_total", "Work items retired",
+                        subsystem="cpu", core=core).inc(
+                            core_obj.works_completed)
+
     def total_energy_j(self) -> float:
         """Package energy (cores + uncore) up to the current time."""
         return self.energy.total_energy_j(self.sim.now)

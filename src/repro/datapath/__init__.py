@@ -22,7 +22,7 @@ accounting of each backend.
 """
 
 from repro.datapath.base import (MODE_BUSY_POLL, MODE_INTERMITTENT,
-                                 TIMELINE_MODES, RxBackend, RxModeHub)
+                                 RxBackend, RxModeHub)
 from repro.datapath.metronome import MetronomeBackend, NmapHybridBackend
 from repro.datapath.napi import NapiRxBackend
 from repro.datapath.pollmode import PollModeBackend
@@ -30,7 +30,7 @@ from repro.datapath.registry import RX_BACKENDS, make_rx_backend
 
 __all__ = [
     "RxBackend", "RxModeHub", "MODE_BUSY_POLL", "MODE_INTERMITTENT",
-    "TIMELINE_MODES", "NapiRxBackend", "PollModeBackend",
+    "NapiRxBackend", "PollModeBackend",
     "MetronomeBackend", "NmapHybridBackend", "RX_BACKENDS",
     "make_rx_backend",
 ]

@@ -22,21 +22,13 @@ telemetry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.netstack.napi import MODE_INTERRUPT, MODE_POLLING
+from typing import List, Optional
 
 #: Accounting mode of packets retrieved by a dedicated busy-poll core.
 MODE_BUSY_POLL = "busy-poll"
 #: Accounting mode of packets retrieved by the first poll after a
 #: Metronome timer wake (the follow-up drain batches bin as "polling").
 MODE_INTERMITTENT = "intermittent"
-
-#: Column order of the per-mode packet counters in the windowed
-#: timeline (``repro.obs.timeline.NODE_SERIES`` carries one column per
-#: entry, prefixed ``pkts_``).
-TIMELINE_MODES = (MODE_INTERRUPT, MODE_POLLING, MODE_BUSY_POLL,
-                  MODE_INTERMITTENT)
 
 
 def stamp_poll_grab(sim_now: int, rx_packets: list) -> None:
@@ -84,8 +76,6 @@ class RxBackend:
 
     #: Registry name (``ServerConfig.datapath`` value).
     name = "?"
-    #: Accounting modes this backend bins Rx packets into.
-    modes: Tuple[str, ...] = ()
 
     def __init__(self, stack):
         self.stack = stack
@@ -142,46 +132,21 @@ class RxBackend:
 
     # -- accounting ----------------------------------------------------- #
 
-    def mode_counts(self) -> Dict[str, int]:
-        """Total Rx packets per accounting mode (``self.modes`` keys)."""
-        raise NotImplementedError
-
-    def per_core_mode_counts(self) -> Dict[int, Dict[str, int]]:
-        """Per-core breakdown of :meth:`mode_counts`."""
-        raise NotImplementedError
-
-    def poll_loops(self) -> int:
-        """Completed poll/retrieval batches (all cores)."""
-        return 0
-
-    def sleep_wakes(self) -> int:
-        """Timer-driven retrieval wakes (Metronome-family backends)."""
-        return 0
-
-    def ksoftirqd_wakeups(self) -> int:
-        """Legacy aggregate (only the NAPI backend has ksoftirqd)."""
-        return 0
-
-    def timeline_counts(self) -> Tuple[int, ...]:
-        """Cumulative ``(pkts per TIMELINE_MODES..., poll_loops,
-        sleep_wakes)`` — the windowed timeline differentiates these."""
-        counts = self.mode_counts()
-        return (tuple(counts.get(mode, 0) for mode in TIMELINE_MODES)
-                + (self.poll_loops(), self.sleep_wakes()))
-
     def register_into(self, reg) -> None:
-        """Expose backend counters as telemetry instruments."""
-        self._register_datapath_counters(reg)
+        """Expose backend counters as telemetry instruments, including
+        ``datapath_pkts_total`` per core and accounting mode."""
+        raise NotImplementedError
 
-    def _register_datapath_counters(self, reg) -> None:
-        """The generic per-backend mode counters every datapath emits."""
-        for cid, counts in sorted(self.per_core_mode_counts().items()):
-            for mode in self.modes:
-                reg.counter("datapath_pkts_total",
-                            "Rx packets by datapath backend and mode",
-                            subsystem="datapath", backend=self.name,
-                            core=str(cid), mode=mode).inc(
-                                counts.get(mode, 0))
+    def _counter(self, reg, name: str, help_text: str, core_id: int,
+                 **labels):
+        """A ``subsystem="datapath"`` counter of this backend and core."""
+        return reg.counter(name, help_text, subsystem="datapath",
+                           backend=self.name, core=str(core_id), **labels)
+
+    def _count_pkts(self, reg, core_id: int, mode: str, n: int) -> None:
+        self._counter(reg, "datapath_pkts_total",
+                      "Rx packets by datapath backend and mode", core_id,
+                      mode=mode).inc(n)
 
 
 def check_bypass_params(burst_size: int, min_sleep_ns: Optional[int] = None,

@@ -29,7 +29,7 @@ before pickup: the latency/energy knob the duel experiment sweeps.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.decision import MODE_NET_INTENSIVE
 from repro.cpu.core import PRIORITY_TASK, Work
@@ -182,7 +182,6 @@ class MetronomeBackend(RxBackend):
     """Adaptive sleep&wake retrieval on every core (IRQs masked)."""
 
     name = "metronome"
-    modes = (MODE_INTERMITTENT, MODE_POLLING)
 
     def __init__(self, stack, burst_size: int = 32,
                  rx_cycles_per_packet: float = 1_500.0,
@@ -253,40 +252,22 @@ class MetronomeBackend(RxBackend):
 
     # -- accounting ----------------------------------------------------- #
 
-    def mode_counts(self) -> Dict[str, int]:
-        return {
-            MODE_INTERMITTENT: sum(t.pkts_intermittent
-                                   for t in self.threads),
-            MODE_POLLING: sum(t.pkts_polling for t in self.threads),
-        }
-
-    def per_core_mode_counts(self) -> Dict[int, Dict[str, int]]:
-        return {t.core.core_id: {MODE_INTERMITTENT: t.pkts_intermittent,
-                                 MODE_POLLING: t.pkts_polling}
-                for t in self.threads}
-
-    def poll_loops(self) -> int:
-        return sum(t.batches for t in self.threads)
-
-    def sleep_wakes(self) -> int:
-        return sum(t.timer_wakes for t in self.threads)
-
     def register_into(self, reg) -> None:
         for thread in self.threads:
-            core = str(thread.core.core_id)
-            reg.counter("datapath_sleep_wakes_total",
-                        "Retrieval timer wakes",
-                        subsystem="datapath", backend=self.name,
-                        core=core).inc(thread.timer_wakes)
-            reg.counter("datapath_poll_loops_total",
-                        "Burst retrievals completed",
-                        subsystem="datapath", backend=self.name,
-                        core=core).inc(thread.batches)
+            cid = thread.core.core_id
+            self._count_pkts(reg, cid, MODE_INTERMITTENT,
+                             thread.pkts_intermittent)
+            self._count_pkts(reg, cid, MODE_POLLING, thread.pkts_polling)
+            self._counter(reg, "datapath_sleep_wakes_total",
+                          "Retrieval timer wakes", cid).inc(
+                              thread.timer_wakes)
+            self._counter(reg, "datapath_poll_loops_total",
+                          "Burst retrievals completed", cid).inc(
+                              thread.batches)
             reg.gauge("datapath_sleep_ns",
                       "Adapted sleep interval at run end",
                       subsystem="datapath", backend=self.name,
-                      core=core).set(thread.sleep_ns)
-        self._register_datapath_counters(reg)
+                      core=str(cid)).set(thread.sleep_ns)
 
 
 class NmapHybridBackend(MetronomeBackend):

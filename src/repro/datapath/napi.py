@@ -11,7 +11,7 @@ pre-seam results.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.datapath.base import RxBackend
 from repro.datapath.steering import spread_queues
@@ -24,7 +24,6 @@ class NapiRxBackend(RxBackend):
     """Interrupt -> softirq -> ksoftirqd packet processing (Fig. 1)."""
 
     name = "napi"
-    modes = (MODE_INTERRUPT, MODE_POLLING)
 
     def __init__(self, stack):
         super().__init__(stack)
@@ -79,23 +78,6 @@ class NapiRxBackend(RxBackend):
 
     # -- accounting ----------------------------------------------------- #
 
-    def mode_counts(self) -> Dict[str, int]:
-        return {
-            MODE_INTERRUPT: sum(n.pkts_interrupt_mode for n in self.napis),
-            MODE_POLLING: sum(n.pkts_polling_mode for n in self.napis),
-        }
-
-    def per_core_mode_counts(self) -> Dict[int, Dict[str, int]]:
-        return {cid: {MODE_INTERRUPT: napi.pkts_interrupt_mode,
-                      MODE_POLLING: napi.pkts_polling_mode}
-                for cid, napi in enumerate(self.napis)}
-
-    def poll_loops(self) -> int:
-        return sum(n.poll_count for n in self.napis)
-
-    def ksoftirqd_wakeups(self) -> int:
-        return sum(k.wake_count for k in self.ksoftirqds)
-
     def register_into(self, reg) -> None:
         for cid, napi in enumerate(self.napis):
             core = str(cid)
@@ -110,6 +92,12 @@ class NapiRxBackend(RxBackend):
                         mode="interrupt").inc(napi.pkts_interrupt_mode)
             reg.counter("napi_pkts_total", subsystem="netstack", core=core,
                         mode="polling").inc(napi.pkts_polling_mode)
+            self._count_pkts(reg, cid, MODE_INTERRUPT,
+                             napi.pkts_interrupt_mode)
+            self._count_pkts(reg, cid, MODE_POLLING, napi.pkts_polling_mode)
+            self._counter(reg, "datapath_poll_loops_total",
+                          "Burst retrievals completed", cid).inc(
+                              napi.poll_count)
         for cid, ksoftirqd in enumerate(self.ksoftirqds):
             core = str(cid)
             reg.counter("ksoftirqd_wakeups_total", "ksoftirqd thread wakes",
@@ -118,7 +106,6 @@ class NapiRxBackend(RxBackend):
             reg.counter("ksoftirqd_batches_total", "Deferred poll batches run",
                         subsystem="netstack", core=core).inc(
                             ksoftirqd.batches_run)
-        self._register_datapath_counters(reg)
 
 
 # Re-exported for backends sharing the NapiConfig cost model in tests.

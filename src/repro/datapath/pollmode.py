@@ -161,7 +161,6 @@ class PollModeBackend(RxBackend):
     """Busy-poll RX on dedicated cores (interrupts permanently masked)."""
 
     name = "poll"
-    modes = (MODE_BUSY_POLL,)
 
     def __init__(self, stack, n_poll_cores: int = 1, burst_size: int = 32,
                  rx_cycles_per_packet: float = 1_500.0,
@@ -237,25 +236,13 @@ class PollModeBackend(RxBackend):
 
     # -- accounting ----------------------------------------------------- #
 
-    def mode_counts(self) -> Dict[str, int]:
-        return {MODE_BUSY_POLL: sum(t.pkts_busy_poll for t in self.threads)}
-
-    def per_core_mode_counts(self) -> Dict[int, Dict[str, int]]:
-        return {t.core.core_id: {MODE_BUSY_POLL: t.pkts_busy_poll}
-                for t in self.threads}
-
-    def poll_loops(self) -> int:
-        return sum(t.batches + t.spins for t in self.threads)
-
     def register_into(self, reg) -> None:
         for thread in self.threads:
-            core = str(thread.core.core_id)
-            reg.counter("datapath_poll_loops_total",
-                        "Burst retrievals completed",
-                        subsystem="datapath", backend=self.name,
-                        core=core).inc(thread.batches)
-            reg.counter("datapath_empty_polls_total",
-                        "Spin chunks executed (empty polls)",
-                        subsystem="datapath", backend=self.name,
-                        core=core).inc(thread.spins)
-        self._register_datapath_counters(reg)
+            cid = thread.core.core_id
+            self._count_pkts(reg, cid, MODE_BUSY_POLL, thread.pkts_busy_poll)
+            self._counter(reg, "datapath_poll_loops_total",
+                          "Burst retrievals completed", cid).inc(
+                              thread.batches)
+            self._counter(reg, "datapath_empty_polls_total",
+                          "Spin chunks executed (empty polls)", cid).inc(
+                              thread.spins)

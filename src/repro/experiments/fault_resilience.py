@@ -85,15 +85,6 @@ def _slo_miss_rate(result) -> float:
     return (late + lost) / result.sent
 
 
-def _telemetry_total(result, name: str) -> int:
-    if result.telemetry is None:
-        return 0
-    try:
-        return int(result.telemetry.total(name))
-    except KeyError:
-        return 0
-
-
 def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
     headers = ["scenario", "governor", "p99/SLO", "SLO miss+loss %",
                "loss %", "retries", "fault windows", "energy (J)"]
@@ -116,8 +107,8 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
         miss[key] = _slo_miss_rate(result)
         loss[key] = _loss_rate(result)
         energy[key] = result.energy_j
-        retried[key] = _telemetry_total(result, "requests_retried_total")
-        windows[key] = _telemetry_total(result, "fault_windows_total")
+        retried[key] = result.telemetry.sum_of("requests_retried_total")
+        windows[key] = result.telemetry.sum_of("fault_windows_total")
         rows.append([
             scenario, governor, round(norm[key], 2),
             round(100 * miss[key], 2), round(100 * loss[key], 3),
@@ -139,8 +130,8 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
             round(result.slo_result().normalized_p99, 2),
             round(100 * _slo_miss_rate(result), 2),
             round(100 * fleet_loss[health], 3),
-            _telemetry_total(result, "requests_retried_total"),
-            _telemetry_total(result, "fault_windows_total"),
+            result.telemetry.sum_of("requests_retried_total"),
+            result.telemetry.sum_of("fault_windows_total"),
             round(result.energy_j, 3),
         ])
 

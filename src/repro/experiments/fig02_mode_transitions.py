@@ -42,8 +42,8 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
         wakes = ksoftirqd_wake_times(result, 0)
         intr_max = float(modes["interrupt"].max())
         poll_max = float(modes["polling"].max())
-        ratio = (result.pkts_polling_mode
-                 / max(1, result.pkts_interrupt_mode))
+        pkts = result.datapath_pkts
+        ratio = pkts["polling"] / max(1, pkts["interrupt"])
         delay_txt = (f"{np.mean(delays):.1f}" if delays else "never")
         rows.append([app, intr_max, poll_max, round(ratio, 2),
                      int(wakes.size), delay_txt])
@@ -60,7 +60,7 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
             expectations[f"{app}: ksoftirqd wakes during bursts"] = \
                 wakes.size > 0
         expectations[f"{app}: polling mode carries a large packet share"] = \
-            result.pkts_polling_mode > 0.2 * result.pkts_interrupt_mode
+            pkts["polling"] > 0.2 * pkts["interrupt"]
         expectations[f"{app}: ondemand boost lags the burst onset (>2ms or never)"] = \
             (not delays) or (min(delays) > 2.0)
     return ExperimentResult(

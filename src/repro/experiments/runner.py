@@ -160,7 +160,7 @@ def record_fresh_run(result: Result) -> None:
     """Count one simulated (not cache-served) run in :func:`cache_stats`."""
     nodes = (result.node_results if isinstance(result, FleetResult)
              else (result,))
-    perfs = [node.perf for node in nodes if node.perf is not None]
+    perfs = [node.perf for node in nodes]
     _stats.fresh_runs += 1
     _stats.fresh_events_fired += sum(perf.events_fired for perf in perfs)
     _stats.fresh_wall_s += max((perf.wall_s for perf in perfs), default=0.0)

@@ -42,6 +42,9 @@ class FreqGovernor:
         """Route a P-state request through the processor's DVFS domain."""
         self.processor.request_pstate(self.core_id, index)
 
+    def register_into(self, reg) -> None:
+        """Export this governor's decision counters (none by default)."""
+
 
 class UtilGovernorBase(FreqGovernor):
     """Shared machinery for CPU-utilization-sampling governors.
@@ -96,6 +99,11 @@ class UtilGovernorBase(FreqGovernor):
         self.samples += 1
         if not self.suspended:
             self.request(self.decide(util))
+
+    def register_into(self, reg) -> None:
+        reg.counter("governor_samples_total", "Utilization samples taken",
+                    subsystem="governor",
+                    core=str(self.core_id)).inc(self.samples)
 
     # -- lifecycle -------------------------------------------------------#
 

@@ -73,8 +73,7 @@ class NetworkStack:
         self.schedulers: List[CoreScheduler] = []
         self.sockets: List[SocketQueue] = []
         #: NAPI machinery, populated by the "napi" backend's build();
-        #: empty under kernel-bypass backends (the legacy aggregate
-        #: accessors below then read as zero).
+        #: empty under kernel-bypass backends.
         self.ksoftirqds: List[KsoftirqdThread] = []
         self.napis: List[NapiContext] = []
         for core in processor.cores:
@@ -161,13 +160,13 @@ class NetworkStack:
                          created_ns=self.sim.now, kind=Packet.KIND_ACK)
         self.nic.receive(ack, qid)
 
-    # Aggregate counters used by experiments ---------------------------- #
-
-    def total_pkts_interrupt_mode(self) -> int:
-        return sum(n.pkts_interrupt_mode for n in self.napis)
-
-    def total_pkts_polling_mode(self) -> int:
-        return sum(n.pkts_polling_mode for n in self.napis)
-
-    def total_ksoftirqd_wakeups(self) -> int:
-        return sum(k.wake_count for k in self.ksoftirqds)
+    def register_into(self, reg) -> None:
+        """Export the per-core socket counters as telemetry."""
+        for cid, socket in enumerate(self.sockets):
+            core = str(cid)
+            reg.counter("socket_delivered_total", "Packets delivered upward",
+                        subsystem="netstack", core=core).inc(socket.delivered)
+            reg.counter("socket_dropped_total", "Socket-queue tail drops",
+                        subsystem="netstack", core=core).inc(socket.dropped)
+            reg.gauge("socket_max_depth", "Socket-queue high-water mark",
+                      subsystem="netstack", core=core).set(socket.max_depth)

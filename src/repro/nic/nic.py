@@ -198,3 +198,13 @@ class MultiQueueNic:
             sink_at(packet, self.sim.now + self.wire_latency_ns)
         else:
             self.sim.schedule(self.wire_latency_ns, sink, packet)
+
+    def register_into(self, reg) -> None:
+        """Export the wire-side packet counters as telemetry."""
+        reg.counter("nic_rx_packets_total", "Packets received off the wire",
+                    subsystem="nic").inc(self.rx_packets)
+        reg.counter("nic_rx_data_packets_total",
+                    "Rx packets carrying a request payload",
+                    subsystem="nic").inc(self.rx_data_packets)
+        reg.counter("nic_tx_packets_total", "Packets transmitted",
+                    subsystem="nic").inc(self.tx_packets)

@@ -165,6 +165,19 @@ class TelemetryRegistry:
         self._instruments: Dict[Tuple[str, LabelKey], Instrument] = {}
         #: name -> (kind, help text); a name has exactly one kind.
         self._meta: Dict[str, Tuple[str, str]] = {}
+        #: (kind, name, help, *label items) as passed -> instrument, so a
+        #: call site seen before skips validation and label sorting.
+        #: Sound while label values that compare equal also print
+        #: equally (1 and True would not; exporters pass str and int).
+        self._memo: Dict[tuple, Instrument] = {}
+
+    def __getstate__(self):
+        # The memo only caches lookups; pickles carry the instruments.
+        return self._instruments, self._meta
+
+    def __setstate__(self, state):
+        self._instruments, self._meta = state
+        self._memo = {}
 
     # ----------------------------------------------------------------- #
     # Registration / lookup
@@ -193,14 +206,24 @@ class TelemetryRegistry:
             self._instruments[key] = instrument
         return instrument
 
+    def _memoized(self, memo_key: tuple, labels: Dict[str, object]):
+        """Memo miss: register through :meth:`_get` and remember it."""
+        self._memo[memo_key] = instrument = self._get(*memo_key[:3], labels)
+        return instrument
+
+    # Instruments define no __bool__/__len__, so a memo hit is truthy.
+
     def counter(self, name: str, help: str = "", **labels) -> Counter:
-        return self._get("counter", name, help, labels)  # type: ignore
+        key = ("counter", name, help, *labels.items())
+        return self._memo.get(key) or self._memoized(key, labels)
 
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        return self._get("gauge", name, help, labels)  # type: ignore
+        key = ("gauge", name, help, *labels.items())
+        return self._memo.get(key) or self._memoized(key, labels)
 
     def histogram(self, name: str, help: str = "", **labels) -> Histogram:
-        return self._get("histogram", name, help, labels)  # type: ignore
+        key = ("histogram", name, help, *labels.items())
+        return self._memo.get(key) or self._memoized(key, labels)
 
     def merge_from(self, other: "TelemetryRegistry", **extra_labels) -> None:
         """Fold another registry's instruments into this one.
@@ -266,6 +289,25 @@ class TelemetryRegistry:
         if not values:
             raise KeyError(f"no scalar instrument named {name!r}")
         return sum(values)
+
+    def select(self, name: str, **labels) -> List[Instrument]:
+        """The instruments named ``name`` whose label sets carry every
+        given label, in registration order."""
+        want = self._label_key(labels)
+        return [inst for (n, key), inst in self._instruments.items()
+                if n == name and all(pair in key for pair in want)]
+
+    def sum_of(self, name: str, **labels) -> Union[int, float]:
+        """Sum of a counter/gauge over :meth:`select`; 0 when none is
+        registered."""
+        return sum(inst.value for inst in self.select(name, **labels))
+
+    def reset(self) -> None:
+        """Zero every instrument in place, keeping names, labels and
+        help text. Refilling a reset registry through the same
+        exporters reuses its instruments (and :meth:`select` results)."""
+        for instrument in self._instruments.values():
+            instrument.__init__()
 
     def as_dict(self) -> Dict[str, Dict[str, object]]:
         """Plain nested dict (for JSON reports): name -> label-str -> value."""

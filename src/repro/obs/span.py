@@ -190,6 +190,19 @@ class SpanLog:
         durations = np.diff(bounds, axis=1)
         return {stage: durations[:, i] for i, stage in enumerate(STAGES)}
 
+    def register_into(self, reg) -> None:
+        """Export per-stage latency histograms (nothing when empty)."""
+        if not self.records:
+            return
+        matrix = self.stage_matrix()
+        for stage in STAGES:
+            reg.histogram("request_stage_ns",
+                          "Per-stage latency of sampled requests",
+                          subsystem="tracing",
+                          stage=stage).observe_many(matrix[stage])
+        reg.counter("traced_requests_total", "Requests span-traced",
+                    subsystem="tracing").inc(len(self.records))
+
     def totals_ns(self) -> np.ndarray:
         """End-to-end latency (ns) per record."""
         return np.array([r.total_ns for r in self.records], dtype=np.int64)

@@ -40,12 +40,13 @@ import numpy as np
 
 from repro.obs.monitors import (MonitorEvent, MonitorSpec, make_monitors,
                                 oscillation, slo_burn)
+from repro.obs.registry import TelemetryRegistry
 from repro.units import MS, S
 
 __all__ = [
-    "NODE_SERIES", "FLEET_SERIES", "TimelineConfig", "Timeline",
-    "TimelineResult", "TimelineSampler", "TimelineDriver", "FlightDump",
-    "timeline_csv", "write_timeline_csv", "write_flight_dumps",
+    "NODE_SERIES", "REGISTRY_COLUMNS", "FLEET_SERIES", "TimelineConfig",
+    "Timeline", "TimelineResult", "TimelineSampler", "TimelineDriver",
+    "FlightDump", "timeline_csv", "write_timeline_csv", "write_flight_dumps",
     "MonitorSpec", "MonitorEvent", "slo_burn", "oscillation",
 ]
 
@@ -65,6 +66,33 @@ NODE_SERIES = ("sent", "completed", "dropped", "timed_out", "retries",
                "pkts_interrupt", "pkts_polling", "pkts_busy_poll",
                "pkts_intermittent", "poll_loops", "sleep_wakes",
                "pstate_changes", "p4_hits", "p4_misses", "p4_drops")
+
+#: The registry-read columns of :data:`NODE_SERIES`: column -> the
+#: ``(instrument name, label filter)`` series whose summed total the
+#: sampler differentiates per window. "busy_frac" divides its delta by
+#: cores x window. The columns absent here ("completed", "p99_ns",
+#: "power_w", "energy_j") are read-only projections of the client's
+#: completion log and the energy meters.
+REGISTRY_COLUMNS: Dict[str, Tuple[Tuple[str, Dict[str, str]], ...]] = {
+    "sent": (("requests_sent_total", {}),),
+    "dropped": (("requests_dropped_total", {}),),
+    "timed_out": (("requests_timed_out_total", {}),),
+    "retries": (("requests_retried_total", {}),),
+    "gave_up": (("requests_abandoned_total", {}),),
+    "busy_frac": (("core_busy_ns", {}),),
+    "pkts_interrupt": (("datapath_pkts_total", {"mode": "interrupt"}),),
+    "pkts_polling": (("datapath_pkts_total", {"mode": "polling"}),),
+    "pkts_busy_poll": (("datapath_pkts_total", {"mode": "busy-poll"}),),
+    "pkts_intermittent": (("datapath_pkts_total",
+                           {"mode": "intermittent"}),),
+    "poll_loops": (("datapath_poll_loops_total", {}),
+                   ("datapath_empty_polls_total", {})),
+    "sleep_wakes": (("datapath_sleep_wakes_total", {}),),
+    "pstate_changes": (("pstate_changes_total", {}),),
+    "p4_hits": (("p4_table_hits_total", {}),),
+    "p4_misses": (("p4_table_misses_total", {}),),
+    "p4_drops": (("p4_packets_total", {"verdict": "dropped"}),),
+}
 
 #: Fleet-level series (``drive_lockstep`` counters, per-window deltas).
 FLEET_SERIES = ("dispatched", "windows", "strides")
@@ -249,78 +277,71 @@ class TimelineResult:
 class TimelineSampler:
     """Non-perturbing per-node sampler; lives where the node lives.
 
-    Reads only plain counters, raw (unflushed) busy residency, the
-    client's completion log, and the read-only energy projection — never
-    anything that would move an accrual checkpoint or reorder float
-    accumulation. Both fleet backends run this same code worker-side,
-    which is why sharded and in-process timelines are bit-identical.
+    Reads the node's counters through the same
+    :meth:`~repro.system.ServerSystem.register_into` export as the
+    end-of-run telemetry (plain counters and raw, unflushed busy
+    residency), plus the client's completion log and the read-only
+    energy projection — never anything that would move an accrual
+    checkpoint or reorder float accumulation. Both fleet backends run
+    this same code worker-side, which is why sharded and in-process
+    timelines are bit-identical.
     """
 
     def __init__(self, system):
         self._system = system
         self._lat_idx = 0
         self._last_t_ns = 0
-        self._prev_counts = (0, 0, 0, 0, 0)  # sent..gave_up
         self._prev_energy_j = 0.0
-        self._prev_busy_ns = 0
-        self._prev_datapath = (0,) * 6  # TIMELINE_MODES + loops/wakes
-        self._prev_flips = 0
-        self._prev_p4 = (0, 0, 0)  # hits, misses, drops
+        self._prev_totals = dict.fromkeys(REGISTRY_COLUMNS, 0)
+        #: One registry, reset and refilled every sample, so its
+        #: instruments (and each column's matching ones) are found once.
+        self._reg = TelemetryRegistry()
+        self._n_instruments = 0
+        self._column_instruments: Dict[str, list] = {}
 
     def sample(self, t_ns: int) -> Tuple[float, ...]:
         """The node's :data:`NODE_SERIES` row for the window ending at
         ``t_ns`` (the window starts at the previous sample)."""
         system = self._system
-        client = system.client
         dt_ns = t_ns - self._last_t_ns
         self._last_t_ns = t_ns
 
-        self._lat_idx, window_lats = client.window_latencies(
+        self._lat_idx, window_lats = system.client.window_latencies(
             self._lat_idx, t_ns)
         completed = len(window_lats)
         p99_ns = (float(np.percentile(
             np.asarray(window_lats, dtype=np.int64), 99.0))
             if completed else 0.0)
 
-        counts = (client.sent, client.dropped, client.timed_out,
-                  client.retries, client.gave_up)
-        d_sent, d_dropped, d_timed_out, d_retries, d_gave_up = (
-            c - p for c, p in zip(counts, self._prev_counts))
-        self._prev_counts = counts
-
         energy_j = system.processor.energy.project_total_j(t_ns)
         d_energy_j = energy_j - self._prev_energy_j
         self._prev_energy_j = energy_j
-        power_w = d_energy_j / (dt_ns / S) if dt_ns > 0 else 0.0
 
-        busy = sum(core.busy_ns for core in system.processor.cores)
-        d_busy = busy - self._prev_busy_ns
-        self._prev_busy_ns = busy
+        reg = self._reg
+        reg.reset()
+        system.register_into(reg)
+        if len(reg) != self._n_instruments:
+            # A series appeared since the last sample: re-match columns.
+            self._n_instruments = len(reg)
+            self._column_instruments = {
+                column: [inst for name, labels in series
+                         for inst in reg.select(name, **labels)]
+                for column, series in REGISTRY_COLUMNS.items()}
+        totals = {column: sum(inst.value for inst in instruments)
+                  for column, instruments in
+                  self._column_instruments.items()}
+        row = {column: total - self._prev_totals[column]
+               for column, total in totals.items()}
+        self._prev_totals = totals
+
         n_cores = len(system.processor.cores)
-        busy_frac = (d_busy / (n_cores * dt_ns)
-                     if dt_ns > 0 and n_cores else 0.0)
-
-        datapath = system.datapath.timeline_counts()
-        d_datapath = tuple(c - p for c, p in zip(datapath,
-                                                 self._prev_datapath))
-        self._prev_datapath = datapath
-
-        flips = sum(core.pstate_changes
-                    for core in system.processor.cores)
-        d_flips = flips - self._prev_flips
-        self._prev_flips = flips
-
-        p4 = (system.pipeline.timeline_counts()
-              if system.pipeline is not None else (0, 0, 0))
-        d_p4 = tuple(c - p for c, p in zip(p4, self._prev_p4))
-        self._prev_p4 = p4
-
-        return ((float(d_sent), float(completed), float(d_dropped),
-                 float(d_timed_out), float(d_retries), float(d_gave_up),
-                 p99_ns, power_w, d_energy_j, busy_frac)
-                + tuple(float(d) for d in d_datapath)
-                + (float(d_flips),)
-                + tuple(float(d) for d in d_p4))
+        row["busy_frac"] = (row["busy_frac"] / (n_cores * dt_ns)
+                            if dt_ns > 0 and n_cores else 0.0)
+        row["completed"] = completed
+        row["p99_ns"] = p99_ns
+        row["power_w"] = d_energy_j / (dt_ns / S) if dt_ns > 0 else 0.0
+        row["energy_j"] = d_energy_j
+        return tuple(float(row[column]) for column in NODE_SERIES)
 
 
 class TimelineDriver:

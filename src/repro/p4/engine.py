@@ -256,13 +256,6 @@ class PipelineEngine:
 
     # ------------------------------------------------------------------ #
 
-    def timeline_counts(self):
-        """Cumulative ``(table_hits, table_misses, drops)`` — the
-        windowed timeline differentiates these into per-window rates."""
-        return (sum(rt.hits for rt in self._tables),
-                sum(rt.misses for rt in self._tables),
-                self.dropped)
-
     def register_into(self, reg) -> None:
         """Expose pipeline counters as telemetry instruments."""
         reg.counter("p4_packets_total", "Packets entering the pipeline",

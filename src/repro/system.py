@@ -40,11 +40,11 @@ from repro.metrics.energy import EnergySummary
 from repro.metrics.latency import LatencyStats
 from repro.metrics.slo import SloResult, check_slo
 from repro.nic.nic import MultiQueueNic
-from repro.netstack.napi import MODE_INTERRUPT, MODE_POLLING
+from repro.netstack.napi import MODE_POLLING
 from repro.netstack.stack import NetworkStack, StackConfig
 from repro.obs.registry import TelemetryRegistry
 from repro.p4.program import PipelineProgram
-from repro.obs.span import STAGES, SpanLog
+from repro.obs.span import SpanLog
 from repro.obs.timeline import (TimelineConfig, TimelineDriver,
                                 TimelineResult, TimelineSampler,
                                 recent_spans)
@@ -169,30 +169,19 @@ class RunResult:
     energy: EnergySummary
     slo_ns: int
     trace: TraceRecorder
-    pkts_interrupt_mode: int
-    pkts_polling_mode: int
-    ksoftirqd_wakeups: int
     #: Event-kernel counters of the run (events/sec, heap peak, cancel
-    #: ratio); None for results deserialized from older caches.
-    perf: Optional[PerfSnapshot] = None
-    #: Telemetry registry of the run: per-core/per-subsystem counters,
-    #: gauges, and histograms (``repro.obs.registry``); None only for
-    #: results deserialized from older caches.
-    telemetry: Optional[TelemetryRegistry] = None
+    #: ratio).
+    perf: PerfSnapshot
+    #: Telemetry registry of the run: every component's counters, plus
+    #: the run-level gauges and histograms (``repro.obs.registry``). The
+    #: one store of the run's counters; the properties below read it.
+    telemetry: TelemetryRegistry
     #: Span log of the sampled requests (``repro.obs.span.SpanLog``);
     #: None when ``config.trace_sample_rate`` is 0.
     spans: Optional[SpanLog] = None
     #: Windowed time-series of the run (``repro.obs.timeline``); None
     #: when ``config.timeline`` is unset.
     timeline: Optional[TimelineResult] = None
-    #: Rx packets per datapath accounting mode (the generalized form of
-    #: the two legacy fields above: NAPI bins "interrupt"/"polling",
-    #: busy-poll bins "busy-poll", Metronome "intermittent"/"polling").
-    datapath_pkts: Optional[Dict[str, int]] = None
-    #: Completed poll/retrieval batches across cores (all backends).
-    poll_loops: int = 0
-    #: Timer-driven retrieval wakes (Metronome-family backends only).
-    sleep_wakes: int = 0
 
     def latency_stats(self) -> LatencyStats:
         """Percentile summary of completed-request latencies."""
@@ -209,6 +198,37 @@ class RunResult:
     @property
     def energy_j(self) -> float:
         return self.energy.package_j
+
+    @property
+    def datapath_pkts(self) -> Dict[str, int]:
+        """Rx packets per datapath accounting mode: NAPI bins
+        "interrupt"/"polling", busy-poll "busy-poll", Metronome
+        "intermittent"/"polling"."""
+        counts: Dict[str, int] = {}
+        for name, labels, _, counter in self.telemetry.items():
+            if name == "datapath_pkts_total":
+                mode = labels["mode"]
+                counts[mode] = counts.get(mode, 0) + counter.value
+        return counts
+
+    @property
+    def poll_loops(self) -> int:
+        """Completed poll/retrieval batches and empty polls, all cores."""
+        return (self.telemetry.sum_of("datapath_poll_loops_total")
+                + self.telemetry.sum_of("datapath_empty_polls_total"))
+
+    @property
+    def sleep_wakes(self) -> int:
+        """Timer-driven retrieval wakes (Metronome-family backends)."""
+        return self.telemetry.sum_of("datapath_sleep_wakes_total")
+
+    @property
+    def pkts_polling_mode(self) -> int:  # read only by simbench/run.py
+        return self.datapath_pkts.get(MODE_POLLING, 0)
+
+    @property
+    def ksoftirqd_wakeups(self) -> int:  # read only by simbench/run.py
+        return self.telemetry.sum_of("ksoftirqd_wakeups_total")
 
 
 class ServerSystem:
@@ -423,126 +443,19 @@ class ServerSystem:
     def _wire_trace_probes(self) -> None:
         self.datapath.wire_trace_probes(self.trace)
 
-    def _collect_telemetry(self, perf: PerfSnapshot,
-                           latencies_ns: np.ndarray) -> TelemetryRegistry:
-        """Merge every subsystem's counters into one typed registry.
+    def register_into(self, reg: TelemetryRegistry) -> None:
+        """Export every component's counters into ``reg``.
 
-        Runs once, after the simulation: components keep their cheap
-        plain-int counters on the hot path, and this single pass exposes
-        them as labelled Counter/Gauge/Histogram instruments (the
-        Prometheus export and ``report --telemetry`` read from here).
+        Each component owns its plain-int hot-path counters and exports
+        them itself; this is the one list of those owners. The end-of-run
+        telemetry and every timeline sample read through here.
         """
-        reg = TelemetryRegistry()
-        perf.register_into(reg)
-
-        # Workload (client side).
-        client = self.client
-        reg.counter("requests_sent_total", "Requests generated",
-                    subsystem="workload").inc(client.sent)
-        reg.counter("requests_completed_total", "Responses recorded",
-                    subsystem="workload").inc(client.completed)
-        reg.counter("requests_dropped_total",
-                    "Request packets dropped before reaching an RX ring",
-                    subsystem="workload").inc(client.dropped)
-        reg.counter("requests_timed_out_total",
-                    "Client timeouts on unanswered requests",
-                    subsystem="workload").inc(client.timed_out)
-        reg.counter("requests_retried_total", "Retransmissions issued",
-                    subsystem="workload").inc(client.retries)
-        reg.counter("requests_abandoned_total",
-                    "Requests given up after the retry budget",
-                    subsystem="workload").inc(client.gave_up)
-        reg.counter("responses_duplicate_total",
-                    "Responses discarded as duplicates",
-                    subsystem="workload").inc(client.duplicates)
-        reg.histogram("request_latency_ns", "End-to-end request latency",
-                      subsystem="workload").observe_many(latencies_ns)
-        if self.faults is not None:
-            self.faults.register_into(reg)
-
-        # NIC.
-        nic = self.nic
-        reg.counter("nic_rx_packets_total", "Packets received off the wire",
-                    subsystem="nic").inc(nic.rx_packets)
-        reg.counter("nic_rx_data_packets_total",
-                    "Rx packets carrying a request payload",
-                    subsystem="nic").inc(nic.rx_data_packets)
-        reg.counter("nic_tx_packets_total", "Packets transmitted",
-                    subsystem="nic").inc(nic.tx_packets)
-        if self.pipeline is not None:
-            self.pipeline.register_into(reg)
-
-        # Per-core RX datapath: the backend emits its own counters (the
-        # NAPI backend keeps the classic napi_*/ksoftirqd_* series, and
-        # every backend adds generalized datapath_pkts_total modes).
-        self.datapath.register_into(reg)
-        for cid, socket in enumerate(self.stack.sockets):
-            core = str(cid)
-            reg.counter("socket_delivered_total", "Packets delivered upward",
-                        subsystem="netstack", core=core).inc(socket.delivered)
-            reg.counter("socket_dropped_total", "Socket-queue tail drops",
-                        subsystem="netstack", core=core).inc(socket.dropped)
-            reg.gauge("socket_max_depth", "Socket-queue high-water mark",
-                      subsystem="netstack", core=core).set(socket.max_depth)
-
-        # CPU: residency, P-state churn, work throughput.
-        for core_obj in self.processor.cores:
-            core = str(core_obj.core_id)
-            reg.gauge("core_busy_ns", "Busy residency", subsystem="cpu",
-                      core=core).set(core_obj.busy_ns)
-            reg.gauge("core_idle_ns", "Idle residency", subsystem="cpu",
-                      core=core).set(core_obj.idle_ns)
-            for state, ns in core_obj.cstate_residency_ns.items():
-                reg.gauge("cstate_residency_ns", "Residency per C-state",
-                          subsystem="cpu", core=core, state=state).set(ns)
-            reg.counter("pstate_changes_total", "Effective P-state changes",
-                        subsystem="cpu", core=core).inc(
-                            core_obj.pstate_changes)
-            reg.counter("works_completed_total", "Work items retired",
-                        subsystem="cpu", core=core).inc(
-                            core_obj.works_completed)
-
-        # Application workers.
-        for worker in self.workers:
-            core = str(worker.core_id)
-            reg.counter("app_requests_served_total", "Requests served",
-                        subsystem="app", core=core).inc(
-                            worker.requests_served)
-            reg.gauge("app_service_cycles_total", "Service cycles accepted",
-                      subsystem="app", core=core).set(
-                          worker.service_cycles_total)
-
-        # Governor decisions (NMAP-family engines expose mode entries).
-        for gov in self.freq_governors:
-            core = str(gov.core_id)
-            engine = getattr(gov, "engine", None)
-            if engine is not None and hasattr(engine, "ni_entries"):
-                reg.counter("nmap_mode_entries_total",
-                            "Decision-engine mode entries",
-                            subsystem="governor", core=core,
-                            mode="net-intensive").inc(engine.ni_entries)
-                reg.counter("nmap_mode_entries_total", subsystem="governor",
-                            core=core, mode="cpu-util").inc(engine.cu_entries)
-            samples = getattr(gov, "samples", None)
-            if samples is None:
-                samples = getattr(getattr(gov, "fallback", None),
-                                  "samples", None)
-            if samples is not None:
-                reg.counter("governor_samples_total",
-                            "Utilization samples taken",
-                            subsystem="governor", core=core).inc(samples)
-
-        # Span stages (sampled request tracing).
-        if self.spans is not None and len(self.spans):
-            matrix = self.spans.stage_matrix()
-            for stage in STAGES:
-                reg.histogram("request_stage_ns",
-                              "Per-stage latency of sampled requests",
-                              subsystem="tracing",
-                              stage=stage).observe_many(matrix[stage])
-            reg.counter("traced_requests_total", "Requests span-traced",
-                        subsystem="tracing").inc(len(self.spans))
-        return reg
+        owners = [self.client, self.faults, self.nic, self.pipeline,
+                  self.datapath, self.stack, self.processor,
+                  *self.workers, *self.freq_governors]
+        for owner in owners:
+            if owner is not None:
+                owner.register_into(reg)
 
     # ------------------------------------------------------------------ #
 
@@ -595,10 +508,16 @@ class ServerSystem:
         perf = self.sim.perf_snapshot(
             wall_s=time.perf_counter() - wall_start)
         latencies_ns = self.client.latencies_ns()
-        telemetry = self._collect_telemetry(perf, latencies_ns)
+        telemetry = TelemetryRegistry()
+        perf.register_into(telemetry)
+        self.register_into(telemetry)
+        telemetry.histogram("request_latency_ns",
+                            "End-to-end request latency",
+                            subsystem="workload").observe_many(latencies_ns)
+        if self.spans is not None:
+            self.spans.register_into(telemetry)
         if timeline is not None:
             timeline.register_into(telemetry)
-        mode_counts = self.datapath.mode_counts()
 
         return RunResult(
             config=self.config,
@@ -611,24 +530,19 @@ class ServerSystem:
             energy=energy,
             slo_ns=self.app.slo_ns,
             trace=self.trace,
-            pkts_interrupt_mode=mode_counts.get(MODE_INTERRUPT, 0),
-            pkts_polling_mode=mode_counts.get(MODE_POLLING, 0),
-            ksoftirqd_wakeups=self.datapath.ksoftirqd_wakeups(),
             perf=perf,
             telemetry=telemetry,
             spans=self.spans,
-            timeline=timeline,
-            datapath_pkts=mode_counts,
-            poll_loops=self.datapath.poll_loops(),
-            sleep_wakes=self.datapath.sleep_wakes())
+            timeline=timeline)
 
     def _run_sampled(self, duration_ns: int) -> TimelineResult:
         """Advance to ``duration_ns`` in timeline sample windows.
 
         Splitting ``run_until`` at sample barriers is exact (barrier
-        invariance of the event kernel) and the sampler reads only
-        non-mutating projections, so a sampled run stays bit-identical
-        to an unsampled one — the determinism contract tests enforce.
+        invariance of the event kernel) and the sampler only reads the
+        components' counter exports and non-mutating projections, so a
+        sampled run stays bit-identical to an unsampled one — the
+        determinism contract tests enforce.
         """
         from repro.analysis.sanitize import SanitizerError
 

@@ -294,6 +294,25 @@ class OpenLoopClient:
         if self.span_log is not None:
             self.span_log.trim(t_end)
 
+    def register_into(self, reg) -> None:
+        """Export the workload counters as telemetry instruments."""
+        for name, help_text, value in (
+                ("requests_sent_total", "Requests generated", self.sent),
+                ("requests_completed_total", "Responses recorded",
+                 self.completed),
+                ("requests_dropped_total",
+                 "Request packets dropped before reaching an RX ring",
+                 self.dropped),
+                ("requests_timed_out_total",
+                 "Client timeouts on unanswered requests", self.timed_out),
+                ("requests_retried_total", "Retransmissions issued",
+                 self.retries),
+                ("requests_abandoned_total",
+                 "Requests given up after the retry budget", self.gave_up),
+                ("responses_duplicate_total",
+                 "Responses discarded as duplicates", self.duplicates)):
+            reg.counter(name, help_text, subsystem="workload").inc(value)
+
     def window_latencies(self, start_idx: int, t_ns: int):
         """``(next_idx, latencies)`` of completions delivered by ``t_ns``.
 

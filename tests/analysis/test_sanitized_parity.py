@@ -36,9 +36,9 @@ def _assert_bit_identical(base, checked):
     # Exact float equality: same accrual points, same order.
     assert base.energy.package_j == checked.energy.package_j
     assert base.energy.cores_j == checked.energy.cores_j
-    assert base.pkts_interrupt_mode == checked.pkts_interrupt_mode
-    assert base.pkts_polling_mode == checked.pkts_polling_mode
-    assert base.ksoftirqd_wakeups == checked.ksoftirqd_wakeups
+    assert base.datapath_pkts == checked.datapath_pkts
+    assert base.telemetry.sum_of("ksoftirqd_wakeups_total") == \
+        checked.telemetry.sum_of("ksoftirqd_wakeups_total")
     assert base.perf.events_fired == checked.perf.events_fired
     for channel in base.trace.channels():
         assert np.array_equal(base.trace.times(channel),

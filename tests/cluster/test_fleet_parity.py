@@ -48,9 +48,9 @@ def test_one_node_fleet_matches_standalone_bit_for_bit():
     # Exact float equality: the incremental lockstep advance must hit
     # the same energy-accrual points in the same order.
     assert fleet.energy.package_j == standalone.energy.package_j
-    assert node.pkts_interrupt_mode == standalone.pkts_interrupt_mode
-    assert node.pkts_polling_mode == standalone.pkts_polling_mode
-    assert node.ksoftirqd_wakeups == standalone.ksoftirqd_wakeups
+    assert node.datapath_pkts == standalone.datapath_pkts
+    assert node.telemetry.sum_of("ksoftirqd_wakeups_total") == \
+        standalone.telemetry.sum_of("ksoftirqd_wakeups_total")
 
 
 def test_one_node_parity_holds_for_feedback_policies():

@@ -38,8 +38,8 @@ def test_nmap_meets_slo_at_high_load(nmap_high_run):
 
 def test_nmap_monitor_saw_both_modes(nmap_high_run):
     system, result = nmap_high_run
-    assert result.pkts_interrupt_mode > 0
-    assert result.pkts_polling_mode > 0
+    assert result.datapath_pkts["interrupt"] > 0
+    assert result.datapath_pkts["polling"] > 0
 
 
 def test_nmap_stop_detaches(nmap_high_run):
@@ -56,7 +56,7 @@ def test_nmap_simpl_reacts_to_ksoftirqd():
     system = ServerSystem(config)
     result = system.run(200 * MS)
     gov = system.freq_governors[0]
-    assert result.ksoftirqd_wakeups > 0
+    assert result.telemetry.total("ksoftirqd_wakeups_total") > 0
     assert gov.ni_entries > 0
     assert gov.cu_entries > 0
     assert gov.mode in (MODE_CPU_UTIL, MODE_NET_INTENSIVE)
@@ -69,7 +69,7 @@ def test_nmap_simpl_boost_matches_wake_count():
     result = system.run(200 * MS)
     gov = system.freq_governors[0]
     # Every NI entry was triggered by a ksoftirqd wake.
-    assert gov.ni_entries <= result.ksoftirqd_wakeups
+    assert gov.ni_entries <= result.telemetry.total("ksoftirqd_wakeups_total")
 
 
 def test_nmap_uses_explicit_thresholds():

@@ -89,7 +89,7 @@ def test_poll_core_hosts_no_worker_and_never_idles():
     assert poll_core.cstate_residency_ns["CC0"] >= DURATION
     assert all(poll_core.cstate_residency_ns[s] == 0
                for s in poll_core.cstate_residency_ns if s != "CC0")
-    assert result.ksoftirqd_wakeups == 0
+    assert result.telemetry.sum_of("ksoftirqd_wakeups_total") == 0
     assert result.sleep_wakes == 0
     assert result.datapath_pkts == {MODE_BUSY_POLL: result.completed}
 
@@ -198,6 +198,7 @@ def test_timeline_columns_track_backend_modes():
     loops = int(node.series("poll_loops").sum())
     assert 0 < loops <= result.poll_loops
     assert int(node.series("sleep_wakes").sum()) == 0
+    assert int(node.series("p4_hits").sum()) == 0  # no program
 
     _, result = _run_system("metronome", "ondemand",
                             timeline=TimelineConfig(interval_ns=5 * MS))
@@ -206,6 +207,35 @@ def test_timeline_columns_track_backend_modes():
         result.datapath_pkts[MODE_INTERMITTENT]
     wakes = int(node.series("sleep_wakes").sum())
     assert 0 < wakes <= result.sleep_wakes
+
+    _, result = _run_system("nmap-hybrid", "nmap",
+                            timeline=TimelineConfig(interval_ns=5 * MS))
+    node = result.timeline.node()
+    for mode in (MODE_INTERMITTENT, "polling"):
+        column = "pkts_" + mode
+        assert 0 < int(node.series(column).sum()) <= \
+            result.datapath_pkts[mode]
+    assert int(node.series("pkts_interrupt").sum()) == 0
+    assert int(node.series("pkts_busy_poll").sum()) == 0
+    wakes = int(node.series("sleep_wakes").sum())
+    assert 0 < wakes <= result.sleep_wakes
+
+    # An ACL dropping session 0: its table hits (and drops) that
+    # session's packets and misses everyone else's.
+    from repro.p4.library import drop_program
+    from repro.p4.program import FIELD_SESSION
+
+    _, result = _run_system("napi", "performance", n_flows=4,
+                            pipeline=drop_program(FIELD_SESSION, [0]),
+                            timeline=TimelineConfig(interval_ns=5 * MS))
+    node = result.timeline.node()
+    reg = result.telemetry
+    for column, total in (
+            ("p4_hits", reg.total("p4_table_hits_total")),
+            ("p4_misses", reg.total("p4_table_misses_total")),
+            ("p4_drops", reg.value("p4_packets_total", subsystem="p4",
+                                   verdict="dropped"))):
+        assert 0 < int(node.series(column).sum()) <= total
 
 
 def test_faulty_nic_still_rings_the_doorbell():

@@ -65,9 +65,10 @@ def _capture(result) -> dict:
     return {
         "sent": result.sent, "completed": result.completed,
         "dropped": result.dropped,
-        "pkts_interrupt_mode": result.pkts_interrupt_mode,
-        "pkts_polling_mode": result.pkts_polling_mode,
-        "ksoftirqd_wakeups": result.ksoftirqd_wakeups,
+        "pkts_interrupt_mode": result.datapath_pkts["interrupt"],
+        "pkts_polling_mode": result.datapath_pkts["polling"],
+        "ksoftirqd_wakeups": result.telemetry.sum_of(
+            "ksoftirqd_wakeups_total"),
         "package_j_hex": result.energy.package_j.hex(),
         "cores_j_hex": result.energy.cores_j.hex(),
         "p99_ns": result.p99_ns,

@@ -74,19 +74,20 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for the 2026.10-one-event-path schema (ServerConfig and
-    StackConfig each lost the flag selecting the legacy event path,
-    with a MODEL_VERSION bump retiring the old cache namespace). Any further drift without a
-    schema change silently invalidates every cached run key.
+    Re-pinned for MODEL_VERSION 2026.10-one-counter-path (the config
+    schema is unchanged; the bump retires cached results pickled with
+    the old ``RunResult`` layout). Any further drift without a schema
+    change or a MODEL_VERSION bump silently invalidates every cached
+    run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "57cb592351c8583469efc147e8c4a050a8ac7f7ccd2f35f06cdac4ced76f1952")
+        "5420f3c9fb577301a84ee0e00f571af38c6d81472234dd11556aea07af1f93b8")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "87107384c1bc912afea92ad30d4b6fc19417e92eb75d82101058c8f2ee9f51f9")
+        "9055f6fe25b12ef52efa08f07431d909e6fad60ad9df8d60911057e61142e538")
     assert run_key(server, 1_000_000) == (
-        "9b34bebb3865d93662a24252d3d6fbc064c131f1bec093f1c935bafdf40ebd17")
+        "b7f84526c17544646254d89fcec5bcd4487813ffaa964603970be4186b435472")
 
 
 @pytest.mark.parametrize("cls", [ServerConfig, FleetConfig])

@@ -73,9 +73,9 @@ def test_serial_and_parallel_grids_bit_identical(tmp_path, monkeypatch):
             assert np.array_equal(x.completion_times_ns,
                                   y.completion_times_ns)
             assert x.energy.package_j == y.energy.package_j
-            assert x.pkts_interrupt_mode == y.pkts_interrupt_mode
-            assert x.pkts_polling_mode == y.pkts_polling_mode
-            assert x.ksoftirqd_wakeups == y.ksoftirqd_wakeups
+            assert x.datapath_pkts == y.datapath_pkts
+            assert x.telemetry.sum_of("ksoftirqd_wakeups_total") == \
+                y.telemetry.sum_of("ksoftirqd_wakeups_total")
     runner.clear_cache()
 
 

@@ -39,8 +39,7 @@ def test_export_mode_series(traced_run, tmp_path):
     assert rows[0] == ["bin_start_ns", "interrupt_pkts", "polling_pkts"]
     assert len(rows) == n_bins + 1
     total = sum(float(r[1]) + float(r[2]) for r in rows[1:])
-    assert total == (traced_run.pkts_interrupt_mode
-                     + traced_run.pkts_polling_mode)
+    assert total == sum(traced_run.datapath_pkts.values())
 
 
 def test_export_table(tmp_path):

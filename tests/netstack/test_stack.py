@@ -7,6 +7,7 @@ from repro.netstack.stack import NetworkStack, StackConfig
 from repro.nic.nic import MultiQueueNic
 from repro.nic.packet import Packet
 from repro.nic.rss import RssDistributor
+from repro.obs.registry import TelemetryRegistry
 from repro.units import MS
 from repro.workload.request import Request
 
@@ -92,6 +93,9 @@ def test_aggregate_counters(sim, system):
     nic.receive(Packet(flow_id=0, size_bytes=128, created_ns=0,
                        request=request))
     sim.run_until(1 * MS)
-    total = (stack.total_pkts_interrupt_mode()
-             + stack.total_pkts_polling_mode())
-    assert total == 1
+    reg = TelemetryRegistry()
+    stack.rx.register_into(reg)
+    stack.register_into(reg)
+    assert reg.total("datapath_pkts_total") == 1
+    assert reg.total("napi_pkts_total") == 1
+    assert reg.total("socket_delivered_total") == 1

@@ -150,6 +150,48 @@ def test_instruments_pickle_roundtrip():
     assert clone.help_of("c") == "help"
     h = dict((name, inst) for name, _l, _k, inst in clone.items())["h"]
     assert h.buckets == {7: 1}
+    clone.counter("c", "help", core="0").inc(1)  # same instrument
+    assert clone.value("c", core="0") == 3 and len(clone) == 3
+
+
+def test_repeated_call_sites_keep_help_and_kind_checks():
+    reg = TelemetryRegistry()
+    reg.counter("x", core="0")
+    reg.counter("x", "Help", core="0")  # help may arrive later
+    reg.counter("x", core="0")
+    assert reg.help_of("x") == "Help" and len(reg) == 1
+    with pytest.raises(ValueError, match="already registered"):
+        reg.gauge("x", core="0")
+
+
+def test_select_and_sum_of_filter_by_labels():
+    reg = TelemetryRegistry()
+    reg.counter("pkts", core="0", mode="a").inc(1)
+    reg.counter("pkts", core="1", mode="b").inc(2)
+    reg.counter("pkts", core="1", mode="a").inc(4)
+    assert [inst.value for inst in reg.select("pkts", mode="a")] == [1, 4]
+    assert reg.sum_of("pkts") == 7
+    assert reg.sum_of("pkts", core=1, mode="a") == 4
+    assert reg.sum_of("absent") == 0
+
+
+def test_reset_zeroes_in_place_and_refill_reuses_instruments():
+    reg = TelemetryRegistry()
+
+    def fill():
+        reg.counter("c", "help", core="0").inc(3)
+        reg.gauge("g").set(2.5)
+        reg.histogram("h").observe(100)
+
+    fill()
+    instruments = [inst for _n, _l, _k, inst in reg.items()]
+    reg.reset()
+    assert (reg.value("c", core="0"), reg.value("g"), reg.value("h")) == \
+        (0, 0.0, 0)
+    assert reg.help_of("c") == "help" and len(reg) == 3
+    fill()
+    assert [inst for _n, _l, _k, inst in reg.items()] == instruments
+    assert reg.value("c", core="0") == 3 and reg.value("h") == 1
 
 
 # -- merge_from: folding per-node registries into a fleet registry --------- #

@@ -54,7 +54,7 @@ def test_tracing_does_not_perturb_the_simulation():
     assert np.array_equal(off.latencies_ns, on.latencies_ns)
     assert np.array_equal(off.completion_times_ns, on.completion_times_ns)
     assert off.energy.package_j == on.energy.package_j
-    assert off.pkts_interrupt_mode == on.pkts_interrupt_mode
+    assert off.datapath_pkts == on.datapath_pkts
 
 
 def test_partial_sampling_is_deterministic_and_proportional():
@@ -105,7 +105,7 @@ def test_telemetry_registry_present_and_consistent():
     assert reg.value("requests_dropped_total",
                      subsystem="workload") == result.dropped
     assert reg.total("napi_pkts_total") == \
-        result.pkts_interrupt_mode + result.pkts_polling_mode
+        sum(result.datapath_pkts.values())
     assert reg.value("traced_requests_total",
                      subsystem="tracing") == len(result.spans)
     # Stage histograms cover every traced request.

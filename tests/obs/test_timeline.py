@@ -50,8 +50,7 @@ def test_timeline_off_is_bit_identical():
     assert np.array_equal(off.completion_times_ns, on.completion_times_ns)
     assert off.energy.package_j == on.energy.package_j
     assert off.energy.cores_j == on.energy.cores_j
-    assert off.pkts_interrupt_mode == on.pkts_interrupt_mode
-    assert off.pkts_polling_mode == on.pkts_polling_mode
+    assert off.datapath_pkts == on.datapath_pkts
 
 
 def test_sample_grid_and_coverage():
@@ -75,9 +74,9 @@ def test_deltas_tile_end_of_run_aggregates():
     assert int(tl.series("completed").sum()) == result.completed
     assert tl.series("energy_j").sum() == result.energy.package_j
     assert int(tl.series("pkts_interrupt").sum()) == \
-        result.pkts_interrupt_mode
+        result.datapath_pkts["interrupt"]
     assert int(tl.series("pkts_polling").sum()) == \
-        result.pkts_polling_mode
+        result.datapath_pkts["polling"]
     # p99 of a busy window is a real latency figure, not a placeholder.
     busy = [i for i in range(len(tl))
             if tl.value("completed", i) > 0]

@@ -118,9 +118,9 @@ def test_identity_engine_counts_without_perturbing():
     assert engine.parsed == engine.forwarded > 0
     assert engine.dropped == engine.steered == 0
     assert engine.cycles_total == 0.0
-    hits, misses, drops = engine.timeline_counts()
-    assert (hits, drops) == (0, 0)
-    assert misses == engine.parsed
-    assert result.telemetry.value(
-        "p4_table_misses_total", subsystem="p4",
-        table="identity") == engine.parsed
+    reg = result.telemetry
+    assert reg.total("p4_table_hits_total") == 0
+    assert reg.value("p4_packets_total", subsystem="p4",
+                     verdict="dropped") == 0
+    assert reg.value("p4_table_misses_total", subsystem="p4",
+                     table="identity") == engine.parsed

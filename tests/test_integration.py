@@ -67,13 +67,16 @@ def test_polling_dominates_under_powersave(results):
     """An overloaded slow core processes most packets by polling."""
     slow = results["powersave"]
     fast = results["performance"]
-    slow_ratio = slow.pkts_polling_mode / max(1, slow.pkts_interrupt_mode)
-    fast_ratio = fast.pkts_polling_mode / max(1, fast.pkts_interrupt_mode)
+    slow_ratio = (slow.datapath_pkts["polling"]
+                  / max(1, slow.datapath_pkts["interrupt"]))
+    fast_ratio = (fast.datapath_pkts["polling"]
+                  / max(1, fast.datapath_pkts["interrupt"]))
     assert slow_ratio > fast_ratio
 
 
 def test_ksoftirqd_wakes_under_overload(results):
-    assert results["powersave"].ksoftirqd_wakeups > 0
+    assert results["powersave"].telemetry.total(
+        "ksoftirqd_wakeups_total") > 0
 
 
 @pytest.mark.slow

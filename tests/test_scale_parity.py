@@ -48,6 +48,7 @@ def test_energy_per_core_is_scale_invariant(pair):
 @pytest.mark.slow
 def test_mode_split_is_scale_invariant(pair):
     def ratio(result):
-        return result.pkts_polling_mode / max(1, result.pkts_interrupt_mode)
+        pkts = result.datapath_pkts
+        return pkts["polling"] / max(1, pkts["interrupt"])
 
     assert ratio(pair[8]) == pytest.approx(ratio(pair[2]), rel=0.4)
