@@ -42,8 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.cluster import (FleetConfig, FleetSystem,  # noqa: E402
-                           ShardedFleetSystem)
+from repro.cluster import FleetConfig, FleetSystem  # noqa: E402
 from repro.system import ServerConfig  # noqa: E402
 from repro.units import MS  # noqa: E402
 from repro.workload.shapes import diurnal  # noqa: E402
@@ -71,8 +70,7 @@ def _measure(config: FleetConfig, duration_ns: int, passes: int):
     """Best-of-``passes`` wall time; returns (wall_s, result)."""
     best = None
     for _ in range(passes):
-        system = (ShardedFleetSystem(config) if config.shards > 1
-                  else FleetSystem(config))
+        system = FleetSystem(config)
         t0 = time.perf_counter()
         result = system.run(duration_ns)
         wall = time.perf_counter() - t0

@@ -21,11 +21,10 @@ guarantees.
 from repro.cluster.config import FleetConfig
 from repro.cluster.fleet import FleetResult, FleetSystem, run_fleet
 from repro.cluster.lb import POLICIES, DispatchPolicy, NodeView, make_policy
-from repro.cluster.power import BudgetArbiter, PowerBudgetCoordinator
-from repro.cluster.sharded import ShardedFleetSystem
+from repro.cluster.power import BudgetArbiter
 
 __all__ = [
     "FleetConfig", "FleetSystem", "FleetResult", "run_fleet",
     "DispatchPolicy", "NodeView", "POLICIES", "make_policy",
-    "PowerBudgetCoordinator", "BudgetArbiter", "ShardedFleetSystem",
+    "BudgetArbiter",
 ]

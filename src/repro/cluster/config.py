@@ -45,9 +45,9 @@ class FleetConfig:
     n_sessions: int = 64
     #: Zipf exponent of the per-session weight distribution; 0 = uniform.
     session_skew: float = 0.0
-    #: Fleet-wide power budget (watts) enforced by the
-    #: :class:`~repro.cluster.power.PowerBudgetCoordinator` as per-node
-    #: P-state caps; None disables budgeting.
+    #: Fleet-wide power budget (watts), split by the fleet's
+    #: :class:`~repro.cluster.power.BudgetArbiter` and enforced as
+    #: per-node P-state caps; None disables budgeting.
     fleet_budget_w: Optional[float] = None
     #: Budget redistribution cadence (rounded up to lockstep windows).
     budget_period_ns: int = 10 * MS
@@ -65,8 +65,9 @@ class FleetConfig:
     #: Applied by :meth:`node_config` after the seed/fault overrides, so
     #: they may not override seeds.
     node_overrides: Dict[int, dict] = field(default_factory=dict)
-    #: Worker processes the fleet is sharded over. 1 (default) runs the
-    #: classic in-process lockstep loop; >1 partitions the nodes across
+    #: Shards the fleet's nodes are split over, clamped to ``n_nodes``.
+    #: One (default) runs every node in-process; more make
+    #: :class:`~repro.cluster.fleet.FleetSystem` start that many worker
     #: processes stepped through the same window barriers
     #: (``repro.cluster.sharded``). Results are bit-identical for every
     #: value — the shard count is an execution detail, like

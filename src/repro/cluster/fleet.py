@@ -21,12 +21,13 @@ Two dispatch paths:
   window start (stale by at most one wire latency, as for a real
   balancer), then fed before the window runs.
 
-The window loop itself is shared between execution backends through
-:func:`drive_lockstep`: the in-process :class:`FleetSystem` and the
-multiprocess ``repro.cluster.sharded`` driver run the *same* dispatch,
-health, budget, and stride decisions against an abstract node backend —
-which is how sharded runs stay bit-identical to serial ones by
-construction rather than by reimplementation.
+:class:`FleetSystem` is the one fleet class. Its single ``run`` body
+makes every fleet-level decision — dispatch, health, budget, strides,
+timeline — through :func:`drive_lockstep`, against a node backend:
+``_LocalBackend`` calls into live nodes in this process, and
+``repro.cluster.sharded`` ships the same calls to worker processes when
+``config.shards`` > 1. That is how sharded runs stay bit-identical to
+serial ones by construction rather than by reimplementation.
 
 **Adaptive lookahead (strides).** The conservative window length bounds
 information flow, but most windows carry no information at all: no
@@ -306,7 +307,7 @@ def build_fleet_result(config: FleetConfig, duration_ns: int,
                        monitor: Optional[HealthMonitor],
                        timeline: Optional[TimelineResult] = None
                        ) -> FleetResult:
-    """Assemble a :class:`FleetResult` (shared by serial and sharded)."""
+    """Assemble a :class:`FleetResult` from the backend's node results."""
     n_windows = perf.windows
     latencies = (np.concatenate([r.latencies_ns for r in node_results])
                  if node_results else np.empty(0, dtype=np.int64))
@@ -353,7 +354,7 @@ def build_fleet_result(config: FleetConfig, duration_ns: int,
 
 
 def validate_fleet_config(config: FleetConfig) -> None:
-    """Shared constructor-time validation (serial and sharded)."""
+    """Constructor-time validation of a fleet config."""
     if config.n_nodes < 1:
         raise ValueError("need at least one node")
     if config.n_sessions < 1:
@@ -408,17 +409,6 @@ def _session_ids(config: FleetConfig, n_arrivals: int) -> np.ndarray:
                       p=weights / weights.sum())
 
 
-def make_fleet_policy(config: FleetConfig, views):
-    """Instantiate and bind the dispatch policy for one fleet run."""
-    policy = make_policy(config.policy, **config.policy_params)
-    # Audited (D002): the LB tie-break stream is seeded through
-    # derive_stream from the fleet seed — reruns and worker
-    # processes dispatch identically.
-    policy.bind(views, random.Random(derive_stream(config.seed,
-                                                   "fleet", "lb")))
-    return policy
-
-
 def fleet_fault_windows(config: FleetConfig):
     """Every node's scheduled fault windows as ``(start, end, kind,
     node)`` tuples — what the timeline driver needs for crash-triggered
@@ -432,35 +422,29 @@ def fleet_fault_windows(config: FleetConfig):
     return out
 
 
-def make_timeline_driver(config: FleetConfig, duration_ns: int, *,
-                         slo_ns: int, sink=None) -> TimelineDriver:
-    """The fleet's master-side timeline driver (serial and sharded).
-
-    One construction path for both execution modes, so the sample grid,
-    monitors, and flight-recorder state are identical by code identity.
-    """
-    return TimelineDriver(
-        config.timeline, slo_ns=slo_ns, n_nodes=config.n_nodes,
-        duration_ns=duration_ns, window_ns=config.lb_wire_latency_ns,
-        fault_windows=fleet_fault_windows(config), fleet=True, sink=sink)
-
-
 # --------------------------------------------------------------------- #
-# In-process execution.
+# In-process execution and the fleet.
 # --------------------------------------------------------------------- #
 
 class _LocalBackend:
     """The in-process node backend: direct calls into live systems.
 
-    Also the execution half of a sharded worker (``node_id_base`` maps
-    shard-local indices back to fleet node ids in sanitizer reports).
+    Builds the nodes ``node_ids`` of the fleet: all of them in-process,
+    or one shard's slice as the execution half of a sharded worker,
+    whose handshake ships this backend's ``ladders``, ``slo_ns`` and
+    sanitizer flags — so both execution modes read them from here.
     """
 
-    def __init__(self, nodes: List[ServerSystem], views: List[NodeView],
-                 node_id_base: int = 0, timeline: bool = False):
-        self.nodes = nodes
-        self.views = views
-        self._base = node_id_base
+    #: Wall seconds each shard spent executing spans: none in-process.
+    span_wall_s: Sequence[float] = ()
+
+    def __init__(self, config: FleetConfig, node_ids: Sequence[int]):
+        self.nodes = nodes = [ServerSystem(config.node_config(i))
+                              for i in node_ids]
+        self.views = [NodeView(i, node) for i, node in zip(node_ids, nodes)]
+        self.ladders = [power_ladder(node.processor) for node in nodes]
+        self.slo_ns = nodes[0].app.slo_ns
+        self._base = node_ids[0]
         sanitizer = nodes[0].sim.sanitizer
         self.sanitizing = sanitizer is not None
         self.periodic_energy = self.sanitizing and sanitizer.periodic_energy
@@ -468,7 +452,7 @@ class _LocalBackend:
         # nodes are in-process or inside a shard worker, which is what
         # makes sharded and serial timelines bit-identical.
         self.samplers = ([TimelineSampler(node) for node in nodes]
-                         if timeline else None)
+                         if config.timeline is not None else None)
 
     def prefeed(self, batches: List[List[int]]) -> None:
         for node, batch in zip(self.nodes, batches):
@@ -534,46 +518,39 @@ class _LocalBackend:
                                       wall_start)
                 for node, energy in zip(nodes, energies)]
 
+    def close(self) -> None:
+        """Nothing to release: the nodes belong to the fleet."""
+
 
 class FleetSystem:
     """N wired server nodes behind a load balancer, ready to run.
 
-    Always executes in-process regardless of ``config.shards`` — the
-    :func:`run_fleet` entry point is what routes sharded configs to
-    ``repro.cluster.sharded`` (bit-identical either way).
+    The nodes are split over ``min(config.shards, config.n_nodes)``
+    shards. One shard builds them here, in-process; more shards start
+    that many worker processes from :meth:`run`, each owning a
+    contiguous slice of the nodes (``repro.cluster.sharded``). Every
+    fleet-level decision is made by the same :meth:`run` body either
+    way, so results are bit-identical for every shard count.
     """
 
     def __init__(self, config: FleetConfig):
         validate_fleet_config(config)
         self.config = config
-        self.nodes: List[ServerSystem] = [
-            ServerSystem(config.node_config(i))
-            for i in range(config.n_nodes)]
-        self.views = [NodeView(i, node)
-                      for i, node in enumerate(self.nodes)]
-        self.policy = make_fleet_policy(config, self.views)
-        #: Lockstep invariant checker, armed when the nodes were built
-        #: sanitized (REPRO_SANITIZE=1); None otherwise, costing the
-        #: window loop one dead branch per window at most.
-        self._sanitizer = self.nodes[0].sim.sanitizer
-        #: LB health checker (``repro.cluster.health``); None keeps both
-        #: dispatch paths exactly as they were without health support.
-        #: Hooked mode: the driver notifies every dispatch, so idle
-        #: windows observe in O(1).
-        self.monitor: Optional[HealthMonitor] = None
-        if config.health is not None:
-            self.monitor = HealthMonitor(self.views, config.health,
-                                         hooked=True)
-        self.budget: Optional[BudgetArbiter] = None
-        if config.fleet_budget_w is not None:
-            self.budget = BudgetArbiter(
-                [power_ladder(node.processor) for node in self.nodes],
-                config.fleet_budget_w,
-                period_ns=config.budget_period_ns,
-                initial_busy=[busy_ns(node) for node in self.nodes])
-        self.load_shape = fleet_load_shape(config)
+        self.n_shards = min(config.shards, config.n_nodes)
+        #: The dispatch policy. Constructed here, so a bad name or
+        #: parameter fails before any node or worker exists; bound to
+        #: the backend's node views by :meth:`run`.
+        self.policy = make_policy(config.policy, **config.policy_params)
+        #: The live nodes of an in-process fleet; empty when sharded
+        #: (each worker builds its own slice).
+        self.nodes: List[ServerSystem] = []
+        self._local: Optional[_LocalBackend] = None
+        if self.n_shards == 1:
+            self._local = _LocalBackend(config, range(config.n_nodes))
+            self.nodes = self._local.nodes
         #: Live-sample callback for timeline runs (the ``watch``
-        #: dashboard hooks in here). Runtime wiring, never config.
+        #: dashboard hooks in here). Runtime wiring, never config; it
+        #: runs in this process for every shard count.
         self.timeline_sink = None
 
     # ----------------------------------------------------------------- #
@@ -584,43 +561,67 @@ class FleetSystem:
             raise ValueError("duration must be positive")
         config = self.config
         wall_start = time.perf_counter()
+        # The arrival schedule and session draws are fleet-level state:
+        # drawn here, whichever backend executes the nodes.
         times, sessions = fleet_schedule(config, duration_ns)
-        backend = _LocalBackend(self.nodes, self.views,
-                                timeline=config.timeline is not None)
-        driver = None
-        if config.timeline is not None:
-            driver = make_timeline_driver(
-                config, duration_ns, slo_ns=self.nodes[0].app.slo_ns,
-                sink=self.timeline_sink)
+        backend = self._local
+        if backend is None:
+            from repro.cluster.sharded import _ShardBackend
+            backend = _ShardBackend(config, self.n_shards)
         try:
-            perf = drive_lockstep(config, duration_ns, times, sessions,
-                                  self.policy, self.monitor, self.budget,
-                                  backend, timeline=driver)
-        except SanitizerError as err:
-            if driver is not None:
-                driver.on_sanitizer_error(str(err))
-            raise
-        timeline = driver.finish() if driver is not None else None
-        if timeline is not None and timeline.aborted_at_ns is not None:
-            duration_ns = timeline.aborted_at_ns
-        node_results = backend.finish(duration_ns, drain_ns,
-                                      self.budget is not None, wall_start)
-        perf.shards = 1
+            views = backend.views
+            # Audited (D002): the LB tie-break stream is seeded through
+            # derive_stream from the fleet seed — reruns and every shard
+            # count dispatch identically.
+            self.policy.bind(views, random.Random(
+                derive_stream(config.seed, "fleet", "lb")))
+            # LB health checker (``repro.cluster.health``); None keeps
+            # both dispatch paths exactly as they were without health
+            # support. Hooked mode: the driver notifies every dispatch,
+            # so idle windows observe in O(1).
+            monitor: Optional[HealthMonitor] = None
+            if config.health is not None:
+                monitor = HealthMonitor(views, config.health, hooked=True)
+            arbiter: Optional[BudgetArbiter] = None
+            if config.fleet_budget_w is not None:
+                arbiter = BudgetArbiter(
+                    backend.ladders, config.fleet_budget_w,
+                    period_ns=config.budget_period_ns,
+                    initial_busy=backend.busy())
+            driver = None
+            if config.timeline is not None:
+                driver = TimelineDriver(
+                    config.timeline, slo_ns=backend.slo_ns,
+                    n_nodes=config.n_nodes, duration_ns=duration_ns,
+                    window_ns=config.lb_wire_latency_ns,
+                    fault_windows=fleet_fault_windows(config), fleet=True,
+                    sink=self.timeline_sink)
+            try:
+                perf = drive_lockstep(config, duration_ns, times,
+                                      sessions, self.policy, monitor,
+                                      arbiter, backend, timeline=driver)
+            except SanitizerError as err:
+                if driver is not None:
+                    driver.on_sanitizer_error(str(err))
+                raise
+            timeline = driver.finish() if driver is not None else None
+            if timeline is not None and timeline.aborted_at_ns is not None:
+                duration_ns = timeline.aborted_at_ns
+            node_results = backend.finish(duration_ns, drain_ns,
+                                          arbiter is not None, wall_start)
+        finally:
+            backend.close()
+        perf.shards = self.n_shards
         perf.wall_s = time.perf_counter() - wall_start
+        perf.shard_span_wall_s = list(backend.span_wall_s)
         return build_fleet_result(
             config, duration_ns, node_results,
-            [view.dispatched for view in self.views], perf,
-            self.budget.rebalances if self.budget else 0, self.monitor,
+            [view.dispatched for view in views], perf,
+            arbiter.rebalances if arbiter else 0, monitor,
             timeline=timeline)
 
 
 def run_fleet(config: FleetConfig, duration_ns: int,
               drain_ns: int = 100 * MS) -> FleetResult:
-    """Run ``config`` for ``duration_ns``: in-process when
-    ``config.shards`` is 1, across worker processes otherwise —
-    bit-identical results either way."""
-    if config.shards > 1 and config.n_nodes > 1:
-        from repro.cluster.sharded import ShardedFleetSystem
-        return ShardedFleetSystem(config).run(duration_ns,
-                                              drain_ns=drain_ns)
+    """Run ``config`` for ``duration_ns`` (on ``config.shards`` shards)."""
     return FleetSystem(config).run(duration_ns, drain_ns=drain_ns)

@@ -1,24 +1,21 @@
 """Fleet-level power budgeting: one watt budget, N nodes.
 
-A RAPL-style coordinator periodically redistributes a global budget
-across the fleet in proportion to each node's recent busy time (with a
+RAPL-style budgeting periodically redistributes a global budget across
+the fleet in proportion to each node's recent busy time (with a
 guaranteed floor so an idle node can always ramp back up), then enforces
 each share as a per-node P-state cap via
 :meth:`repro.cpu.topology.Processor.set_pstate_cap`.
 
 The budget math lives in :class:`BudgetArbiter`, which is deliberately
 *pure*: it sees only power ladders and busy-time integers, never a
-simulator or a processor. That split is what lets the sharded fleet
-driver (``repro.cluster.sharded``) run the identical arbitration in the
-master process from worker-reported busy counters while the caps are
-applied remotely — bit-identical to the in-process coordinator, because
-the arithmetic is the same code operating on the same integers.
+simulator or a processor. :class:`~repro.cluster.fleet.FleetSystem`
+drives it at lockstep barriers from its node backend's ``ladders`` and
+``busy()`` and ships the caps back through the backend, so in-process
+and sharded fleets run the identical arithmetic on the same integers.
 
-:class:`PowerBudgetCoordinator` wraps an arbiter around a list of live
-``ServerSystem``-like objects (the serial fleet path and the unit
-tests). It is observation-only on the measurement path: it reads each
-core's lazily-flushed ``busy_ns`` counter raw, never forcing an
-accounting flush, so enabling the budget does not perturb a node's
+Budgeting is observation-only on the measurement path: :func:`busy_ns`
+reads each core's lazily-flushed ``busy_ns`` counter raw, never forcing
+an accounting flush, so enabling the budget does not perturb a node's
 energy-meter accrual points (float accumulation order is part of the
 determinism contract).
 """
@@ -138,58 +135,3 @@ class BudgetArbiter:
         self.rebalances += 1
         return [self.cap_for_share(i, share)
                 for i, share in enumerate(self.shares(loads))]
-
-
-class PowerBudgetCoordinator:
-    """Redistributes ``budget_w`` across live systems as P-state caps."""
-
-    def __init__(self, systems: Sequence, budget_w: float,
-                 period_ns: int = 10 * MS, floor_frac: float = 0.5):
-        self.systems = list(systems)
-        self.arbiter = BudgetArbiter(
-            [power_ladder(s.processor) for s in self.systems],
-            budget_w, period_ns=period_ns, floor_frac=floor_frac,
-            initial_busy=[busy_ns(s) for s in self.systems])
-
-    # Arbiter pass-throughs (the coordinator's historical public API).
-
-    @property
-    def budget_w(self) -> float:
-        return self.arbiter.budget_w
-
-    @property
-    def period_ns(self) -> int:
-        return self.arbiter.period_ns
-
-    @property
-    def floor_frac(self) -> float:
-        return self.arbiter.floor_frac
-
-    @property
-    def rebalances(self) -> int:
-        return self.arbiter.rebalances
-
-    def cap_for_share(self, node_index: int, share_w: float) -> int:
-        return self.arbiter.cap_for_share(node_index, share_w)
-
-    def shares(self, loads: Sequence[int]) -> List[float]:
-        return self.arbiter.shares(loads)
-
-    def maybe_rebalance(self, now_ns: int) -> bool:
-        """Redistribute if a period has elapsed; returns True if it did.
-
-        Called at lockstep-window boundaries, so the effective period is
-        ``period_ns`` rounded up to a whole number of windows.
-        """
-        caps = self.arbiter.maybe_rebalance(
-            now_ns, [busy_ns(s) for s in self.systems])
-        if caps is None:
-            return False
-        for system, cap in zip(self.systems, caps):
-            system.processor.set_pstate_cap(cap)
-        return True
-
-    def release(self) -> None:
-        """Lift every cap (end of the budgeted measurement window)."""
-        for system in self.systems:
-            system.processor.set_pstate_cap(0)

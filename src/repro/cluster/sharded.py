@@ -10,10 +10,13 @@ that is the parallelism — and nothing a worker could tell the master
 mid-stride is ever consumed, because the conservative lookahead proof is
 exactly the statement that no such information exists.
 
-Bit-parity by construction:
+:class:`~repro.cluster.fleet.FleetSystem` uses :class:`_ShardBackend`
+when ``min(config.shards, config.n_nodes)`` > 1. Bit-parity holds by
+construction:
 
-* The master runs the *same* :func:`~repro.cluster.fleet.drive_lockstep`
-  loop as :class:`~repro.cluster.fleet.FleetSystem`, against
+* The master runs the *same* ``FleetSystem.run`` body — policy, health,
+  budget, :func:`~repro.cluster.fleet.drive_lockstep`, result assembly —
+  as the in-process fleet, against
   :class:`~repro.cluster.lb.RemoteNodeView`\\ s fed from worker barrier
   reports. Node state only changes while a window runs, so a value
   reported at barrier *t* equals the value the serial loop would read
@@ -23,7 +26,8 @@ Bit-parity by construction:
   per-node seeds, fault plans, and overrides as serial construction —
   and executes spans through the same backend code path
   (``fleet._LocalBackend``), preserving per-node event order and float
-  accumulation order exactly.
+  accumulation order exactly. Its handshake ships that backend's
+  ``ladders``, ``slo_ns`` and sanitizer flags.
 * Results cross the process boundary as pickled ``RunResult``\\ s, which
   preserves float bits; the fleet result is assembled by the same
   :func:`~repro.cluster.fleet.build_fleet_result` in the same node
@@ -44,22 +48,18 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.analysis.sanitize import SanitizerError
 from repro.cluster.config import FleetConfig
-from repro.cluster.fleet import (FleetResult, _LocalBackend,
-                                 build_fleet_result, drive_lockstep,
-                                 fleet_schedule, make_fleet_policy,
-                                 make_timeline_driver,
-                                 validate_fleet_config)
-from repro.cluster.health import HealthMonitor
+from repro.cluster.fleet import _LocalBackend
+# Unused here: simbench/ patches ``sharded.drive_lockstep`` by name. Drop
+# this import when simbench/ next changes.
+from repro.cluster.fleet import drive_lockstep  # noqa: F401
 from repro.cluster.lb import RemoteNodeView, node_relative_speed
-from repro.cluster.power import BudgetArbiter, busy_ns, power_ladder
 from repro.system import ServerSystem
-from repro.units import MS
 
 
 def shard_bounds(n_nodes: int, shards: int) -> List[int]:
@@ -89,17 +89,15 @@ def _worker_main(config: FleetConfig, node_ids: Sequence[int],
                  conn) -> None:
     """One shard: build the owned nodes, then serve barrier commands."""
     try:
-        nodes = [ServerSystem(config.node_config(i)) for i in node_ids]
-        backend = _LocalBackend(nodes, views=[],
-                                node_id_base=node_ids[0],
-                                timeline=config.timeline is not None)
+        backend = _LocalBackend(config, node_ids)
+        nodes = backend.nodes
         conn.send(("ok", {
-            "ladders": [power_ladder(node.processor) for node in nodes],
-            "busy": [busy_ns(node) for node in nodes],
-            "n_cores": [node.processor.n_cores for node in nodes],
+            "ladders": backend.ladders,
+            "busy": backend.busy(),
+            "n_cores": [view.n_cores for view in backend.views],
             "sanitizing": backend.sanitizing,
             "periodic_energy": backend.periodic_energy,
-            "slo_ns": nodes[0].app.slo_ns,
+            "slo_ns": backend.slo_ns,
         }))
         # Wall seconds spent executing spans, for the master's
         # shard-imbalance gauge (pure execution telemetry — never feeds
@@ -207,20 +205,42 @@ class _Shard:
 
 
 class _ShardBackend:
-    """The ``drive_lockstep`` backend that ships spans over pipes."""
+    """The ``drive_lockstep`` backend that ships spans over pipes.
 
-    def __init__(self, shards: List[_Shard], views: List[RemoteNodeView],
-                 completed: np.ndarray, gave_up: np.ndarray,
-                 speed: np.ndarray, busy: List[int], sanitizing: bool,
-                 periodic_energy: bool):
-        self.shards = shards
-        self.views = views
-        self._completed = completed
-        self._gave_up = gave_up
-        self._speed = speed
-        self._busy = busy
-        self.sanitizing = sanitizing
-        self.periodic_energy = periodic_energy
+    Starts one worker per shard, each owning a contiguous slice of the
+    nodes, and assembles their handshakes into the attributes the
+    in-process backend has: views, ladders, ``slo_ns`` and sanitizer
+    flags.
+    """
+
+    def __init__(self, config: FleetConfig, n_shards: int):
+        n_nodes = config.n_nodes
+        bounds = shard_bounds(n_nodes, n_shards)
+        self.shards: List[_Shard] = []
+        try:
+            for s in range(n_shards):
+                self.shards.append(_Shard(s, config,
+                                          range(bounds[s], bounds[s + 1])))
+            handshakes = [shard.recv() for shard in self.shards]
+        except BaseException:
+            self.close()
+            raise
+        self.ladders = [ladder for hs in handshakes
+                        for ladder in hs["ladders"]]
+        self._busy = [b for hs in handshakes for b in hs["busy"]]
+        n_cores = [n for hs in handshakes for n in hs["n_cores"]]
+        self.sanitizing = handshakes[0]["sanitizing"]
+        self.periodic_energy = handshakes[0]["periodic_energy"]
+        self.slo_ns = handshakes[0]["slo_ns"]
+        self._completed = np.zeros(n_nodes, dtype=np.int64)
+        self._gave_up = np.zeros(n_nodes, dtype=np.int64)
+        self._speed = np.ones(n_nodes, dtype=np.float64)
+        self.views = [RemoteNodeView(i, n_cores[i], self._completed,
+                                     self._gave_up, self._speed)
+                      for i in range(n_nodes)]
+        #: Wall seconds each worker spent executing spans (set by
+        #: :meth:`finish`).
+        self.span_wall_s: List[float] = []
 
     def _apply(self, shard: _Shard, payload: dict) -> None:
         lo, hi = shard.lo, shard.hi
@@ -279,107 +299,13 @@ class _ShardBackend:
             shard.send("finish", duration_ns, drain_ns, release_caps,
                        wall_start)
         results = []
-        self.span_wall_s: List[float] = []
         for shard in self.shards:
             payload = shard.recv()
             results.extend(payload["results"])
             self.span_wall_s.append(payload["span_wall_s"])
         return results
 
-
-class ShardedFleetSystem:
-    """A fleet partitioned over ``config.shards`` worker processes.
-
-    Drop-in for :class:`~repro.cluster.fleet.FleetSystem.run` — results
-    are bit-identical for every shard count (the serial fleet is the
-    ``shards=1`` special case). Prefer the :func:`~repro.cluster.fleet.
-    run_fleet` entry point, which routes on ``config.shards``.
-    """
-
-    def __init__(self, config: FleetConfig):
-        validate_fleet_config(config)
-        self.config = config
-        self.n_shards = max(1, min(config.shards, config.n_nodes))
-        #: Live-sample callback for timeline runs (runtime wiring, like
-        #: ``FleetSystem.timeline_sink``). Runs master-side — workers
-        #: only ship rows.
-        self.timeline_sink = None
-
-    def run(self, duration_ns: int,
-            drain_ns: int = 100 * MS) -> FleetResult:
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        config = self.config
-        n_nodes = config.n_nodes
-        wall_start = time.perf_counter()
-        # The arrival schedule and session draws belong to the master:
-        # they are fleet-level state, identical to the serial run.
-        times, sessions = fleet_schedule(config, duration_ns)
-
-        bounds = shard_bounds(n_nodes, self.n_shards)
-        shards: List[_Shard] = []
-        try:
-            for s in range(self.n_shards):
-                shards.append(_Shard(s, config,
-                                     range(bounds[s], bounds[s + 1])))
-            handshakes = [shard.recv() for shard in shards]
-
-            ladders: List[List[float]] = []
-            initial_busy: List[int] = []
-            n_cores: List[int] = []
-            for hs in handshakes:
-                ladders.extend(hs["ladders"])
-                initial_busy.extend(hs["busy"])
-                n_cores.extend(hs["n_cores"])
-            sanitizing = handshakes[0]["sanitizing"]
-
-            completed = np.zeros(n_nodes, dtype=np.int64)
-            gave_up = np.zeros(n_nodes, dtype=np.int64)
-            speed = np.ones(n_nodes, dtype=np.float64)
-            views = [RemoteNodeView(i, n_cores[i], completed, gave_up,
-                                    speed) for i in range(n_nodes)]
-            policy = make_fleet_policy(config, views)
-            monitor: Optional[HealthMonitor] = None
-            if config.health is not None:
-                monitor = HealthMonitor(views, config.health, hooked=True)
-            arbiter: Optional[BudgetArbiter] = None
-            if config.fleet_budget_w is not None:
-                arbiter = BudgetArbiter(
-                    ladders, config.fleet_budget_w,
-                    period_ns=config.budget_period_ns,
-                    initial_busy=initial_busy)
-
-            backend = _ShardBackend(
-                shards, views, completed, gave_up, speed,
-                list(initial_busy), sanitizing,
-                handshakes[0]["periodic_energy"])
-            driver = None
-            if config.timeline is not None:
-                driver = make_timeline_driver(
-                    config, duration_ns, slo_ns=handshakes[0]["slo_ns"],
-                    sink=self.timeline_sink)
-            try:
-                perf = drive_lockstep(config, duration_ns, times,
-                                      sessions, policy, monitor, arbiter,
-                                      backend, timeline=driver)
-            except SanitizerError as err:
-                if driver is not None:
-                    driver.on_sanitizer_error(str(err))
-                raise
-            timeline = driver.finish() if driver is not None else None
-            if timeline is not None and timeline.aborted_at_ns is not None:
-                duration_ns = timeline.aborted_at_ns
-            node_results = backend.finish(duration_ns, drain_ns,
-                                          arbiter is not None, wall_start)
-        finally:
-            for shard in shards:
-                shard.stop()
-
-        perf.shards = self.n_shards
-        perf.wall_s = time.perf_counter() - wall_start
-        perf.shard_span_wall_s = list(backend.span_wall_s)
-        return build_fleet_result(
-            config, duration_ns, node_results,
-            [view.dispatched for view in views], perf,
-            arbiter.rebalances if arbiter else 0, monitor,
-            timeline=timeline)
+    def close(self) -> None:
+        """Stop every worker (idempotent)."""
+        for shard in self.shards:
+            shard.stop()

@@ -5,9 +5,9 @@ Four ways to run the same fleet:
 * ``performance`` — every core pinned at P0: the SLO baseline, and the
   energy ceiling.
 * ``performance`` under a fleet budget of 65% of that ceiling — the
-  :class:`~repro.cluster.power.PowerBudgetCoordinator` redistributes
-  the watts by observed load and enforces per-node P-state caps. The
-  budget is honored, but blunt frequency capping breaks the tail.
+  fleet's :class:`~repro.cluster.power.BudgetArbiter` redistributes the
+  watts by observed load, enforced as per-node P-state caps. The budget
+  is honored, but blunt frequency capping breaks the tail.
 * ``ondemand`` — saves a similar fraction, also at the tail's expense.
 * ``nmap`` — the paper's packet-mode-driven governor: comparable fleet
   energy savings *and* the SLO holds, with no budget needed.

@@ -128,12 +128,8 @@ def _make_system(args, scale):
                          n_nodes=args.fleet, seed=scale.seed,
                          shards=max(1, args.shards),
                          node_fault_plans=plans, timeline=tl)
-    if config.shards > 1:
-        from repro.cluster.sharded import ShardedFleetSystem
-        system = ShardedFleetSystem(config)
-    else:
-        from repro.cluster.fleet import FleetSystem
-        system = FleetSystem(config)
+    from repro.cluster.fleet import FleetSystem
+    system = FleetSystem(config)
     # Display-only SLO scale: a throwaway app model (the nodes build
     # their own; a seeded dummy stream keeps this wall-clock-free).
     import random

@@ -1,5 +1,7 @@
 """Fleet co-simulation: conservation, determinism, telemetry, validation."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,12 @@ def test_validation_errors():
         FleetSystem(FleetConfig(node=_node(), n_nodes=0))
     with pytest.raises(ValueError, match="unknown dispatch policy"):
         FleetSystem(FleetConfig(node=_node(), policy="coin-flip"))
+    # A sharded fleet rejects it at construction too, before any worker
+    # process starts.
+    with pytest.raises(ValueError, match="unknown dispatch policy"):
+        FleetSystem(FleetConfig(node=_node(), policy="coin-flip", n_nodes=2,
+                                shards=2))
+    assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match="lb_wire_latency_ns"):
         FleetSystem(FleetConfig(node=_node(),
                                 lb_wire_latency_ns=_node().wire_latency_ns

@@ -45,7 +45,6 @@ def test_sanitized_fleet_is_bit_identical(monkeypatch, policy):
 def test_sanitized_fleet_arms_every_node(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     fleet = FleetSystem(_fleet_config())
-    assert fleet._sanitizer is not None
     assert all(node.sim.sanitizer is not None for node in fleet.nodes)
     fleet.run(DURATION)
     for node in fleet.nodes:
@@ -71,7 +70,7 @@ def test_dispatch_outside_window_caught(monkeypatch):
     """A balancer reading arrivals it cannot have seen yet raises."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     fleet = FleetSystem(_fleet_config(policy="least-outstanding"))
-    sanitizer = fleet._sanitizer
+    sanitizer = fleet.nodes[0].sim.sanitizer
     window = fleet.config.lb_wire_latency_ns
     # In-window dispatches are fine; out-of-window ones raise.
     sanitizer.check_dispatch(0, window // 2, 0, window)
@@ -82,7 +81,6 @@ def test_dispatch_outside_window_caught(monkeypatch):
 def test_unsanitized_fleet_has_no_sanitizer(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     fleet = FleetSystem(_fleet_config())
-    assert fleet._sanitizer is None
     assert all(node.sim.sanitizer is None for node in fleet.nodes)
 
 

@@ -1,8 +1,9 @@
-"""P-state caps and the fleet power-budget coordinator."""
+"""P-state caps and the fleet power-budget arbiter."""
 
 import pytest
 
-from repro.cluster import FleetConfig, PowerBudgetCoordinator, run_fleet
+from repro.cluster import BudgetArbiter, FleetConfig, FleetSystem, run_fleet
+from repro.cluster.power import power_ladder
 from repro.cpu.topology import CHIP_WIDE, PER_CORE, Processor
 from repro.system import ServerConfig
 from repro.units import MS
@@ -63,64 +64,65 @@ def test_cap_is_clamped_to_table(sim):
 
 
 # --------------------------------------------------------------------- #
-# PowerBudgetCoordinator
+# BudgetArbiter
 # --------------------------------------------------------------------- #
 
-class _System:
-    def __init__(self, sim, n_cores=1):
-        self.processor = Processor(sim, n_cores=n_cores)
+def _arbiter(sim, n_nodes=1, **kwargs):
+    ladder = power_ladder(Processor(sim, n_cores=1))
+    return BudgetArbiter([ladder] * n_nodes, **kwargs)
 
 
 def test_shares_split_evenly_when_idle(sim):
-    systems = [_System(sim), _System(sim)]
-    coord = PowerBudgetCoordinator(systems, budget_w=20.0, floor_frac=0.5)
-    assert coord.shares([0, 0]) == [10.0, 10.0]
+    arbiter = _arbiter(sim, n_nodes=2, budget_w=20.0, floor_frac=0.5)
+    assert arbiter.shares([0, 0]) == [10.0, 10.0]
 
 
 def test_shares_follow_load_above_the_floor(sim):
-    systems = [_System(sim), _System(sim)]
-    coord = PowerBudgetCoordinator(systems, budget_w=20.0, floor_frac=0.5)
-    shares = coord.shares([3, 1])
+    arbiter = _arbiter(sim, n_nodes=2, budget_w=20.0, floor_frac=0.5)
+    shares = arbiter.shares([3, 1])
     # Floor 5 W each; 10 W spare split 3:1.
     assert shares == [pytest.approx(12.5), pytest.approx(7.5)]
     assert sum(shares) == pytest.approx(20.0)
 
 
 def test_cap_for_share_is_monotone(sim):
-    coord = PowerBudgetCoordinator([_System(sim)], budget_w=50.0)
-    caps = [coord.cap_for_share(0, w) for w in (50.0, 10.0, 5.0, 0.1)]
+    arbiter = _arbiter(sim, budget_w=50.0)
+    caps = [arbiter.cap_for_share(0, w) for w in (50.0, 10.0, 5.0, 0.1)]
     assert caps == sorted(caps)
     assert caps[0] == 0          # a generous share uncaps
-    assert caps[-1] == len(_System(sim).processor.pstates) - 1
+    assert caps[-1] == len(Processor(sim, n_cores=1).pstates) - 1
 
 
 def test_rebalance_respects_period(sim):
-    coord = PowerBudgetCoordinator([_System(sim)], budget_w=50.0,
-                                   period_ns=10 * MS)
-    assert not coord.maybe_rebalance(5 * MS)
-    assert coord.maybe_rebalance(10 * MS)
-    assert not coord.maybe_rebalance(15 * MS)
-    assert coord.maybe_rebalance(20 * MS)
-    assert coord.rebalances == 2
+    arbiter = _arbiter(sim, budget_w=50.0, period_ns=10 * MS)
+    assert arbiter.maybe_rebalance(5 * MS, [0]) is None
+    assert arbiter.maybe_rebalance(10 * MS, [0]) is not None
+    assert arbiter.maybe_rebalance(15 * MS, [0]) is None
+    assert arbiter.maybe_rebalance(20 * MS, [0]) is not None
+    assert arbiter.rebalances == 2
 
 
-def test_release_lifts_all_caps(sim):
-    systems = [_System(sim), _System(sim)]
-    coord = PowerBudgetCoordinator(systems, budget_w=1.0)
-    coord.maybe_rebalance(20 * MS)
-    assert all(s.processor.pstate_cap_index > 0 for s in systems)
-    coord.release()
-    assert all(s.processor.pstate_cap_index == 0 for s in systems)
+def test_release_lifts_all_caps():
+    """A budgeted fleet caps its nodes while running and lifts every
+    cap at the end of the measurement window."""
+    node = ServerConfig(app="memcached", load_level="low",
+                        freq_governor="performance", n_cores=1)
+    fleet = FleetSystem(FleetConfig(node=node, n_nodes=2, seed=5,
+                                    fleet_budget_w=1.0,
+                                    budget_period_ns=5 * MS))
+    result = fleet.run(20 * MS)
+    assert result.rebalances > 0
+    assert all(node.processor.pstate_cap_index == 0
+               for node in fleet.nodes)
 
 
 def test_validation(sim):
     with pytest.raises(ValueError):
-        PowerBudgetCoordinator([_System(sim)], budget_w=0.0)
+        _arbiter(sim, budget_w=0.0)
     with pytest.raises(ValueError):
-        PowerBudgetCoordinator([_System(sim)], budget_w=5.0, period_ns=0)
+        _arbiter(sim, budget_w=5.0, period_ns=0)
     with pytest.raises(ValueError):
-        PowerBudgetCoordinator([_System(sim)], budget_w=5.0,
-                               floor_frac=1.5)
+        _arbiter(sim, budget_w=5.0, floor_frac=1.5)
 
 
 def test_budget_caps_fleet_energy():

@@ -13,8 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster import (FleetConfig, FleetSystem, ShardedFleetSystem,
-                           run_fleet)
+from repro.cluster import FleetConfig, FleetSystem, run_fleet
 from repro.cluster.health import HealthPolicy
 from repro.cluster.sharded import shard_bounds
 from repro.faults.scenarios import make_plan
@@ -41,7 +40,9 @@ def _everything_config(policy="power-aware"):
 
 
 def _assert_identical(a, b):
-    assert a.config == b.config or True  # configs differ only in shards
+    # The configs may differ only in their shard count.
+    assert (dataclasses.replace(a.config, shards=1)
+            == dataclasses.replace(b.config, shards=1))
     assert a.sent == b.sent
     assert a.completed == b.completed
     assert a.dropped == b.dropped
@@ -72,7 +73,7 @@ def test_shard_counts_are_bit_identical():
     serial = FleetSystem(config).run(DURATION)
     assert serial.telemetry.total("lb_marked_down_total") > 0
     for shards in (2, 3, 6):
-        sharded = ShardedFleetSystem(
+        sharded = FleetSystem(
             dataclasses.replace(config, shards=shards)).run(DURATION)
         _assert_identical(serial, sharded)
         assert sharded.perf is not None
@@ -88,7 +89,7 @@ def test_sharded_plain_fleet_matches_serial(policy):
                                            n_cores=2),
                          n_nodes=4, policy=policy, seed=5, shards=2)
     serial = FleetSystem(dataclasses.replace(config, shards=1)).run(DURATION)
-    _assert_identical(serial, ShardedFleetSystem(config).run(DURATION))
+    _assert_identical(serial, FleetSystem(config).run(DURATION))
 
 
 def test_run_fleet_routes_on_shards():
@@ -102,10 +103,14 @@ def test_run_fleet_routes_on_shards():
 
 def test_shards_clamp_to_node_count():
     config = FleetConfig(n_nodes=2, shards=8, seed=1)
-    assert ShardedFleetSystem(config).n_shards == 2
-    result = ShardedFleetSystem(config).run(5 * MS)
+    assert FleetSystem(config).n_shards == 2
+    result = FleetSystem(config).run(5 * MS)
     serial = FleetSystem(dataclasses.replace(config, shards=1)).run(5 * MS)
     _assert_identical(serial, result)
+    # One node leaves one shard: the fleet runs in-process.
+    fleet = FleetSystem(FleetConfig(n_nodes=1, shards=4, seed=1))
+    assert len(fleet.nodes) == 1
+    assert fleet.run(5 * MS).perf.shards == 1
 
 
 def test_shard_bounds_partition_evenly():

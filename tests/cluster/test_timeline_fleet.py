@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster import FleetConfig, FleetSystem, ShardedFleetSystem
+from repro.cluster import FleetConfig, FleetSystem
 from repro.cluster.health import HealthPolicy
 from repro.faults.scenarios import make_plan
 from repro.obs.timeline import FLEET_SERIES, TimelineConfig, slo_burn
@@ -77,7 +77,7 @@ def test_sharded_timelines_are_bit_identical():
     serial = FleetSystem(config).run(DURATION)
     assert len(serial.timeline) == DURATION // INTERVAL
     for shards in (2, 3, 6):
-        sharded = ShardedFleetSystem(
+        sharded = FleetSystem(
             dataclasses.replace(config, shards=shards)).run(DURATION)
         _assert_timelines_identical(serial.timeline, sharded.timeline)
         # Execution-detail telemetry rides along without breaking parity.
@@ -157,7 +157,7 @@ def test_sharded_crash_dump_matches_serial(tmp_path):
         shards=3).with_overrides(timeline=TimelineConfig(
             interval_ns=INTERVAL, flight_windows=3,
             monitors=(slo_burn(),), flight_path=str(path)))
-    sharded = ShardedFleetSystem(config).run(DURATION)
+    sharded = FleetSystem(config).run(DURATION)
     a = [d for d in serial.timeline.dumps if d.trigger == "node-crash"]
     b = [d for d in sharded.timeline.dumps if d.trigger == "node-crash"]
     assert len(a) == len(b) == 1
@@ -178,7 +178,7 @@ def test_monitor_abort_truncates_fleet_run():
     assert result.timeline.aborted_at_ns == 2 * INTERVAL
     assert result.duration_ns == 2 * INTERVAL
     assert len(result.timeline) == 2
-    sharded = ShardedFleetSystem(
+    sharded = FleetSystem(
         dataclasses.replace(config, shards=2)).run(DURATION)
     _assert_timelines_identical(result.timeline, sharded.timeline)
     assert np.array_equal(result.latencies_ns, sharded.latencies_ns)

@@ -8,7 +8,7 @@ bit-identical to the serial fleet regardless of the mix.
 
 import numpy as np
 
-from repro.cluster import FleetConfig, FleetSystem, ShardedFleetSystem
+from repro.cluster import FleetConfig, FleetSystem
 from repro.system import ServerConfig
 from repro.units import MS
 
@@ -57,7 +57,7 @@ def test_mixed_fleet_runs_every_backend():
 def test_mixed_fleet_sharding_is_bit_identical():
     serial = FleetSystem(_mixed_config()).run(DURATION)
     for shards in (2, 4):
-        sharded = ShardedFleetSystem(
+        sharded = FleetSystem(
             _mixed_config(shards=shards)).run(DURATION)
         assert sharded.completed == serial.completed
         assert np.array_equal(sharded.latencies_ns, serial.latencies_ns)

@@ -8,7 +8,7 @@ serial fleet at every shard count that divides the node count.
 
 import numpy as np
 
-from repro.cluster import FleetConfig, FleetSystem, ShardedFleetSystem
+from repro.cluster import FleetConfig, FleetSystem
 from repro.p4 import (drop_program, flow_affine_program, identity_program,
                       meter_program)
 from repro.system import ServerConfig
@@ -66,7 +66,7 @@ def test_mixed_fleet_runs_programmed_and_plain_nodes():
 def test_mixed_fleet_sharding_is_bit_identical():
     serial = FleetSystem(_mixed_config()).run(DURATION)
     for shards in (1, 2, 3, 6):
-        sharded = ShardedFleetSystem(
+        sharded = FleetSystem(
             _mixed_config(shards=shards)).run(DURATION)
         assert sharded.completed == serial.completed
         assert np.array_equal(sharded.latencies_ns, serial.latencies_ns)
