@@ -89,12 +89,12 @@ class AppWorkerThread(SimThread):
         return work
 
     def register_into(self, reg) -> None:
-        """Export this worker's service counters as telemetry."""
-        core = str(self.core_id)
+        """Register this worker's service counters."""
+        app = {"subsystem": "app", "core": str(self.core_id)}
         reg.counter("app_requests_served_total", "Requests served",
-                    subsystem="app", core=core).inc(self.requests_served)
+                    read=lambda: self.requests_served, **app)
         reg.gauge("app_service_cycles_total", "Service cycles accepted",
-                  subsystem="app", core=core).set(self.service_cycles_total)
+                  read=lambda: self.service_cycles_total, **app)
 
     def _serve_done(self, work: Work) -> None:
         self._respond(self._serving)

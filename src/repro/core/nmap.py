@@ -75,14 +75,15 @@ class NmapGovernor(FreqGovernor):
         return self.engine.mode
 
     def register_into(self, reg) -> None:
-        """Export the decision engine's mode entries and the fallback's
+        """Register the decision engine's mode entries and the fallback's
         utilization samples."""
         core = str(self.core_id)
         reg.counter("nmap_mode_entries_total", "Decision-engine mode entries",
-                    subsystem="governor", core=core,
-                    mode="net-intensive").inc(self.engine.ni_entries)
-        reg.counter("nmap_mode_entries_total", subsystem="governor",
-                    core=core, mode="cpu-util").inc(self.engine.cu_entries)
+                    read=lambda: self.engine.ni_entries,
+                    subsystem="governor", core=core, mode="net-intensive")
+        reg.counter("nmap_mode_entries_total",
+                    read=lambda: self.engine.cu_entries,
+                    subsystem="governor", core=core, mode="cpu-util")
         self.fallback.register_into(reg)
 
     def start(self) -> None:

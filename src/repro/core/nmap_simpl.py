@@ -56,7 +56,7 @@ class NmapSimplGovernor(FreqGovernor):
             self.trace.record(f"core{self.core_id}.nmap_mode", self.sim.now, 0)
 
     def register_into(self, reg) -> None:
-        """Export the fallback's utilization samples."""
+        """Register the fallback's utilization samples."""
         self.fallback.register_into(reg)
 
     def start(self) -> None:

@@ -133,22 +133,22 @@ class Processor:
             core.finalize()
 
     def register_into(self, reg) -> None:
-        """Export per-core residency, P-state churn and work throughput."""
-        for core_obj in self.cores:
-            core = str(core_obj.core_id)
-            reg.gauge("core_busy_ns", "Busy residency", subsystem="cpu",
-                      core=core).set(core_obj.busy_ns)
-            reg.gauge("core_idle_ns", "Idle residency", subsystem="cpu",
-                      core=core).set(core_obj.idle_ns)
-            for state, ns in core_obj.cstate_residency_ns.items():
+        """Register per-core residency, P-state churn and work throughput."""
+        for c in self.cores:
+            cpu = {"subsystem": "cpu", "core": str(c.core_id)}
+            reg.gauge("core_busy_ns", "Busy residency",
+                      read=lambda c=c: c.busy_ns, **cpu)
+            reg.gauge("core_idle_ns", "Idle residency",
+                      read=lambda c=c: c.idle_ns, **cpu)
+            residency = c.cstate_residency_ns
+            for state in residency:
                 reg.gauge("cstate_residency_ns", "Residency per C-state",
-                          subsystem="cpu", core=core, state=state).set(ns)
+                          read=lambda ns=residency, s=state: ns[s],
+                          state=state, **cpu)
             reg.counter("pstate_changes_total", "Effective P-state changes",
-                        subsystem="cpu", core=core).inc(
-                            core_obj.pstate_changes)
+                        read=lambda c=c: c.pstate_changes, **cpu)
             reg.counter("works_completed_total", "Work items retired",
-                        subsystem="cpu", core=core).inc(
-                            core_obj.works_completed)
+                        read=lambda c=c: c.works_completed, **cpu)
 
     def total_energy_j(self) -> float:
         """Package energy (cores + uncore) up to the current time."""

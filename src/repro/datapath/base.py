@@ -133,20 +133,20 @@ class RxBackend:
     # -- accounting ----------------------------------------------------- #
 
     def register_into(self, reg) -> None:
-        """Expose backend counters as telemetry instruments, including
+        """Register backend counters as observed instruments, including
         ``datapath_pkts_total`` per core and accounting mode."""
         raise NotImplementedError
 
     def _counter(self, reg, name: str, help_text: str, core_id: int,
-                 **labels):
+                 read, **labels) -> None:
         """A ``subsystem="datapath"`` counter of this backend and core."""
-        return reg.counter(name, help_text, subsystem="datapath",
-                           backend=self.name, core=str(core_id), **labels)
+        reg.counter(name, help_text, read=read, subsystem="datapath",
+                    backend=self.name, core=str(core_id), **labels)
 
-    def _count_pkts(self, reg, core_id: int, mode: str, n: int) -> None:
+    def _count_pkts(self, reg, core_id: int, mode: str, read) -> None:
         self._counter(reg, "datapath_pkts_total",
                       "Rx packets by datapath backend and mode", core_id,
-                      mode=mode).inc(n)
+                      read, mode=mode)
 
 
 def check_bypass_params(burst_size: int, min_sleep_ns: Optional[int] = None,

@@ -256,18 +256,20 @@ class MetronomeBackend(RxBackend):
         for thread in self.threads:
             cid = thread.core.core_id
             self._count_pkts(reg, cid, MODE_INTERMITTENT,
-                             thread.pkts_intermittent)
-            self._count_pkts(reg, cid, MODE_POLLING, thread.pkts_polling)
+                             lambda thread=thread: thread.pkts_intermittent)
+            self._count_pkts(reg, cid, MODE_POLLING,
+                             lambda thread=thread: thread.pkts_polling)
             self._counter(reg, "datapath_sleep_wakes_total",
-                          "Retrieval timer wakes", cid).inc(
-                              thread.timer_wakes)
+                          "Retrieval timer wakes", cid,
+                          lambda thread=thread: thread.timer_wakes)
             self._counter(reg, "datapath_poll_loops_total",
-                          "Burst retrievals completed", cid).inc(
-                              thread.batches)
+                          "Burst retrievals completed", cid,
+                          lambda thread=thread: thread.batches)
             reg.gauge("datapath_sleep_ns",
                       "Adapted sleep interval at run end",
+                      read=lambda thread=thread: thread.sleep_ns,
                       subsystem="datapath", backend=self.name,
-                      core=str(cid)).set(thread.sleep_ns)
+                      core=str(cid))
 
 
 class NmapHybridBackend(MetronomeBackend):

@@ -80,32 +80,30 @@ class NapiRxBackend(RxBackend):
 
     def register_into(self, reg) -> None:
         for cid, napi in enumerate(self.napis):
-            core = str(cid)
+            net = {"subsystem": "netstack", "core": str(cid)}
             reg.counter("napi_interrupts_total", "Hardware interrupts taken",
-                        subsystem="netstack", core=core).inc(napi.irq_count)
+                        read=lambda napi=napi: napi.irq_count, **net)
             reg.counter("napi_sessions_total", "NAPI softirq sessions",
-                        subsystem="netstack", core=core).inc(napi.sessions)
+                        read=lambda napi=napi: napi.sessions, **net)
             reg.counter("napi_deferrals_total", "Deferrals to ksoftirqd",
-                        subsystem="netstack", core=core).inc(napi.deferrals)
+                        read=lambda napi=napi: napi.deferrals, **net)
+            interrupt = lambda napi=napi: napi.pkts_interrupt_mode
+            polling = lambda napi=napi: napi.pkts_polling_mode
             reg.counter("napi_pkts_total", "Rx packets by processing mode",
-                        subsystem="netstack", core=core,
-                        mode="interrupt").inc(napi.pkts_interrupt_mode)
-            reg.counter("napi_pkts_total", subsystem="netstack", core=core,
-                        mode="polling").inc(napi.pkts_polling_mode)
-            self._count_pkts(reg, cid, MODE_INTERRUPT,
-                             napi.pkts_interrupt_mode)
-            self._count_pkts(reg, cid, MODE_POLLING, napi.pkts_polling_mode)
+                        read=interrupt, mode="interrupt", **net)
+            reg.counter("napi_pkts_total", read=polling, mode="polling",
+                        **net)
+            self._count_pkts(reg, cid, MODE_INTERRUPT, interrupt)
+            self._count_pkts(reg, cid, MODE_POLLING, polling)
             self._counter(reg, "datapath_poll_loops_total",
-                          "Burst retrievals completed", cid).inc(
-                              napi.poll_count)
+                          "Burst retrievals completed", cid,
+                          lambda napi=napi: napi.poll_count)
         for cid, ksoftirqd in enumerate(self.ksoftirqds):
-            core = str(cid)
+            net = {"subsystem": "netstack", "core": str(cid)}
             reg.counter("ksoftirqd_wakeups_total", "ksoftirqd thread wakes",
-                        subsystem="netstack", core=core).inc(
-                            ksoftirqd.wake_count)
+                        read=lambda k=ksoftirqd: k.wake_count, **net)
             reg.counter("ksoftirqd_batches_total", "Deferred poll batches run",
-                        subsystem="netstack", core=core).inc(
-                            ksoftirqd.batches_run)
+                        read=lambda k=ksoftirqd: k.batches_run, **net)
 
 
 # Re-exported for backends sharing the NapiConfig cost model in tests.

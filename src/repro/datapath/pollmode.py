@@ -239,10 +239,11 @@ class PollModeBackend(RxBackend):
     def register_into(self, reg) -> None:
         for thread in self.threads:
             cid = thread.core.core_id
-            self._count_pkts(reg, cid, MODE_BUSY_POLL, thread.pkts_busy_poll)
+            self._count_pkts(reg, cid, MODE_BUSY_POLL,
+                             lambda thread=thread: thread.pkts_busy_poll)
             self._counter(reg, "datapath_poll_loops_total",
-                          "Burst retrievals completed", cid).inc(
-                              thread.batches)
+                          "Burst retrievals completed", cid,
+                          lambda thread=thread: thread.batches)
             self._counter(reg, "datapath_empty_polls_total",
-                          "Spin chunks executed (empty polls)", cid).inc(
-                              thread.spins)
+                          "Spin chunks executed (empty polls)", cid,
+                          lambda thread=thread: thread.spins)

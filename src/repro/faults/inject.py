@@ -270,22 +270,21 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
 
     def register_into(self, reg) -> None:
-        """Expose fault counters in a telemetry registry."""
+        """Register fault counters; a kind's windows once it activates."""
         for kind in fp.KINDS:
-            count = self.activations.get(kind, 0)
-            if count:
-                reg.counter("fault_windows_total",
-                            "Fault windows activated",
-                            subsystem="faults", kind=kind).inc(count)
+            reg.counter("fault_windows_total", "Fault windows activated",
+                        read=lambda kind=kind: (self.activations.get(kind)
+                                                or None),
+                        subsystem="faults", kind=kind)
         reg.counter("fault_rx_dropped_total",
                     "Packets dropped by injected NIC loss",
-                    subsystem="faults").inc(self.rx_dropped)
+                    read=lambda: self.rx_dropped, subsystem="faults")
         reg.counter("fault_rx_corrupted_total",
                     "Packets discarded as corrupted by injected loss",
-                    subsystem="faults").inc(self.rx_corrupted)
+                    read=lambda: self.rx_corrupted, subsystem="faults")
         reg.counter("fault_crash_rx_dropped_total",
                     "Packets blackholed while the node was crashed",
-                    subsystem="faults").inc(self.crash_rx_dropped)
+                    read=lambda: self.crash_rx_dropped, subsystem="faults")
         reg.counter("fault_irq_storm_ticks_total",
                     "Spurious-interrupt storm ticks fired",
-                    subsystem="faults").inc(self.storm_ticks)
+                    read=lambda: self.storm_ticks, subsystem="faults")

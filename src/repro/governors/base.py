@@ -43,7 +43,7 @@ class FreqGovernor:
         self.processor.request_pstate(self.core_id, index)
 
     def register_into(self, reg) -> None:
-        """Export this governor's decision counters (none by default)."""
+        """Register this governor's decision counters (none by default)."""
 
 
 class UtilGovernorBase(FreqGovernor):
@@ -102,8 +102,8 @@ class UtilGovernorBase(FreqGovernor):
 
     def register_into(self, reg) -> None:
         reg.counter("governor_samples_total", "Utilization samples taken",
-                    subsystem="governor",
-                    core=str(self.core_id)).inc(self.samples)
+                    read=lambda: self.samples, subsystem="governor",
+                    core=str(self.core_id))
 
     # -- lifecycle -------------------------------------------------------#
 

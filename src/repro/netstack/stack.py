@@ -161,12 +161,12 @@ class NetworkStack:
         self.nic.receive(ack, qid)
 
     def register_into(self, reg) -> None:
-        """Export the per-core socket counters as telemetry."""
+        """Register the per-core socket counters."""
         for cid, socket in enumerate(self.sockets):
-            core = str(cid)
+            net = {"subsystem": "netstack", "core": str(cid)}
             reg.counter("socket_delivered_total", "Packets delivered upward",
-                        subsystem="netstack", core=core).inc(socket.delivered)
+                        read=lambda s=socket: s.delivered, **net)
             reg.counter("socket_dropped_total", "Socket-queue tail drops",
-                        subsystem="netstack", core=core).inc(socket.dropped)
+                        read=lambda s=socket: s.dropped, **net)
             reg.gauge("socket_max_depth", "Socket-queue high-water mark",
-                      subsystem="netstack", core=core).set(socket.max_depth)
+                      read=lambda s=socket: s.max_depth, **net)

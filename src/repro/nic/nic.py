@@ -200,11 +200,11 @@ class MultiQueueNic:
             self.sim.schedule(self.wire_latency_ns, sink, packet)
 
     def register_into(self, reg) -> None:
-        """Export the wire-side packet counters as telemetry."""
+        """Register the wire-side packet counters."""
         reg.counter("nic_rx_packets_total", "Packets received off the wire",
-                    subsystem="nic").inc(self.rx_packets)
+                    read=lambda: self.rx_packets, subsystem="nic")
         reg.counter("nic_rx_data_packets_total",
                     "Rx packets carrying a request payload",
-                    subsystem="nic").inc(self.rx_data_packets)
+                    read=lambda: self.rx_data_packets, subsystem="nic")
         reg.counter("nic_tx_packets_total", "Packets transmitted",
-                    subsystem="nic").inc(self.tx_packets)
+                    read=lambda: self.tx_packets, subsystem="nic")

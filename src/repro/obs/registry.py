@@ -2,9 +2,11 @@
 
 A :class:`TelemetryRegistry` holds uniquely-named instruments with label
 sets (``core="0"``, ``subsystem="netstack"``), mirroring the Prometheus
-data model so the text exporter is a direct rendering. Instruments are
-memoized per (name, labels): asking twice returns the same object, and
-registering one name under two different types is an error.
+data model so the text exporter is a direct rendering. Asking twice for
+one (name, labels) returns the same instrument, and registering one name
+under two different types is an error. A component registers its
+counters once, as :class:`Observed` instruments that read the owner's
+live count; :meth:`TelemetryRegistry.freeze` turns them into plain ones.
 
 Histograms bucket by powers of two — the right shape for nanosecond
 latencies spanning six orders of magnitude — and support bulk
@@ -14,7 +16,7 @@ observation from numpy arrays so end-of-run merges stay cheap.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -153,7 +155,20 @@ class Histogram:
         self.buckets, self.count, self.sum = state
 
 
-Instrument = Union[Counter, Gauge, Histogram]
+class Observed:
+    """A counter or gauge whose ``value`` is ``read()``, a zero-argument
+    reader of its owner's live count. A reader returns None while its
+    series is absent; :meth:`TelemetryRegistry.freeze` drops those."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable) -> None:
+        self.read = read
+
+    value = property(lambda self: self.read())
+
+
+Instrument = Union[Counter, Gauge, Histogram, Observed]
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
@@ -165,19 +180,6 @@ class TelemetryRegistry:
         self._instruments: Dict[Tuple[str, LabelKey], Instrument] = {}
         #: name -> (kind, help text); a name has exactly one kind.
         self._meta: Dict[str, Tuple[str, str]] = {}
-        #: (kind, name, help, *label items) as passed -> instrument, so a
-        #: call site seen before skips validation and label sorting.
-        #: Sound while label values that compare equal also print
-        #: equally (1 and True would not; exporters pass str and int).
-        self._memo: Dict[tuple, Instrument] = {}
-
-    def __getstate__(self):
-        # The memo only caches lookups; pickles carry the instruments.
-        return self._instruments, self._meta
-
-    def __setstate__(self, state):
-        self._instruments, self._meta = state
-        self._memo = {}
 
     # ----------------------------------------------------------------- #
     # Registration / lookup
@@ -188,7 +190,8 @@ class TelemetryRegistry:
         return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
     def _get(self, kind: str, name: str, help: str,
-             labels: Dict[str, object]) -> Instrument:
+             labels: Dict[str, object],
+             read: Optional[Callable] = None) -> Instrument:
         if not name:
             raise ValueError("instrument name must be non-empty")
         meta = self._meta.get(name)
@@ -201,29 +204,26 @@ class TelemetryRegistry:
             self._meta[name] = (kind, help)
         key = (name, self._label_key(labels))
         instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = _KINDS[kind]()
-            self._instruments[key] = instrument
+        if read is not None:
+            if instrument is not None:
+                raise ValueError(f"{name!r} {dict(key[1])} already registered")
+            instrument = self._instruments[key] = Observed(read)
+        elif instrument is None:
+            instrument = self._instruments[key] = _KINDS[kind]()
         return instrument
 
-    def _memoized(self, memo_key: tuple, labels: Dict[str, object]):
-        """Memo miss: register through :meth:`_get` and remember it."""
-        self._memo[memo_key] = instrument = self._get(*memo_key[:3], labels)
-        return instrument
+    def counter(self, name: str, help: str = "",
+                read: Optional[Callable] = None, **labels) -> Counter:
+        """The counter ``name{labels}``; :class:`Observed` given ``read``."""
+        return self._get("counter", name, help, labels, read)  # type: ignore
 
-    # Instruments define no __bool__/__len__, so a memo hit is truthy.
-
-    def counter(self, name: str, help: str = "", **labels) -> Counter:
-        key = ("counter", name, help, *labels.items())
-        return self._memo.get(key) or self._memoized(key, labels)
-
-    def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        key = ("gauge", name, help, *labels.items())
-        return self._memo.get(key) or self._memoized(key, labels)
+    def gauge(self, name: str, help: str = "",
+              read: Optional[Callable] = None, **labels) -> Gauge:
+        """The gauge ``name{labels}``; :class:`Observed` given ``read``."""
+        return self._get("gauge", name, help, labels, read)  # type: ignore
 
     def histogram(self, name: str, help: str = "", **labels) -> Histogram:
-        key = ("histogram", name, help, *labels.items())
-        return self._memo.get(key) or self._memoized(key, labels)
+        return self._get("histogram", name, help, labels)  # type: ignore
 
     def merge_from(self, other: "TelemetryRegistry", **extra_labels) -> None:
         """Fold another registry's instruments into this one.
@@ -246,7 +246,7 @@ class TelemetryRegistry:
                     target.buckets[exp] = target.buckets.get(exp, 0) + n
                 target.count += instrument.count
                 target.sum += instrument.sum
-            elif isinstance(instrument, Counter):
+            elif kind == "counter":
                 target.inc(instrument.value)
             else:
                 target.set(instrument.value)
@@ -302,12 +302,21 @@ class TelemetryRegistry:
         registered."""
         return sum(inst.value for inst in self.select(name, **labels))
 
-    def reset(self) -> None:
-        """Zero every instrument in place, keeping names, labels and
-        help text. Refilling a reset registry through the same
-        exporters reuses its instruments (and :meth:`select` results)."""
-        for instrument in self._instruments.values():
-            instrument.__init__()
+    def freeze(self) -> None:
+        """Replace each :class:`Observed` in place by a plain instrument
+        holding its current value, so the registry pickles. A None value
+        drops the instrument, and its name's meta if none is left."""
+        for key, instrument in list(self._instruments.items()):
+            if isinstance(instrument, Observed):
+                value = instrument.read()
+                if value is None:
+                    del self._instruments[key]
+                    continue
+                kind = self._meta[key[0]][0]
+                plain = self._instruments[key] = _KINDS[kind]()
+                plain.value = value
+        names = {name for name, _ in self._instruments}
+        self._meta = {n: m for n, m in self._meta.items() if n in names}
 
     def as_dict(self) -> Dict[str, Dict[str, object]]:
         """Plain nested dict (for JSON reports): name -> label-str -> value."""

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.obs.monitors import (MonitorEvent, MonitorSpec, make_monitors,
                                 oscillation, slo_burn)
-from repro.obs.registry import TelemetryRegistry
 from repro.units import MS, S
 
 __all__ = [
@@ -277,14 +276,13 @@ class TimelineResult:
 class TimelineSampler:
     """Non-perturbing per-node sampler; lives where the node lives.
 
-    Reads the node's counters through the same
-    :meth:`~repro.system.ServerSystem.register_into` export as the
-    end-of-run telemetry (plain counters and raw, unflushed busy
-    residency), plus the client's completion log and the read-only
-    energy projection — never anything that would move an accrual
-    checkpoint or reorder float accumulation. Both fleet backends run
-    this same code worker-side, which is why sharded and in-process
-    timelines are bit-identical.
+    Reads the node's counters through the live instruments of
+    ``system.telemetry`` — the ones the end-of-run telemetry freezes
+    (plain counters and raw, unflushed busy residency) — plus the
+    client's completion log and the read-only energy projection, never
+    anything that would move an accrual checkpoint or reorder float
+    accumulation. Both fleet backends run this same code worker-side,
+    which is why sharded and in-process timelines are bit-identical.
     """
 
     def __init__(self, system):
@@ -293,11 +291,13 @@ class TimelineSampler:
         self._last_t_ns = 0
         self._prev_energy_j = 0.0
         self._prev_totals = dict.fromkeys(REGISTRY_COLUMNS, 0)
-        #: One registry, reset and refilled every sample, so its
-        #: instruments (and each column's matching ones) are found once.
-        self._reg = TelemetryRegistry()
-        self._n_instruments = 0
-        self._column_instruments: Dict[str, list] = {}
+        #: Each column's instruments: all are registered when the system
+        #: is built (per core, per table), so they are selected once.
+        telemetry = system.telemetry
+        self._columns = {
+            column: [inst for name, labels in series
+                     for inst in telemetry.select(name, **labels)]
+            for column, series in REGISTRY_COLUMNS.items()}
 
     def sample(self, t_ns: int) -> Tuple[float, ...]:
         """The node's :data:`NODE_SERIES` row for the window ending at
@@ -317,22 +317,14 @@ class TimelineSampler:
         d_energy_j = energy_j - self._prev_energy_j
         self._prev_energy_j = energy_j
 
-        reg = self._reg
-        reg.reset()
-        system.register_into(reg)
-        if len(reg) != self._n_instruments:
-            # A series appeared since the last sample: re-match columns.
-            self._n_instruments = len(reg)
-            self._column_instruments = {
-                column: [inst for name, labels in series
-                         for inst in reg.select(name, **labels)]
-                for column, series in REGISTRY_COLUMNS.items()}
-        totals = {column: sum(inst.value for inst in instruments)
-                  for column, instruments in
-                  self._column_instruments.items()}
-        row = {column: total - self._prev_totals[column]
-               for column, total in totals.items()}
-        self._prev_totals = totals
+        row = {}  # plain loops: a comprehension would be one more call
+        prev = self._prev_totals
+        for column, instruments in self._columns.items():
+            total = 0
+            for inst in instruments:
+                total += inst.value
+            row[column] = total - prev[column]
+            prev[column] = total
 
         n_cores = len(system.processor.cores)
         row["busy_frac"] = (row["busy_frac"] / (n_cores * dt_ns)
@@ -341,7 +333,7 @@ class TimelineSampler:
         row["p99_ns"] = p99_ns
         row["power_w"] = d_energy_j / (dt_ns / S) if dt_ns > 0 else 0.0
         row["energy_j"] = d_energy_j
-        return tuple(float(row[column]) for column in NODE_SERIES)
+        return tuple([float(row[column]) for column in NODE_SERIES])
 
 
 class TimelineDriver:

@@ -257,45 +257,44 @@ class PipelineEngine:
     # ------------------------------------------------------------------ #
 
     def register_into(self, reg) -> None:
-        """Expose pipeline counters as telemetry instruments."""
-        reg.counter("p4_packets_total", "Packets entering the pipeline",
-                    subsystem="p4", verdict="parsed").inc(self.parsed)
-        reg.counter("p4_packets_total", subsystem="p4",
-                    verdict="forwarded").inc(self.forwarded)
-        reg.counter("p4_packets_total", subsystem="p4",
-                    verdict="dropped").inc(self.dropped)
-        reg.counter("p4_steered_total",
-                    "Packets whose queue came from a steer entry",
-                    subsystem="p4").inc(self.steered)
-        reg.counter("p4_mirrored_total", "Packets copied to the mirror port",
-                    subsystem="p4").inc(self.mirrored)
-        reg.counter("p4_marked_total", "Meter-exceeding packets forwarded "
-                    "with a mark", subsystem="p4").inc(self.marked)
-        reg.counter("p4_ring_dropped_total",
-                    "Delayed enqueues tail-dropped at the RX ring",
-                    subsystem="p4").inc(self.ring_dropped)
-        reg.counter("p4_stage_cycles_total", "Cycles charged per stage",
-                    subsystem="p4", stage="parser").inc(
-                        self.parser_cycles_total)
-        reg.counter("p4_stage_cycles_total", subsystem="p4",
-                    stage="deparser").inc(self.deparser_cycles_total)
+        """Register pipeline counters; table actions once they apply."""
+        for name, help_text, attr, labels in (
+                ("p4_packets_total", "Packets entering the pipeline",
+                 "parsed", {"verdict": "parsed"}),
+                ("p4_packets_total", "", "forwarded",
+                 {"verdict": "forwarded"}),
+                ("p4_packets_total", "", "dropped", {"verdict": "dropped"}),
+                ("p4_steered_total", "Packets whose queue came from a steer "
+                 "entry", "steered", {}),
+                ("p4_mirrored_total", "Packets copied to the mirror port",
+                 "mirrored", {}),
+                ("p4_marked_total", "Meter-exceeding packets forwarded with "
+                 "a mark", "marked", {}),
+                ("p4_ring_dropped_total", "Delayed enqueues tail-dropped at "
+                 "the RX ring", "ring_dropped", {}),
+                ("p4_stage_cycles_total", "Cycles charged per stage",
+                 "parser_cycles_total", {"stage": "parser"}),
+                ("p4_stage_cycles_total", "", "deparser_cycles_total",
+                 {"stage": "deparser"})):
+            reg.counter(name, help_text,
+                        read=lambda attr=attr: getattr(self, attr),
+                        subsystem="p4", **labels)
         for rt in self._tables:
-            table = rt.stage.name
+            table = {"subsystem": "p4", "table": rt.stage.name}
             reg.counter("p4_table_hits_total", "Table lookups that matched",
-                        subsystem="p4", table=table).inc(rt.hits)
+                        read=lambda rt=rt: rt.hits, **table)
             reg.counter("p4_table_misses_total", "Table lookups that missed",
-                        subsystem="p4", table=table).inc(rt.misses)
-            reg.counter("p4_stage_cycles_total", subsystem="p4",
-                        stage=table).inc(rt.cycles_total)
-            for action, count in (("steer", rt.steers), ("drop", rt.drops),
-                                  ("mirror", rt.mirrors),
-                                  ("mark", rt.marks),
-                                  ("meter-exceeded", rt.meter_exceeded)):
-                if count:
-                    reg.counter("p4_table_actions_total",
-                                "Actions applied by table and kind",
-                                subsystem="p4", table=table,
-                                action=action).inc(count)
+                        read=lambda rt=rt: rt.misses, **table)
+            reg.counter("p4_stage_cycles_total",
+                        read=lambda rt=rt: rt.cycles_total, subsystem="p4",
+                        stage=rt.stage.name)
+            for action, attr in (("steer", "steers"), ("drop", "drops"),
+                                 ("mirror", "mirrors"), ("mark", "marks"),
+                                 ("meter-exceeded", "meter_exceeded")):
+                reg.counter("p4_table_actions_total",
+                            "Actions applied by table and kind",
+                            read=lambda rt=rt, a=attr: getattr(rt, a) or None,
+                            action=action, **table)
 
     def table_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-table hit/miss/action counters (tests and experiments)."""

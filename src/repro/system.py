@@ -172,9 +172,10 @@ class RunResult:
     #: Event-kernel counters of the run (events/sec, heap peak, cancel
     #: ratio).
     perf: PerfSnapshot
-    #: Telemetry registry of the run: every component's counters, plus
-    #: the run-level gauges and histograms (``repro.obs.registry``). The
-    #: one store of the run's counters; the properties below read it.
+    #: Telemetry registry of the run: every component's counters, frozen
+    #: at run end, plus the run-level gauges and histograms
+    #: (``repro.obs.registry``). The one store of the run's counters;
+    #: the properties below read it.
     telemetry: TelemetryRegistry
     #: Span log of the sampled requests (``repro.obs.span.SpanLog``);
     #: None when ``config.trace_sample_rate`` is 0.
@@ -376,6 +377,15 @@ class ServerSystem:
         #: unhashable and must never affect the cache key — or results.
         self.timeline_sink = None
 
+        #: Every component registers its counters here once, as observed
+        #: instruments; :meth:`_finalize_result` freezes them.
+        self.telemetry = TelemetryRegistry()
+        for owner in (self.client, self.faults, self.nic, self.pipeline,
+                      self.datapath, self.stack, self.processor,
+                      *self.workers, *self.freq_governors):
+            if owner is not None:
+                owner.register_into(self.telemetry)
+
     # ------------------------------------------------------------------ #
 
     def _build_power_management(self) -> None:
@@ -443,20 +453,6 @@ class ServerSystem:
     def _wire_trace_probes(self) -> None:
         self.datapath.wire_trace_probes(self.trace)
 
-    def register_into(self, reg: TelemetryRegistry) -> None:
-        """Export every component's counters into ``reg``.
-
-        Each component owns its plain-int hot-path counters and exports
-        them itself; this is the one list of those owners. The end-of-run
-        telemetry and every timeline sample read through here.
-        """
-        owners = [self.client, self.faults, self.nic, self.pipeline,
-                  self.datapath, self.stack, self.processor,
-                  *self.workers, *self.freq_governors]
-        for owner in owners:
-            if owner is not None:
-                owner.register_into(reg)
-
     # ------------------------------------------------------------------ #
 
     # The run sequence is split into phases so an embedding co-simulator
@@ -502,15 +498,15 @@ class ServerSystem:
                          energy: EnergySummary, wall_start: float,
                          timeline: Optional[TimelineResult] = None
                          ) -> RunResult:
-        """Trim the drain window, snapshot counters, build the result."""
+        """Trim the drain window, freeze counters, build the result."""
         self.processor.finalize()
         self.client.finalize(duration_ns + drain_ns)
         perf = self.sim.perf_snapshot(
             wall_s=time.perf_counter() - wall_start)
         latencies_ns = self.client.latencies_ns()
-        telemetry = TelemetryRegistry()
+        telemetry = self.telemetry
+        telemetry.freeze()  # then the push-style run-level instruments
         perf.register_into(telemetry)
-        self.register_into(telemetry)
         telemetry.histogram("request_latency_ns",
                             "End-to-end request latency",
                             subsystem="workload").observe_many(latencies_ns)

@@ -295,23 +295,25 @@ class OpenLoopClient:
             self.span_log.trim(t_end)
 
     def register_into(self, reg) -> None:
-        """Export the workload counters as telemetry instruments."""
-        for name, help_text, value in (
-                ("requests_sent_total", "Requests generated", self.sent),
+        """Register the workload counters."""
+        for name, help_text, attr in (
+                ("requests_sent_total", "Requests generated", "sent"),
                 ("requests_completed_total", "Responses recorded",
-                 self.completed),
+                 "completed"),
                 ("requests_dropped_total",
                  "Request packets dropped before reaching an RX ring",
-                 self.dropped),
+                 "dropped"),
                 ("requests_timed_out_total",
-                 "Client timeouts on unanswered requests", self.timed_out),
+                 "Client timeouts on unanswered requests", "timed_out"),
                 ("requests_retried_total", "Retransmissions issued",
-                 self.retries),
+                 "retries"),
                 ("requests_abandoned_total",
-                 "Requests given up after the retry budget", self.gave_up),
+                 "Requests given up after the retry budget", "gave_up"),
                 ("responses_duplicate_total",
-                 "Responses discarded as duplicates", self.duplicates)):
-            reg.counter(name, help_text, subsystem="workload").inc(value)
+                 "Responses discarded as duplicates", "duplicates")):
+            reg.counter(name, help_text,
+                        read=lambda attr=attr: getattr(self, attr),
+                        subsystem="workload")
 
     def window_latencies(self, start_idx: int, t_ns: int):
         """``(next_idx, latencies)`` of completions delivered by ``t_ns``.

@@ -74,20 +74,20 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for MODEL_VERSION 2026.10-one-counter-path (the config
+    Re-pinned for MODEL_VERSION 2026.10-observed-counters (the config
     schema is unchanged; the bump retires cached results pickled with
-    the old ``RunResult`` layout). Any further drift without a schema
+    the old ``TelemetryRegistry`` layout). Any further drift without a schema
     change or a MODEL_VERSION bump silently invalidates every cached
     run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "5420f3c9fb577301a84ee0e00f571af38c6d81472234dd11556aea07af1f93b8")
+        "8669061bd24942fbdf925ec2304446c7e474e628df1710cbcbf21d8e3a329eb9")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "9055f6fe25b12ef52efa08f07431d909e6fad60ad9df8d60911057e61142e538")
+        "f438e680ec73451a78feeb94e4575023ffd4c38fa1b97ad643d0500b5643d279")
     assert run_key(server, 1_000_000) == (
-        "b7f84526c17544646254d89fcec5bcd4487813ffaa964603970be4186b435472")
+        "d5568439a75452c474d32bb03c12d69326be8c87d156d83cdaf2994734d28f69")
 
 
 @pytest.mark.parametrize("cls", [ServerConfig, FleetConfig])

@@ -1,0 +1,90 @@
+"""Exact cost accounting: Python call counts of whole runs and samples.
+
+``tests.callcount`` counts profiler call events per ``repro`` package,
+which, unlike wall-clock time, is identical between identical runs. Two
+kinds of check ride on it:
+
+* **off == absent.** An empty fault plan or an empty P4 program builds
+  nothing, so its run makes exactly the calls of a run without one; a
+  run without a timeline never enters ``repro.obs.timeline``.
+* **Sampler budget.** One steady-state ``TimelineSampler.sample`` makes
+  at most ``SAMPLE_CALL_BUDGET`` Python calls: the sampler reads the
+  instruments registered when the system was built and does not
+  rebuild them per sample.
+
+Only ``run()`` is counted, after one warm-up run of the same config,
+so lazy imports and first-call caches do not show.
+"""
+
+import gc
+import sys
+
+import pytest
+
+from repro.faults import FaultPlan
+from repro.obs.timeline import TimelineConfig, TimelineSampler
+from repro.p4 import PipelineProgram
+from repro.system import ServerConfig, ServerSystem
+from repro.units import MS
+from tests.callcount import CallCount
+
+#: Python calls allowed per steady-state sample (memcached and nginx,
+#: two cores, NMAP): the window's latency percentile, the energy
+#: projection and one read per column instrument.
+SAMPLE_CALL_BUDGET = 100
+
+BASE = ServerConfig(app="memcached", load_level="medium",
+                    freq_governor="nmap", n_cores=2, seed=1)
+
+
+def _run_calls(config: ServerConfig, duration_ns: int) -> CallCount:
+    """Call counts of ``run()`` alone, after one warm-up run.
+
+    Collecting garbage first keeps finalizers of earlier objects (other
+    tests', the warm-up run's) out of the count.
+    """
+    ServerSystem(config).run(duration_ns)
+    system = ServerSystem(config)
+    gc.collect()
+    with CallCount() as calls:
+        system.run(duration_ns)
+    return calls
+
+
+@pytest.mark.parametrize("field,empty", [
+    ("fault_plan", FaultPlan()),
+    ("pipeline", PipelineProgram()),
+])
+def test_empty_feature_costs_exactly_nothing(field, empty):
+    absent = _run_calls(BASE, 20 * MS)
+    off = _run_calls(BASE.with_overrides(**{field: empty}), 20 * MS)
+    assert off.layers() == absent.layers()
+
+
+def test_run_without_timeline_never_enters_the_timeline_module():
+    calls = _run_calls(BASE, 20 * MS)
+    assert calls.total > 0
+    assert calls.modules["repro.obs.timeline"] == 0
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="call counts are pinned on Python 3.11; other "
+                           "interpreter versions count differently")
+@pytest.mark.parametrize("app", ["memcached", "nginx"])
+def test_sampler_calls_per_sample_within_budget(app, monkeypatch):
+    counts = []
+    sample = TimelineSampler.sample
+
+    def counted(self, t_ns):
+        with CallCount() as calls:
+            row = sample(self, t_ns)
+        counts.append(calls.total)
+        return row
+
+    monkeypatch.setattr(TimelineSampler, "sample", counted)
+    config = BASE.with_overrides(
+        app=app, timeline=TimelineConfig(interval_ns=1 * MS))
+    ServerSystem(config).run(100 * MS)
+    steady = counts[10:]
+    assert len(steady) == 90
+    assert max(steady) <= SAMPLE_CALL_BUDGET, sorted(steady)[-5:]

@@ -175,23 +175,71 @@ def test_select_and_sum_of_filter_by_labels():
     assert reg.sum_of("absent") == 0
 
 
-def test_reset_zeroes_in_place_and_refill_reuses_instruments():
+# -- observed instruments and freeze --------------------------------------- #
+
+class _Owner:
+    def __init__(self):
+        self.hits = 0
+        self.level = 0.5
+        self.actions = 0
+
+
+def _observe(reg, owner):
+    reg.counter("hits", "Hits", read=lambda: owner.hits, core="0")
+    reg.gauge("level", "Level", read=lambda: owner.level)
+    reg.counter("actions", "Sparse", read=lambda: owner.actions or None)
+
+
+def test_observed_value_follows_its_owner():
+    reg, owner = TelemetryRegistry(), _Owner()
+    _observe(reg, owner)
+    owner.hits, owner.level = 3, 2.5
+    assert reg.value("hits", core="0") == 3 and reg.value("level") == 2.5
+    owner.hits += 4
+    assert reg.total("hits") == 7 and reg.sum_of("hits", core=0) == 7
+    assert [inst.value for inst in reg.select("hits")] == [7]
+
+
+def test_freeze_yields_plain_instruments_that_pickle():
+    reg, owner = TelemetryRegistry(), _Owner()
+    _observe(reg, owner)
+    reg.histogram("h").observe(100)
+    owner.hits, owner.actions = 5, 2
+    reg.freeze()
+    owner.hits = 99  # frozen: the owner no longer shows through
+    kinds = {name: type(inst) for name, _l, _k, inst in reg.items()}
+    assert kinds == {"actions": Counter, "h": Histogram, "hits": Counter,
+                     "level": Gauge}
+    clone = pickle.loads(pickle.dumps(reg))
+    assert clone.value("hits", core="0") == 5
+    assert clone.value("level") == 0.5 and clone.value("actions") == 2
+    assert not any(callable(getattr(inst, "read", None))
+                   for _n, _l, _k, inst in clone.items())
+    clone.counter("hits", core="0").inc()  # plain again
+    assert clone.value("hits", core="0") == 6
+
+
+def test_none_reader_drops_the_instrument_and_its_meta():
+    reg, owner = TelemetryRegistry(), _Owner()
+    _observe(reg, owner)
+    reg.counter("mixed", "Mixed", read=lambda: None, kind="a")
+    reg.counter("mixed", read=lambda: 1, kind="b")
+    reg.freeze()
+    assert reg.kind_of("actions") is None and reg.help_of("actions") == ""
+    assert reg.select("actions") == [] and "actions" not in reg.as_dict()
+    assert reg.help_of("mixed") == "Mixed"
+    assert reg.as_dict()["mixed"] == {"kind=b": 1}
+
+
+def test_observed_registration_checks_kind_and_duplicates():
     reg = TelemetryRegistry()
-
-    def fill():
-        reg.counter("c", "help", core="0").inc(3)
-        reg.gauge("g").set(2.5)
-        reg.histogram("h").observe(100)
-
-    fill()
-    instruments = [inst for _n, _l, _k, inst in reg.items()]
-    reg.reset()
-    assert (reg.value("c", core="0"), reg.value("g"), reg.value("h")) == \
-        (0, 0.0, 0)
-    assert reg.help_of("c") == "help" and len(reg) == 3
-    fill()
-    assert [inst for _n, _l, _k, inst in reg.items()] == instruments
-    assert reg.value("c", core="0") == 3 and reg.value("h") == 1
+    reg.counter("x", read=lambda: 1)
+    with pytest.raises(ValueError, match="already registered as counter"):
+        reg.gauge("x", read=lambda: 1.0)
+    with pytest.raises(ValueError, match="already registered"):
+        reg.counter("x", read=lambda: 2)
+    with pytest.raises(AttributeError):
+        reg.counter("x").inc()  # the owner, not the registry, counts
 
 
 # -- merge_from: folding per-node registries into a fleet registry --------- #
