@@ -29,6 +29,7 @@ class DecisionEngine:
         self.fallback = fallback_governor
         self.cu_threshold = cu_threshold
         self.trace = trace
+        self._mode_channel = f"core{core_id}.nmap_mode"
         self.mode = MODE_CPU_UTIL
         self.ni_entries = 0
         self.cu_entries = 0
@@ -44,7 +45,7 @@ class DecisionEngine:
         self.fallback.suspend()
         self.processor.request_pstate(self.core_id, 0)
         if self.trace is not None:
-            self.trace.record(f"core{self.core_id}.nmap_mode", now_ns, 1)
+            self.trace.record(self._mode_channel, now_ns, 1)
 
     def on_report(self, poll_cnt: int, intr_cnt: int, now_ns: int = 0) -> None:
         """Periodic window report: maybe fall back to CPU-util mode."""
@@ -64,4 +65,4 @@ class DecisionEngine:
             # governor (Alg. 2 l.10-11).
             self.fallback.resume(enforce=True)
             if self.trace is not None:
-                self.trace.record(f"core{self.core_id}.nmap_mode", now_ns, 0)
+                self.trace.record(self._mode_channel, now_ns, 0)

@@ -30,6 +30,7 @@ class NmapSimplGovernor(FreqGovernor):
         self.ksoftirqd = ksoftirqd
         self.fallback = fallback or OndemandGovernor(sim, processor, core_id)
         self.trace = trace
+        self._mode_channel = f"core{core_id}.nmap_mode"
         self.mode = MODE_CPU_UTIL
         self.ni_entries = 0
         self.cu_entries = 0
@@ -44,7 +45,7 @@ class NmapSimplGovernor(FreqGovernor):
         self.fallback.suspend()
         self.request(0)
         if self.trace is not None:
-            self.trace.record(f"core{self.core_id}.nmap_mode", self.sim.now, 1)
+            self.trace.record(self._mode_channel, self.sim.now, 1)
 
     def _on_ksoftirqd_sleep(self, thread) -> None:
         if not self.started or self.mode == MODE_CPU_UTIL:
@@ -53,7 +54,7 @@ class NmapSimplGovernor(FreqGovernor):
         self.cu_entries += 1
         self.fallback.resume(enforce=True)
         if self.trace is not None:
-            self.trace.record(f"core{self.core_id}.nmap_mode", self.sim.now, 0)
+            self.trace.record(self._mode_channel, self.sim.now, 0)
 
     def register_into(self, reg) -> None:
         """Register the fallback's utilization samples."""

@@ -87,6 +87,8 @@ class Core:
         self.meter = meter or EnergyMeter(f"core{core_id}")
         self.rng = rng
         self.trace = trace
+        self._cstate_channel = f"core{core_id}.cstate"
+        self._pstate_channel = f"core{core_id}.pstate"
         #: Fraction of the worst-case cache refill penalty actually paid on
         #: a CC6 wake (real workloads re-touch only part of the cache).
         self.cache_penalty_fraction = float(cache_penalty_fraction)
@@ -312,7 +314,7 @@ class Core:
         if self.cstate.index != 0:
             self.cstate = self.cstates.cc0
             if self.trace is not None:
-                self.trace.record(f"core{self.core_id}.cstate", self.sim.now, 0)
+                self.trace.record(self._cstate_channel, self.sim.now, 0)
         if self.idle_governor is not None:
             self.idle_governor.on_idle_end(self, idle_dur)
 
@@ -400,7 +402,7 @@ class Core:
         self.cstate = cstate
         self._update_power()
         if self.trace is not None:
-            self.trace.record(f"core{self.core_id}.cstate", self.sim.now,
+            self.trace.record(self._cstate_channel, self.sim.now,
                               cstate.index)
 
     # ------------------------------------------------------------------ #
@@ -421,7 +423,7 @@ class Core:
         self.pstate_changes += 1
         self._update_power()
         if self.trace is not None:
-            self.trace.record(f"core{self.core_id}.pstate", self.sim.now, index)
+            self.trace.record(self._pstate_channel, self.sim.now, index)
         for listener in self.pstate_listeners:
             listener(self)
         if self._current is not None:

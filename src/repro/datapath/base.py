@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.netstack.napi import MODE_INTERRUPT, MODE_POLLING
+
 #: Accounting mode of packets retrieved by a dedicated busy-poll core.
 MODE_BUSY_POLL = "busy-poll"
 #: Accounting mode of packets retrieved by the first poll after a
@@ -123,12 +125,13 @@ class RxBackend:
         sim = self.stack.sim
         for core in self.stack.processor.cores:
             cid = core.core_id
-            source = self.mode_source(cid)
+            channels = {mode: f"core{cid}.pkts_{mode}"
+                        for mode in (MODE_INTERRUPT, MODE_POLLING)}
 
-            def on_poll(source_, n, mode, cid=cid):
+            def on_poll(source_, n, mode, channels=channels):
                 if n:
-                    trace.record(f"core{cid}.pkts_{mode}", sim.now, n)
-            source.poll_listeners.append(on_poll)
+                    trace.record(channels[mode], sim.now, n)
+            self.mode_source(cid).poll_listeners.append(on_poll)
 
     # -- accounting ----------------------------------------------------- #
 

@@ -65,16 +65,12 @@ class NapiRxBackend(RxBackend):
             napi.tracing = enabled
 
     def wire_trace_probes(self, trace) -> None:
+        super().wire_trace_probes(trace)
         sim = self.stack.sim
-        for cid, napi in enumerate(self.napis):
-            def on_poll(napi_, n, mode, cid=cid):
-                if n:
-                    trace.record(f"core{cid}.pkts_{mode}", sim.now, n)
-            napi.poll_listeners.append(on_poll)
         for cid, ksoftirqd in enumerate(self.ksoftirqds):
             ksoftirqd.wake_listeners.append(
-                lambda t, cid=cid: trace.record(
-                    f"core{cid}.ksoftirqd_wake", sim.now, 1))
+                lambda t, channel=f"core{cid}.ksoftirqd_wake": trace.record(
+                    channel, sim.now, 1))
 
     # -- accounting ----------------------------------------------------- #
 

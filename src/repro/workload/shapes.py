@@ -7,6 +7,7 @@ corresponding non-homogeneous Poisson process by vectorized thinning.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -15,9 +16,10 @@ from repro.units import MS, S
 
 ArrayLike = Union[float, np.ndarray]
 
-#: Candidates per rate evaluation in :func:`generate_arrivals`: bounds
-#: the rate function's temporaries without changing a single arrival.
-THINNING_BLOCK = 1 << 16
+#: Candidates per draw block in :func:`generate_arrivals`: bounds the
+#: draw arrays and the rate function's temporaries without changing a
+#: single arrival.
+THINNING_BLOCK = 1 << 14
 
 
 class LoadShape:
@@ -173,6 +175,25 @@ def diurnal(duration_ns: int, period_ns: int, duty: float,
     return PiecewiseLoad(segments)
 
 
+def _candidate_blocks(rng: np.random.Generator, scale_ns: float,
+                      chunk: int, t_cursor: float):
+    """One chunk's candidate times, :data:`THINNING_BLOCK` at a time.
+
+    Each block draws its exponential gaps and carries the running sum
+    of the blocks before it into its first gap (``x + carry`` is
+    exactly ``carry + x``), so every time equals the one-shot
+    ``t_cursor + cumsum(gaps)`` over the whole chunk.
+    """
+    carry = 0.0
+    for lo in range(0, chunk, THINNING_BLOCK):
+        times = rng.exponential(scale_ns, size=min(THINNING_BLOCK, chunk - lo))
+        times[0] += carry
+        np.cumsum(times, out=times)
+        carry = float(times[-1])
+        times += t_cursor
+        yield times
+
+
 def generate_arrivals(shape: LoadShape, duration_ns: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Arrival times (sorted int64 ns) over [0, duration) by thinning.
@@ -180,11 +201,15 @@ def generate_arrivals(shape: LoadShape, duration_ns: int,
     Candidates are a homogeneous Poisson process at ``shape.peak_rps``;
     each candidate at time t is kept with probability rate(t)/peak.
 
-    Each chunk draws all of its candidate gaps, then one uniform per
-    candidate before the horizon. Those two draw arrays are the only
-    full-size temporaries: the rate test and the int64 conversion run
-    over blocks of :data:`THINNING_BLOCK` candidates, which leaves the
-    result bit-identical to a one-shot pass over the chunk.
+    The draws are those of a one-shot pass: per chunk, all of its
+    candidate gaps, then one uniform per candidate before the horizon.
+    No draw array is chunk-sized, though. Pass 1 draws the chunk's gaps
+    block by block to count the candidates before the horizon and find
+    the chunk's last candidate; pass 2 replays the same gap blocks from
+    a copy of the generator taken before pass 1, in step with blocks of
+    uniforms from ``rng``, and thins block by block. The arrivals and
+    ``rng``'s end state are bit-identical to the one-shot pass, and
+    working memory is O(:data:`THINNING_BLOCK`) beside the arrivals.
     """
     if duration_ns <= 0:
         raise ValueError("duration must be positive")
@@ -192,25 +217,28 @@ def generate_arrivals(shape: LoadShape, duration_ns: int,
     if peak <= 0:
         return np.empty(0, dtype=np.int64)
     expected = peak * duration_ns / S
+    scale_ns = S / peak
     arrivals: List[np.ndarray] = []
     t_cursor = 0.0
     # Draw candidate gaps in chunks until we pass the horizon.
     chunk = max(1024, int(expected * 1.2))
     while t_cursor < duration_ns:
-        times = rng.exponential(S / peak, size=chunk)
-        np.cumsum(times, out=times)
-        times += t_cursor
-        t_cursor = float(times[-1])
-        n = int(np.searchsorted(times, duration_ns))
+        replay = copy.deepcopy(rng)
+        n = 0
+        for times in _candidate_blocks(rng, scale_ns, chunk, t_cursor):
+            n += int(np.searchsorted(times, duration_ns))
+        chunk_start, t_cursor = t_cursor, float(times[-1])
         if n == 0:
             continue
-        times = times[:n]
-        uniforms = rng.random(n)
-        for lo in range(0, n, THINNING_BLOCK):
-            block = times[lo:lo + THINNING_BLOCK]
-            accept = uniforms[lo:lo + THINNING_BLOCK] < (
+        lo = 0
+        for times in _candidate_blocks(replay, scale_ns, chunk, chunk_start):
+            block = times[:n - lo]
+            accept = rng.random(block.size) < (
                 np.asarray(shape.rate_at(block)) / peak)
             arrivals.append(block[accept].astype(np.int64))
+            lo += block.size
+            if lo == n:
+                break
     if not arrivals:
         return np.empty(0, dtype=np.int64)
     # Gaps are non-negative and chunks resume at the previous chunk's

@@ -74,20 +74,20 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for MODEL_VERSION 2026.10-observed-counters (the config
+    Re-pinned for MODEL_VERSION 2026.10-packed-trace (the config
     schema is unchanged; the bump retires cached results pickled with
-    the old ``TelemetryRegistry`` layout). Any further drift without a schema
-    change or a MODEL_VERSION bump silently invalidates every cached
-    run key.
+    the old tuple-list ``TraceRecorder`` layout). Any further drift
+    without a schema change or a MODEL_VERSION bump silently
+    invalidates every cached run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "8669061bd24942fbdf925ec2304446c7e474e628df1710cbcbf21d8e3a329eb9")
+        "3e9c1dbe1af61bd37e8bbbdb46386b446fa48854436947628152c0c7117fbca7")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "f438e680ec73451a78feeb94e4575023ffd4c38fa1b97ad643d0500b5643d279")
+        "5151d7b5e066382348a7b3f007a6ccb3fe620c0e29a3b8f909b7e929d43c4d93")
     assert run_key(server, 1_000_000) == (
-        "d5568439a75452c474d32bb03c12d69326be8c87d156d83cdaf2994734d28f69")
+        "160e9a16aaabd1da9200b95024cf798f1deeb543afad0e9169c4d6455ca8b90e")
 
 
 @pytest.mark.parametrize("cls", [ServerConfig, FleetConfig])

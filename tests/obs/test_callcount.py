@@ -7,6 +7,9 @@ kinds of check ride on it:
 * **off == absent.** An empty fault plan or an empty P4 program builds
   nothing, so its run makes exactly the calls of a run without one; a
   run without a timeline never enters ``repro.obs.timeline``.
+* **Tracing off costs nothing.** A run with channel tracing and span
+  sampling off never enters ``repro.sim.trace`` or ``repro.obs.span``;
+  with tracing on it makes exactly one trace call per recorded sample.
 * **Sampler budget.** One steady-state ``TimelineSampler.sample`` makes
   at most ``SAMPLE_CALL_BUDGET`` Python calls: the sampler reads the
   instruments registered when the system was built and does not
@@ -43,12 +46,17 @@ def _run_calls(config: ServerConfig, duration_ns: int) -> CallCount:
     Collecting garbage first keeps finalizers of earlier objects (other
     tests', the warm-up run's) out of the count.
     """
+    return _counted_run(config, duration_ns)[0]
+
+
+def _counted_run(config: ServerConfig, duration_ns: int):
+    """``(calls, result)`` of ``run()``, counted as in :func:`_run_calls`."""
     ServerSystem(config).run(duration_ns)
     system = ServerSystem(config)
     gc.collect()
     with CallCount() as calls:
-        system.run(duration_ns)
-    return calls
+        result = system.run(duration_ns)
+    return calls, result
 
 
 @pytest.mark.parametrize("field,empty", [
@@ -65,6 +73,26 @@ def test_run_without_timeline_never_enters_the_timeline_module():
     calls = _run_calls(BASE, 20 * MS)
     assert calls.total > 0
     assert calls.modules["repro.obs.timeline"] == 0
+
+
+@pytest.mark.parametrize("app", ["memcached", "nginx"])
+def test_tracing_off_never_enters_trace_or_span(app):
+    calls = _run_calls(BASE.with_overrides(app=app, trace=False,
+                                           trace_sample_rate=0), 20 * MS)
+    assert calls.total > 0
+    assert calls.modules["repro.sim.trace"] == 0
+    assert calls.modules["repro.obs.span"] == 0
+
+
+@pytest.mark.parametrize("app", ["memcached", "nginx"])
+def test_tracing_on_makes_one_trace_call_per_sample(app):
+    calls, result = _counted_run(BASE.with_overrides(app=app, trace=True),
+                                 20 * MS)
+    trace = result.trace
+    recorded = sum(len(trace.samples(channel))
+                   for channel in trace.channels())
+    assert recorded > 0
+    assert calls.modules["repro.sim.trace"] == recorded
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),

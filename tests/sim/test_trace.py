@@ -1,6 +1,7 @@
 """Trace recorder behaviour."""
 
 import numpy as np
+import pytest
 
 from repro.sim.trace import TraceRecorder
 
@@ -87,3 +88,56 @@ def test_recorder_pickles_without_derived_state():
     assert off.enabled is False
     off.record("x", 1)
     assert off.samples("x") == []
+
+
+def test_samples_cost_at_most_20_bytes_each():
+    """Packed int64 columns: 16 bytes a sample plus the arrays'
+    over-allocation, where a (time, value) tuple costs ~94 bytes."""
+    import tracemalloc
+    tr = TraceRecorder()
+    tr.record("c", 0, 0)  # the channel itself is not a per-sample cost
+    n = 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            tr.record("c", 1_000_000 + i, i & 7)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tr.samples("c")) == n + 1
+    assert grown / n <= 20
+
+
+def test_pickle_round_trip_keeps_int_values_in_order():
+    import pickle
+    tr = TraceRecorder()
+    pairs = [(5, 3), (5, 0), (9, 2**40), (12, -1)]
+    for t, v in pairs:
+        tr.record("c", t, v)
+    clone = pickle.loads(pickle.dumps(tr))
+    assert clone.samples("c") == pairs
+    assert all(type(t) is int and type(v) is int
+               for t, v in clone.samples("c"))
+
+
+def test_non_integer_value_raises_and_leaves_channel_unchanged():
+    tr = TraceRecorder()
+    with pytest.raises(TypeError):
+        tr.record("c", 1, 0.5)
+    assert "c" not in tr
+    tr.record("c", 2, 4)
+    with pytest.raises(TypeError):
+        tr.record("c", 3, "on")
+    assert tr.samples("c") == [(2, 4)]
+
+
+def test_to_arrays_copies_so_recording_continues():
+    """A live view of a column would make the next append raise
+    ``BufferError``."""
+    tr = TraceRecorder()
+    tr.record("c", 1, 1)
+    times, values = tr.to_arrays("c")
+    tr.record("c", 2, 5)
+    assert times.tolist() == [1] and values.tolist() == [1.0]
+    assert tr.values("c").tolist() == [1.0, 5.0]
