@@ -13,9 +13,12 @@ Figures come from one source of truth: the kernel's own
 ``RunResult`` carries, so the benchmark record and run telemetry can
 never disagree on definitions.
 
-A second pass re-runs the mix with a *disabled* ``TraceRecorder.record``
-call per burst event, measuring the observability hot-path tax when
-tracing is off. ``--assert-overhead PCT`` turns that into a CI gate.
+A second pass re-runs the mix with one trace record site per burst
+event, taken the way an untraced run takes it: the site's recorder is
+None (an untraced run's ``sim.trace``), so each event pays only the
+``if trace is not None`` guard. That measures the observability
+hot-path tax when tracing is off; ``--assert-overhead PCT`` turns it
+into a CI gate.
 
 A third pass runs the mix on a ``Simulator(sanitize=True)`` — the
 runtime invariant checker of :mod:`repro.analysis.sanitize` — and
@@ -60,29 +63,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs import TelemetryRegistry  # noqa: E402
 from repro.sim.simulator import Simulator  # noqa: E402
-from repro.sim.trace import TraceRecorder  # noqa: E402
 
 
 def _noop() -> None:
     pass
 
 
-def _run_mix(n_rounds: int, recorder: TraceRecorder = None,
+def _run_mix(n_rounds: int, trace_site: bool = False,
              sanitize: bool = False) -> dict:
     """One measured pass; returns the kernel's snapshot as gauge values.
 
-    With ``recorder`` set, every burst event also issues one (disabled)
-    ``record`` call — the per-event cost a run with tracing compiled in
-    but switched off would pay. With ``sanitize``, the pass runs on a
-    sanitized simulator (generation-checked handles, causality checks).
+    With ``trace_site``, every burst event also passes one record site
+    with tracing off (``trace`` is None, as ``sim.trace`` is on an
+    untraced run) — the per-event cost a probe site pays when tracing
+    is switched off. With ``sanitize``, the pass runs on a sanitized
+    simulator (generation-checked handles, causality checks).
     """
     sim = Simulator(sanitize=sanitize)
 
-    if recorder is None:
+    if not trace_site:
         burst_cb = _noop
     else:
+        trace = None
+
         def burst_cb() -> None:
-            recorder.record("bench.burst", 0)
+            if trace is not None:
+                trace.record("bench.burst", 0)
 
     def arm_round(i: int) -> None:
         # A burst of same-timestamp events (packet arrivals).
@@ -186,10 +192,8 @@ def main(argv=None) -> int:
     base_passes = [_run_mix(args.rounds) for _ in range(args.passes)]
     base = _best(base_passes)
 
-    recorder = TraceRecorder(enabled=False)
-    traced = _best([_run_mix(args.rounds, recorder=recorder)
+    traced = _best([_run_mix(args.rounds, trace_site=True)
                     for _ in range(args.passes)])
-    assert "bench.burst" not in recorder, "disabled recorder stored samples"
     overhead_pct = 100.0 * (traced["sim_wall_seconds"]
                             / base["sim_wall_seconds"] - 1.0) \
         if base["sim_wall_seconds"] > 0 else 0.0

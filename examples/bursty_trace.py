@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from repro import ServerConfig, ServerSystem
-from repro.experiments.traceutil import (ksoftirqd_wake_times, mode_series,
-                                         pstate_series)
+from repro.experiments.traceutil import ksoftirqd_wake_times, pstate_series
 from repro.metrics.ascii_plot import sparkline
+from repro.metrics.timeseries import mode_series
 from repro.units import MS
 
 

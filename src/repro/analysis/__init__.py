@@ -17,9 +17,9 @@ mechanically, in two layers:
   use-after-free / double recycles (generation counters instead of the
   production refcount guard's blind trust), fleet lockstep lookahead,
   and energy conservation. The off path is untouched — the sanitizer
-  installs itself with the same bound-method swap
-  :class:`~repro.sim.trace.TraceRecorder` uses, so unsanitized runs pay
-  nothing and sanitized runs stay bit-identical.
+  installs itself by shadowing the kernel's methods in the instance
+  dict, so unsanitized runs pay nothing and sanitized runs stay
+  bit-identical.
 
 See ``docs/ANALYSIS.md`` for the rule catalogue and invariants.
 """

@@ -2,9 +2,8 @@
 
 Enabled by ``REPRO_SANITIZE=1`` (picked up by every
 :class:`~repro.sim.simulator.Simulator` built afterwards) or explicitly
-with ``Simulator(sanitize=True)``. Installation uses the same
-bound-method-swap pattern as :class:`~repro.sim.trace.TraceRecorder`:
-the sanitizer shadows ``run_until`` / ``step`` / ``schedule`` /
+with ``Simulator(sanitize=True)``. Installation is a bound-method
+swap: the sanitizer shadows ``run_until`` / ``step`` / ``schedule`` /
 ``schedule_at`` (and the queue's ``recycle``) in the *instance* dict, so
 an unsanitized simulator carries not a single extra branch and a
 sanitized one is bit-identical — every check is read-only with respect

@@ -46,7 +46,7 @@ class NcapManager:
     def __init__(self, sim, processor, nic, fallbacks: List,
                  threshold_rps: float, period_ns: int = 1 * MS,
                  disable_sleep_in_boost: bool = True,
-                 decay_every: int = 5, trace=None):
+                 decay_every: int = 5):
         if threshold_rps <= 0:
             raise ValueError("threshold must be positive")
         if period_ns <= 0:
@@ -63,7 +63,7 @@ class NcapManager:
         #: Lower the V/F one state every ``decay_every`` quiet periods —
         #: the paper's "gradually decreases the V/F".
         self.decay_every = max(1, decay_every)
-        self.trace = trace
+        self.trace = sim.trace
 
         self.state = STATE_NORMAL
         self.boosts = 0

@@ -25,8 +25,7 @@ class PartiesManager:
     def __init__(self, sim, processor, client, slo_ns: int,
                  period_ns: int = 500 * MS,
                  up_slack: float = 0.10, down_slack: float = 0.45,
-                 violation_step: int = 2, initial_index: Optional[int] = None,
-                 trace=None):
+                 violation_step: int = 2, initial_index: Optional[int] = None):
         if slo_ns <= 0 or period_ns <= 0:
             raise ValueError("SLO and period must be positive")
         if not 0.0 <= up_slack < down_slack <= 1.0:
@@ -39,7 +38,7 @@ class PartiesManager:
         self.up_slack = up_slack
         self.down_slack = down_slack
         self.violation_step = violation_step
-        self.trace = trace
+        self.trace = sim.trace
         mid = processor.pstates.max_index // 2
         self.index = initial_index if initial_index is not None else mid
         self.adjustments = 0

@@ -21,14 +21,14 @@ class DecisionEngine:
     """Algorithm 2 for one core."""
 
     def __init__(self, processor, core_id: int, fallback_governor,
-                 cu_threshold: float, trace=None):
+                 cu_threshold: float):
         if cu_threshold <= 0:
             raise ValueError("CU_TH must be positive")
         self.processor = processor
         self.core_id = core_id
         self.fallback = fallback_governor
         self.cu_threshold = cu_threshold
-        self.trace = trace
+        self.trace = processor.sim.trace
         self._mode_channel = f"core{core_id}.nmap_mode"
         self.mode = MODE_CPU_UTIL
         self.ni_entries = 0

@@ -49,14 +49,12 @@ class NmapGovernor(FreqGovernor):
     def __init__(self, sim, processor, core_id: int, napi,
                  thresholds: NmapThresholds,
                  fallback: FreqGovernor = None,
-                 timer_period_ns: int = 10 * MS,
-                 trace=None):
+                 timer_period_ns: int = 10 * MS):
         super().__init__(sim, processor, core_id)
         self.thresholds = thresholds
         self.fallback = fallback or OndemandGovernor(sim, processor, core_id)
         self.engine = DecisionEngine(processor, core_id, self.fallback,
-                                     cu_threshold=thresholds.cu_th,
-                                     trace=trace)
+                                     cu_threshold=thresholds.cu_th)
         self.monitor = ModeTransitionMonitor(
             napi, ni_threshold=thresholds.ni_th,
             notify=self._notify, report=self._report)

@@ -25,11 +25,11 @@ class NmapSimplGovernor(FreqGovernor):
     name = "nmap-simpl"
 
     def __init__(self, sim, processor, core_id: int, ksoftirqd,
-                 fallback: FreqGovernor = None, trace=None):
+                 fallback: FreqGovernor = None):
         super().__init__(sim, processor, core_id)
         self.ksoftirqd = ksoftirqd
         self.fallback = fallback or OndemandGovernor(sim, processor, core_id)
-        self.trace = trace
+        self.trace = sim.trace
         self._mode_channel = f"core{core_id}.nmap_mode"
         self.mode = MODE_CPU_UTIL
         self.ni_entries = 0

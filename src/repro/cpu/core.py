@@ -77,7 +77,7 @@ class Core:
                  cstate_table: Optional[CStateTable] = None,
                  power_model: Optional[PowerModel] = None,
                  meter: Optional[EnergyMeter] = None,
-                 rng=None, trace=None,
+                 rng=None,
                  cache_penalty_fraction: float = 0.5):
         self.sim = sim
         self.core_id = core_id
@@ -86,7 +86,7 @@ class Core:
         self.power_model = power_model or PowerModel(pstate_table)
         self.meter = meter or EnergyMeter(f"core{core_id}")
         self.rng = rng
-        self.trace = trace
+        self.trace = sim.trace
         self._cstate_channel = f"core{core_id}.cstate"
         self._pstate_channel = f"core{core_id}.pstate"
         #: Fraction of the worst-case cache refill penalty actually paid on

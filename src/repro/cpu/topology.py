@@ -28,7 +28,7 @@ class Processor:
                  n_cores: Optional[int] = None,
                  dvfs_domain: str = PER_CORE,
                  power_model: Optional[PowerModel] = None,
-                 rng_streams=None, trace=None,
+                 rng_streams=None,
                  cache_penalty_fraction: float = 0.5):
         if dvfs_domain not in (PER_CORE, CHIP_WIDE):
             raise ValueError(f"unknown DVFS domain {dvfs_domain!r}")
@@ -52,7 +52,7 @@ class Processor:
             core = Core(sim, cid, self.pstates, cstate_table=self.cstates,
                         power_model=self.power_model,
                         meter=self.energy.meter_for(cid),
-                        rng=rng, trace=trace,
+                        rng=rng,
                         cache_penalty_fraction=cache_penalty_fraction)
             self.cores.append(core)
             self.dvfs.append(DvfsController(sim, core, latency_model, rng=rng))

@@ -121,7 +121,11 @@ class RxBackend:
         self.tracing = enabled
 
     def wire_trace_probes(self, trace) -> None:
-        """Record per-core packet/mode channels into ``trace``."""
+        """Record per-core packet/mode channels into ``trace``.
+
+        Called by the stack right after :meth:`build` on traced runs
+        (``sim.trace`` set); untraced runs attach no probe.
+        """
         sim = self.stack.sim
         for core in self.stack.processor.cores:
             cid = core.core_id

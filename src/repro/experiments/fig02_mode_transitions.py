@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 from repro.experiments.runner import run_cached
-from repro.experiments.traceutil import (boost_delays_ms,
-                                         ksoftirqd_wake_times, mode_series)
+from repro.experiments.traceutil import boost_delays_ms, ksoftirqd_wake_times
+from repro.metrics.timeseries import mode_series
 from repro.system import ServerConfig
 from repro.workload.profiles import levels_for
 

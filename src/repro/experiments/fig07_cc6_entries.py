@@ -12,16 +12,13 @@ import numpy as np
 
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 from repro.experiments.runner import run_cached
-from repro.experiments.traceutil import mode_series
+from repro.metrics.timeseries import mode_series
 from repro.system import ServerConfig
 from repro.workload.profiles import levels_for
 
 
 def _cc6_entry_times(result, core_id: int) -> np.ndarray:
-    trace = result.trace
-    channel = f"core{core_id}.cstate"
-    times = trace.times(channel)
-    values = trace.values(channel)
+    times, values = result.trace.to_arrays(f"core{core_id}.cstate")
     return times[values == 2.0]
 
 

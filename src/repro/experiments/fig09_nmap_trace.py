@@ -11,8 +11,8 @@ import numpy as np
 
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 from repro.experiments.runner import run_cached
-from repro.experiments.traceutil import (boost_delays_ms,
-                                         ksoftirqd_wake_times, mode_series)
+from repro.experiments.traceutil import boost_delays_ms, ksoftirqd_wake_times
+from repro.metrics.timeseries import mode_series
 from repro.system import ServerConfig
 from repro.workload.profiles import levels_for
 
@@ -58,10 +58,7 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
 
 
 def _p0_residency_fraction(result, core_id: int) -> float:
-    trace = result.trace
-    channel = f"core{core_id}.pstate"
-    times = trace.times(channel)
-    values = trace.values(channel)
+    times, values = result.trace.to_arrays(f"core{core_id}.pstate")
     if times.size == 0:
         return 1.0  # never left the initial P0
     spans = np.diff(np.append(times, result.duration_ns))

@@ -46,8 +46,7 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
         series[manager] = {
             "latencies_ns": result.latencies_ns,
             "completion_times_ns": result.completion_times_ns,
-            "pstate_trace": (result.trace.times("core0.pstate"),
-                             result.trace.values("core0.pstate")),
+            "pstate_trace": result.trace.to_arrays("core0.pstate"),
         }
     expectations = {
         "nmap keeps violations under 1% without re-profiling":

@@ -2,35 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.metrics.timeseries import bin_counts, bin_last_value
+from repro.metrics.timeseries import bin_last_value
 from repro.system import RunResult
 from repro.units import MS
-
-
-def mode_series(result: RunResult, core_id: int,
-                bin_ns: int = 1 * MS) -> Dict[str, np.ndarray]:
-    """Per-bin packets processed in interrupt and polling mode for a core."""
-    trace = result.trace
-    out: Dict[str, np.ndarray] = {}
-    for mode in ("interrupt", "polling"):
-        channel = f"core{core_id}.pkts_{mode}"
-        times, weights = trace.to_arrays(channel)
-        bins, sums = bin_counts(times, result.duration_ns, bin_ns,
-                                weights=weights if weights.size else None)
-        out["bins"] = bins
-        out[mode] = sums
-    return out
 
 
 def pstate_series(result: RunResult, core_id: int,
                   bin_ns: int = 1 * MS) -> np.ndarray:
     """P-state index sampled per bin (initial state is P0)."""
-    trace = result.trace
-    times, values = trace.to_arrays(f"core{core_id}.pstate")
+    times, values = result.trace.to_arrays(f"core{core_id}.pstate")
     _, values = bin_last_value(times, values,
                                result.duration_ns, bin_ns, initial=0.0)
     return values
@@ -38,7 +22,7 @@ def pstate_series(result: RunResult, core_id: int,
 
 def ksoftirqd_wake_times(result: RunResult, core_id: int) -> np.ndarray:
     """Times at which the core's ksoftirqd woke."""
-    return result.trace.times(f"core{core_id}.ksoftirqd_wake")
+    return result.trace.to_arrays(f"core{core_id}.ksoftirqd_wake")[0]
 
 
 def boost_delays_ms(result: RunResult, core_id: int,
@@ -46,11 +30,10 @@ def boost_delays_ms(result: RunResult, core_id: int,
     """Per burst period: ms from burst start until the core reached P0.
 
     None when the core never reached P0 within that period. The first
-    period is skipped when the run starts at P0 (every governor's initial
-    state), since a pre-existing P0 is not a reaction.
+    period is always skipped: every run starts at P0 (every governor's
+    initial state), and a pre-existing P0 is not a reaction.
     """
-    trace = result.trace
-    times, values = trace.to_arrays(f"core{core_id}.pstate")
+    times, values = result.trace.to_arrays(f"core{core_id}.pstate")
     n_periods = result.duration_ns // period_ns
     delays: List[Optional[float]] = []
     for k in range(1, int(n_periods)):

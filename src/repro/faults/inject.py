@@ -9,7 +9,7 @@ it is bit-identical to a build of the code without this module
 Mechanisms, per fault kind:
 
 * ``nic-loss`` / ``node-crash`` shadow :meth:`MultiQueueNic.receive` in
-  the *instance* dict for the window (the TraceRecorder/SimSanitizer
+  the *instance* dict for the window (the SimSanitizer
   bound-method-swap pattern): packets are dropped before they touch an
   RX ring, so queue accounting, interrupts, and energy see exactly what
   real loss looks like. Deactivation deletes the shadow, restoring the
@@ -77,7 +77,7 @@ class FaultInjector:
         self.sim = system.sim
         self.nic = system.nic
         self.processor = system.processor
-        self.trace = system.trace
+        self.trace = self.sim.trace
         self.plan: fp.FaultPlan = system.config.fault_plan
         self._seed = system.config.seed
 
@@ -106,7 +106,8 @@ class FaultInjector:
         return list(range(self.processor.n_cores))
 
     def _record(self, window: fp.FaultWindow, value: int) -> None:
-        self.trace.record(f"fault.{window.kind}", self.sim.now, value)
+        if self.trace is not None:
+            self.trace.record(f"fault.{window.kind}", self.sim.now, value)
 
     def _activate(self, i: int) -> None:
         window = self.plan.windows[i]

@@ -3,7 +3,7 @@
 from repro.metrics.latency import (LatencyStats, cdf_points, fraction_over,
                                    percentile_ns)
 from repro.metrics.slo import SloResult, check_slo, find_inflection_load
-from repro.metrics.timeseries import bin_counts, bin_last_value
+from repro.metrics.timeseries import bin_counts, bin_last_value, mode_series
 from repro.metrics.energy import EnergySummary, normalize_energy
 from repro.metrics.fleet import (imbalance_ratio, node_p99s_ns,
                                  worst_node_p99_ns)
@@ -15,7 +15,7 @@ from repro.metrics.export import (export_latencies_csv,
 __all__ = [
     "LatencyStats", "percentile_ns", "cdf_points", "fraction_over",
     "SloResult", "check_slo", "find_inflection_load",
-    "bin_counts", "bin_last_value",
+    "bin_counts", "bin_last_value", "mode_series",
     "EnergySummary", "normalize_energy",
     "node_p99s_ns", "worst_node_p99_ns", "imbalance_ratio",
     "format_table",

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.metrics.timeseries import bin_counts
+from repro.metrics.timeseries import mode_series
 from repro.units import MS
 
 
@@ -33,24 +33,15 @@ def export_latencies_csv(result, path: str) -> int:
 def export_mode_series_csv(result, core_id: int, path: str,
                            bin_ns: int = 1 * MS) -> int:
     """Write per-bin NAPI-mode packet counts for a traced run."""
-    trace = result.trace
+    modes = mode_series(result, core_id, bin_ns)
     _ensure_parent(path)
-    columns = {}
-    for mode in ("interrupt", "polling"):
-        channel = f"core{core_id}.pkts_{mode}"
-        times, values = trace.to_arrays(channel)
-        bins, sums = bin_counts(times, result.duration_ns, bin_ns,
-                                weights=values if channel in trace else None)
-        columns["bin_start_ns"] = bins
-        columns[mode] = sums
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_start_ns", "interrupt_pkts", "polling_pkts"])
-        for i in range(len(columns["bin_start_ns"])):
-            writer.writerow([int(columns["bin_start_ns"][i]),
-                             float(columns["interrupt"][i]),
-                             float(columns["polling"][i])])
-    return len(columns["bin_start_ns"])
+        for start, intr, poll in zip(modes["bins"], modes["interrupt"],
+                                     modes["polling"]):
+            writer.writerow([int(start), float(intr), float(poll)])
+    return len(modes["bins"])
 
 
 def export_table_csv(headers: Sequence[str],

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -47,3 +47,18 @@ def bin_last_value(times_ns: np.ndarray, values: np.ndarray,
     idx = np.searchsorted(times, starts + bin_ns, side="right") - 1
     out = np.where(idx >= 0, vals[np.clip(idx, 0, None)], initial)
     return starts, out
+
+
+def mode_series(result, core_id: int,
+                bin_ns: int = 1 * MS) -> Dict[str, np.ndarray]:
+    """Per-bin packets processed in interrupt and polling mode for a core
+    of a traced run: ``{"bins", "interrupt", "polling"}``."""
+    trace = result.trace
+    out: Dict[str, np.ndarray] = {}
+    for mode in ("interrupt", "polling"):
+        times, weights = trace.to_arrays(f"core{core_id}.pkts_{mode}")
+        bins, sums = bin_counts(times, result.duration_ns, bin_ns,
+                                weights=weights if weights.size else None)
+        out["bins"] = bins
+        out[mode] = sums
+    return out

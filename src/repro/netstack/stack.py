@@ -86,6 +86,8 @@ class NetworkStack:
         from repro.datapath.registry import make_rx_backend
         self.rx = make_rx_backend(datapath, self, **(datapath_params or {}))
         self.rx.build()
+        if sim.trace is not None:
+            self.rx.wire_trace_probes(sim.trace)
 
     @property
     def response_sink(self) -> Optional[Callable[[Packet], None]]:

@@ -101,12 +101,12 @@ class _TableRuntime:
 class PipelineEngine:
     """One node's live pipeline: program + NIC + cost-charging wiring."""
 
-    def __init__(self, program: PipelineProgram, nic, sim, trace,
+    def __init__(self, program: PipelineProgram, nic, sim,
                  processor=None, backend=None):
         self.program = program
         self.nic = nic
         self.sim = sim
-        self.trace = trace
+        self.trace = sim.trace
         top = program.max_steer_queue()
         if top >= nic.n_queues:
             raise ValueError(
@@ -196,7 +196,8 @@ class PipelineEngine:
             elif action == ACTION_MIRROR:
                 rt.mirrors += 1
                 self.mirrored += 1
-                self.trace.record("fault.p4.mirror", self.sim.now, 1)
+                if self.trace is not None:
+                    self.trace.record("fault.p4.mirror", self.sim.now, 1)
             else:  # meter
                 state = rt.meter_state[i]
                 now = self.sim.now
@@ -246,7 +247,8 @@ class PipelineEngine:
 
     def _count_drop(self) -> bool:
         self.dropped += 1
-        self.trace.record("fault.p4.drop", self.sim.now, 1)
+        if self.trace is not None:
+            self.trace.record("fault.p4.drop", self.sim.now, 1)
         return False
 
     def _arrive(self, packet: Packet, qid: int) -> None:

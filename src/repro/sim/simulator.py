@@ -34,6 +34,9 @@ class Simulator:
         self._events_processed = 0
         #: The attached SimSanitizer, or None for the zero-cost default.
         self.sanitizer = None
+        #: The run's TraceRecorder, or None when channel tracing is off.
+        #: Recording components bind it at construction.
+        self.trace = None
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "").lower() in (
                 "1", "true", "on", "yes")

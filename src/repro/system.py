@@ -110,6 +110,8 @@ class ServerConfig:
     #: standalone run draws the exact arrival schedule a fleet's load
     #: balancer would have dispatched to this node.
     arrival_seed: Optional[int] = None
+    #: Record ``TraceRecorder`` channels (P-states, C-states, NAPI modes,
+    #: faults): the run's recorder becomes ``sim.trace``, else None.
     trace: bool = False
     #: Fraction of requests carrying an end-to-end span TraceContext
     #: (``repro.obs.span``). 0 disables span tracing entirely — the hot
@@ -239,7 +241,10 @@ class ServerSystem:
         self.config = config
         self.sim = Simulator()
         self.rng = RandomStreams(config.seed)
-        self.trace = TraceRecorder(enabled=config.trace)
+        #: The run's channel recorder; it stays empty unless
+        #: ``config.trace`` hands it to the components as ``sim.trace``.
+        self.trace = TraceRecorder()
+        self.sim.trace = self.trace if config.trace else None
         if not 0.0 <= config.trace_sample_rate <= 1.0:
             raise ValueError(f"trace_sample_rate must be in [0, 1], got "
                              f"{config.trace_sample_rate}")
@@ -261,8 +266,7 @@ class ServerSystem:
         self.processor = Processor(
             self.sim, profile=profile, n_cores=config.n_cores,
             dvfs_domain=config.dvfs_domain, power_model=power_model,
-            rng_streams=self.rng,
-            trace=self.trace if config.trace else None)
+            rng_streams=self.rng)
 
         self.nic = MultiQueueNic(self.sim, n_queues=config.n_cores,
                                  wire_latency_ns=config.wire_latency_ns,
@@ -283,7 +287,7 @@ class ServerSystem:
         if config.pipeline is not None and config.pipeline:
             from repro.p4.engine import PipelineEngine
             self.pipeline = PipelineEngine(
-                config.pipeline, self.nic, self.sim, self.trace,
+                config.pipeline, self.nic, self.sim,
                 processor=self.processor, backend=self.datapath)
             self.nic.pipeline = self.pipeline
 
@@ -360,9 +364,6 @@ class ServerSystem:
         # engines it couples the sleep interval to (no-op otherwise).
         self.datapath.bind_governors(self.freq_governors)
 
-        if config.trace:
-            self._wire_trace_probes()
-
         #: Fault injector (``repro.faults``), built only for non-empty
         #: plans: an absent/empty plan schedules zero events and swaps
         #: zero methods, keeping healthy runs bit-identical.
@@ -402,8 +403,7 @@ class ServerSystem:
             for cid in range(cfg.n_cores):
                 self.freq_governors.append(NmapGovernor(
                     self.sim, self.processor, cid,
-                    self.datapath.mode_source(cid), thresholds,
-                    trace=self.trace if cfg.trace else None, **params))
+                    self.datapath.mode_source(cid), thresholds, **params))
         elif name == "nmap-adaptive":
             from repro.core.adaptive import AdaptiveNmapGovernor
             thresholds = (cfg.nmap_thresholds
@@ -411,8 +411,7 @@ class ServerSystem:
             for cid in range(cfg.n_cores):
                 self.freq_governors.append(AdaptiveNmapGovernor(
                     self.sim, self.processor, cid,
-                    self.datapath.mode_source(cid), thresholds,
-                    trace=self.trace if cfg.trace else None, **params))
+                    self.datapath.mode_source(cid), thresholds, **params))
         elif name in ("per-request-dvfs", "per-request-dvfs-ideal"):
             from repro.baselines.per_request import PerRequestDvfsManager
             self.manager = PerRequestDvfsManager(
@@ -427,7 +426,7 @@ class ServerSystem:
             for cid in range(cfg.n_cores):
                 self.freq_governors.append(NmapSimplGovernor(
                     self.sim, self.processor, cid, self.stack.ksoftirqds[cid],
-                    trace=self.trace if cfg.trace else None, **params))
+                    **params))
         elif name in ("ncap", "ncap-menu"):
             threshold = cfg.ncap_threshold_rps
             if threshold is None:
@@ -438,20 +437,15 @@ class ServerSystem:
             self.manager = NcapManager(
                 self.sim, self.processor, self.nic, fallbacks,
                 threshold_rps=threshold,
-                disable_sleep_in_boost=(name == "ncap"),
-                trace=self.trace if cfg.trace else None, **params)
+                disable_sleep_in_boost=(name == "ncap"), **params)
         elif name == "parties":
             self.manager = PartiesManager(
                 self.sim, self.processor, self.client,
-                slo_ns=self.app.slo_ns,
-                trace=self.trace if cfg.trace else None, **params)
+                slo_ns=self.app.slo_ns, **params)
         else:
             raise ValueError(
                 f"unknown frequency governor {name!r}; known: "
                 f"{sorted(FREQ_GOVERNORS) + list(MANAGED_GOVERNORS)}")
-
-    def _wire_trace_probes(self) -> None:
-        self.datapath.wire_trace_probes(self.trace)
 
     # ------------------------------------------------------------------ #
 

@@ -41,10 +41,10 @@ def _assert_bit_identical(base, checked):
         checked.telemetry.sum_of("ksoftirqd_wakeups_total")
     assert base.perf.events_fired == checked.perf.events_fired
     for channel in base.trace.channels():
-        assert np.array_equal(base.trace.times(channel),
-                              checked.trace.times(channel)), channel
-        assert np.array_equal(base.trace.values(channel),
-                              checked.trace.values(channel)), channel
+        times, values = base.trace.to_arrays(channel)
+        checked_times, checked_values = checked.trace.to_arrays(channel)
+        assert np.array_equal(times, checked_times), channel
+        assert np.array_equal(values, checked_values), channel
 
 
 def test_short_run_bit_parity(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.decision import (DecisionEngine, MODE_CPU_UTIL,
                                  MODE_NET_INTENSIVE)
+from repro.sim.simulator import Simulator
 
 
 class FakeGovernor:
@@ -21,6 +22,7 @@ class FakeGovernor:
 
 class FakeProcessor:
     def __init__(self):
+        self.sim = Simulator()
         self.requests = []
 
     def request_pstate(self, core_id, index):

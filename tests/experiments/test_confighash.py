@@ -74,20 +74,20 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for MODEL_VERSION 2026.10-packed-trace (the config
-    schema is unchanged; the bump retires cached results pickled with
-    the old tuple-list ``TraceRecorder`` layout). Any further drift
-    without a schema change or a MODEL_VERSION bump silently
-    invalidates every cached run key.
+    Re-pinned for MODEL_VERSION 2026.10-sim-trace (the config schema
+    is unchanged; the bump retires cached results pickled with the old
+    ``TraceRecorder`` state, which carried an ``enabled`` flag). Any
+    further drift without a schema change or a MODEL_VERSION bump
+    silently invalidates every cached run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "3e9c1dbe1af61bd37e8bbbdb46386b446fa48854436947628152c0c7117fbca7")
+        "8dfd281d5502f8b99536087732326b1b73fbbb6cbd6700844446dd8e855b3205")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "5151d7b5e066382348a7b3f007a6ccb3fe620c0e29a3b8f909b7e929d43c4d93")
+        "c8d4b1af1652df185b15bd5ab8b1eca729ea314b1094125d8b1289368b6993a9")
     assert run_key(server, 1_000_000) == (
-        "160e9a16aaabd1da9200b95024cf798f1deeb543afad0e9169c4d6455ca8b90e")
+        "e7b07d2d8212b77ae28d7be7805fec3150e19ac3e5e0e681d174d5c7f0afe22b")
 
 
 @pytest.mark.parametrize("cls", [ServerConfig, FleetConfig])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.traceutil import (boost_delays_ms,
-                                         ksoftirqd_wake_times, mode_series,
-                                         pstate_series)
+                                         ksoftirqd_wake_times, pstate_series)
+from repro.metrics.timeseries import mode_series
 from repro.sim.trace import TraceRecorder
 from repro.units import MS
 

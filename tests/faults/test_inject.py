@@ -133,7 +133,7 @@ def test_fault_windows_record_trace_channels():
                                   cap_index=999)])
     _, result = _run(plan, trace=True)
     assert "fault.throttle" in result.trace.channels()
-    values = list(result.trace.values("fault.throttle"))
+    values = list(result.trace.to_arrays("fault.throttle")[1])
     assert values == [1, 0]
 
 

@@ -32,10 +32,10 @@ def _assert_bit_identical(base, checked):
     assert base.perf.events_fired == checked.perf.events_fired
     assert sorted(base.trace.channels()) == sorted(checked.trace.channels())
     for channel in base.trace.channels():
-        assert np.array_equal(base.trace.times(channel),
-                              checked.trace.times(channel)), channel
-        assert np.array_equal(base.trace.values(channel),
-                              checked.trace.values(channel)), channel
+        times, values = base.trace.to_arrays(channel)
+        checked_times, checked_values = checked.trace.to_arrays(channel)
+        assert np.array_equal(times, checked_times), channel
+        assert np.array_equal(values, checked_values), channel
 
 
 def _run(**overrides):

@@ -8,8 +8,9 @@ kinds of check ride on it:
   nothing, so its run makes exactly the calls of a run without one; a
   run without a timeline never enters ``repro.obs.timeline``.
 * **Tracing off costs nothing.** A run with channel tracing and span
-  sampling off never enters ``repro.sim.trace`` or ``repro.obs.span``;
-  with tracing on it makes exactly one trace call per recorded sample.
+  sampling off never enters ``repro.sim.trace`` or ``repro.obs.span``,
+  also where fault windows and P4 drops would record; with tracing on
+  it makes exactly one trace call per recorded sample.
 * **Sampler budget.** One steady-state ``TimelineSampler.sample`` makes
   at most ``SAMPLE_CALL_BUDGET`` Python calls: the sampler reads the
   instruments registered when the system was built and does not
@@ -25,8 +26,10 @@ import sys
 import pytest
 
 from repro.faults import FaultPlan
+from repro.faults.scenarios import make_plan
 from repro.obs.timeline import TimelineConfig, TimelineSampler
 from repro.p4 import PipelineProgram
+from repro.p4.library import drop_program
 from repro.system import ServerConfig, ServerSystem
 from repro.units import MS
 from tests.callcount import CallCount
@@ -38,6 +41,17 @@ SAMPLE_CALL_BUDGET = 100
 
 BASE = ServerConfig(app="memcached", load_level="medium",
                     freq_governor="nmap", n_cores=2, seed=1)
+
+#: Cells of the tracing checks: both apps, plus the fault and P4 record
+#: sites (``fault.*`` windows, ``fault.p4.drop`` per dropped packet).
+TRACE_CELLS = [
+    pytest.param({"app": "memcached"}, id="memcached"),
+    pytest.param({"app": "nginx"}, id="nginx"),
+    pytest.param({"fault_plan": make_plan("throttle", 20 * MS)},
+                 id="fault-throttle"),
+    pytest.param({"n_flows": 4, "pipeline": drop_program("session", [0])},
+                 id="p4-drop"),
+]
 
 
 def _run_calls(config: ServerConfig, duration_ns: int) -> CallCount:
@@ -75,18 +89,18 @@ def test_run_without_timeline_never_enters_the_timeline_module():
     assert calls.modules["repro.obs.timeline"] == 0
 
 
-@pytest.mark.parametrize("app", ["memcached", "nginx"])
-def test_tracing_off_never_enters_trace_or_span(app):
-    calls = _run_calls(BASE.with_overrides(app=app, trace=False,
-                                           trace_sample_rate=0), 20 * MS)
+@pytest.mark.parametrize("cell", TRACE_CELLS)
+def test_tracing_off_never_enters_trace_or_span(cell):
+    calls = _run_calls(BASE.with_overrides(trace=False, trace_sample_rate=0,
+                                           **cell), 20 * MS)
     assert calls.total > 0
     assert calls.modules["repro.sim.trace"] == 0
     assert calls.modules["repro.obs.span"] == 0
 
 
-@pytest.mark.parametrize("app", ["memcached", "nginx"])
-def test_tracing_on_makes_one_trace_call_per_sample(app):
-    calls, result = _counted_run(BASE.with_overrides(app=app, trace=True),
+@pytest.mark.parametrize("cell", TRACE_CELLS)
+def test_tracing_on_makes_one_trace_call_per_sample(cell):
+    calls, result = _counted_run(BASE.with_overrides(trace=True, **cell),
                                  20 * MS)
     trace = result.trace
     recorded = sum(len(trace.samples(channel))

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.faults.scenarios import make_plan
+from repro.p4.library import drop_program
 from repro.sim.trace import TraceRecorder
+from repro.system import ServerConfig, ServerSystem
+from repro.units import MS
 
 
 def test_record_and_read_back():
@@ -11,47 +15,35 @@ def test_record_and_read_back():
     tr.record("pstate", 10, 3)
     tr.record("pstate", 20, 0)
     assert tr.samples("pstate") == [(10, 3), (20, 0)]
-    assert tr.times("pstate").tolist() == [10, 20]
-    assert tr.values("pstate").tolist() == [3.0, 0.0]
+    times, values = tr.to_arrays("pstate")
+    assert times.tolist() == [10, 20]
+    assert values.tolist() == [3.0, 0.0]
 
 
 def test_disabled_recorder_drops_samples():
-    tr = TraceRecorder(enabled=False)
-    tr.record("x", 1)
-    assert tr.samples("x") == []
-    assert "x" not in tr
+    """With ``trace=False`` no component holds the run's recorder, so it
+    stays empty even where faults and P4 drops would record."""
+    base = ServerConfig(app="memcached", load_level="medium",
+                        freq_governor="nmap", n_cores=2, seed=1, trace=False)
+    acl = drop_program("session", [0])
+    for overrides in ({"fault_plan": make_plan("throttle", 20 * MS)},
+                      {"n_flows": 4, "pipeline": acl}):
+        system = ServerSystem(base.with_overrides(**overrides))
+        assert system.sim.trace is None
+        result = system.run(20 * MS)
+        assert list(result.trace.channels()) == [], overrides
 
 
 def test_unknown_channel_is_empty():
     tr = TraceRecorder()
     assert tr.samples("nope") == []
-    assert tr.times("nope").size == 0
-
-
-def test_clear():
-    tr = TraceRecorder()
-    tr.record("a", 1, 1)
-    tr.clear()
-    assert list(tr.channels()) == []
+    assert tr.to_arrays("nope")[0].size == 0
 
 
 def test_default_value_is_one():
     tr = TraceRecorder()
     tr.record("wake", 5)
-    assert tr.values("wake").tolist() == [1.0]
-
-
-def test_disabled_swaps_record_method():
-    """The off switch is a bound-method swap, not a per-call branch."""
-    tr = TraceRecorder(enabled=False)
-    assert tr.record.__func__ is TraceRecorder._record_disabled
-    tr.enabled = True
-    assert "record" not in tr.__dict__  # class method shines through
-    tr.record("x", 1)
-    assert tr.samples("x") == [(1, 1)]
-    tr.enabled = False
-    tr.record("x", 2)
-    assert tr.samples("x") == [(1, 1)]
+    assert tr.to_arrays("wake")[1].tolist() == [1.0]
 
 
 def test_to_arrays_returns_typed_pair():
@@ -62,32 +54,6 @@ def test_to_arrays_returns_typed_pair():
     assert times.dtype == np.int64 and values.dtype == float
     assert times.tolist() == [10, 20]
     assert values.tolist() == [2.0, 5.0]
-
-
-def test_to_arrays_memoizes_and_invalidates_on_append():
-    tr = TraceRecorder()
-    tr.record("c", 1, 1)
-    first = tr.to_arrays("c")
-    assert tr.to_arrays("c")[0] is first[0]  # cached
-    tr.record("c", 2, 1)
-    times, _ = tr.to_arrays("c")
-    assert times.tolist() == [1, 2]  # cache refreshed by length change
-
-
-def test_recorder_pickles_without_derived_state():
-    import pickle
-    tr = TraceRecorder(enabled=False)
-    tr.enabled = True
-    tr.record("c", 7, 3)
-    tr.to_arrays("c")  # populate the memo
-    clone = pickle.loads(pickle.dumps(tr))
-    assert clone.enabled is True
-    assert clone.samples("c") == [(7, 3)]
-    assert clone.to_arrays("c")[0].tolist() == [7]
-    off = pickle.loads(pickle.dumps(TraceRecorder(enabled=False)))
-    assert off.enabled is False
-    off.record("x", 1)
-    assert off.samples("x") == []
 
 
 def test_samples_cost_at_most_20_bytes_each():
@@ -140,4 +106,4 @@ def test_to_arrays_copies_so_recording_continues():
     times, values = tr.to_arrays("c")
     tr.record("c", 2, 5)
     assert times.tolist() == [1] and values.tolist() == [1.0]
-    assert tr.values("c").tolist() == [1.0, 5.0]
+    assert tr.to_arrays("c")[1].tolist() == [1.0, 5.0]
