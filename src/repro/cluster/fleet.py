@@ -136,21 +136,11 @@ class FleetResult:
 def precompute_feedback_free(policy, views, times: array,
                              sessions: np.ndarray,
                              n_nodes: int) -> List[List[int]]:
-    """Dispatch a whole schedule up front (feedback-free policies only).
-
-    Vectorized when the policy supports ``choose_batch`` (bit-identical
-    to the scalar loop, enforced by test); the per-request fallback
-    keeps exotic feedback-free policies working.
-    """
+    """Dispatch a whole schedule up front (feedback-free policies only)
+    through the policy's vectorized ``choose_batch`` (bit-identical to
+    the scalar ``choose`` loop, enforced by test)."""
     times_arr = np.frombuffer(times, dtype=np.int64)
     nodes = policy.choose_batch(times_arr, sessions)
-    if nodes is None:
-        batches: List[List[int]] = [[] for _ in range(n_nodes)]
-        for created, session in zip(times, sessions):
-            nid = policy.choose(created, int(session))
-            views[nid].dispatched += 1
-            batches[nid].append(created)
-        return batches
     for view, count in zip(views, np.bincount(nodes, minlength=n_nodes)):
         view.dispatched += int(count)
     return [times_arr[nodes == nid].tolist() for nid in range(n_nodes)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 # every policy draws from is built by FleetSystem, seeded via
 # repro.sim.rng.derive_stream(config.seed, "fleet", "lb").
 import random
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 import numpy as np
 
@@ -134,17 +134,17 @@ class DispatchPolicy:
         raise NotImplementedError
 
     def choose_batch(self, times_ns: np.ndarray,
-                     sessions: np.ndarray) -> Optional[np.ndarray]:
-        """Vectorized dispatch of a whole arrival schedule, or None.
+                     sessions: np.ndarray) -> np.ndarray:
+        """Vectorized dispatch of a whole arrival schedule from a fresh
+        :meth:`bind`.
 
-        Only meaningful for feedback-free policies (a feedback policy's
-        decisions depend on state that evolves between arrivals). The
-        default returns None: callers fall back to per-request
-        :meth:`choose`. Implementations must be bit-identical to the
-        ``choose`` loop and must leave any internal state consistent
-        with having dispatched the whole batch.
+        Required of feedback-free policies (a feedback policy's
+        decisions depend on state that evolves between arrivals).
+        Implementations must be bit-identical to the ``choose`` loop
+        and must leave any internal state consistent with having
+        dispatched the whole batch.
         """
-        return None
+        raise NotImplementedError
 
 
 class RoundRobinPolicy(DispatchPolicy):
@@ -172,12 +172,10 @@ class RoundRobinPolicy(DispatchPolicy):
         return node
 
     def choose_batch(self, times_ns: np.ndarray,
-                     sessions: np.ndarray) -> Optional[np.ndarray]:
+                     sessions: np.ndarray) -> np.ndarray:
         """The whole schedule at once: sessions ranked by first
         appearance, rank mod n — bit-identical to the ``choose`` loop
         (enforced by test) without the per-request Python round trip."""
-        if self._session_node or self._next:
-            return None  # mid-stream state: fall back to the scalar path
         n = len(self.views)
         uniq, first_idx, inverse = np.unique(
             sessions, return_index=True, return_inverse=True)

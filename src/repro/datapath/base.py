@@ -33,17 +33,6 @@ MODE_BUSY_POLL = "busy-poll"
 MODE_INTERMITTENT = "intermittent"
 
 
-def stamp_poll_grab(sim_now: int, rx_packets: list) -> None:
-    """Record the rx-queue -> poll-batch boundary on sampled requests."""
-    for pkt in rx_packets:
-        request = pkt.request
-        if request is not None:
-            ctx = request.trace
-            if ctx is not None:
-                ctx.poll_ns = sim_now
-                ctx.via_ksoftirqd = False
-
-
 class RxModeHub:
     """A bare mode source: the listener lists and nothing else.
 
@@ -57,14 +46,6 @@ class RxModeHub:
         self.poll_listeners: List = []
         #: Called as ``listener(source)`` per interrupt-analog event.
         self.irq_listeners: List = []
-
-    def emit_poll(self, n_packets: int, mode: str) -> None:
-        for listener in self.poll_listeners:
-            listener(self, n_packets, mode)
-
-    def emit_irq(self) -> None:
-        for listener in self.irq_listeners:
-            listener(self)
 
 
 class RxBackend:
@@ -81,9 +62,9 @@ class RxBackend:
 
     def __init__(self, stack):
         self.stack = stack
-        #: Span tracing armed (guards per-packet stamps; set by the
-        #: system builder for sampled runs only).
-        self.tracing = False
+        #: Span tracing armed (guards per-packet stamps; ``sim.spans``
+        #: is set for sampled runs only).
+        self.tracing = stack.sim.spans is not None
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -116,9 +97,6 @@ class RxBackend:
 
     def bind_governors(self, governors) -> None:
         """Late hook after power management exists (hybrid backends)."""
-
-    def set_tracing(self, enabled: bool) -> None:
-        self.tracing = enabled
 
     def wire_trace_probes(self, trace) -> None:
         """Record per-core packet/mode channels into ``trace``.

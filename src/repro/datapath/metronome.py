@@ -34,9 +34,10 @@ from typing import List, Optional
 from repro.core.decision import MODE_NET_INTENSIVE
 from repro.cpu.core import PRIORITY_TASK, Work
 from repro.datapath.base import (MODE_INTERMITTENT, RxBackend,
-                                 check_bypass_params, stamp_poll_grab)
+                                 check_bypass_params)
 from repro.datapath.steering import spread_queues
-from repro.netstack.napi import MODE_INTERRUPT, MODE_POLLING
+from repro.netstack.napi import (MODE_INTERRUPT, MODE_POLLING,
+                                 stamp_poll_grab)
 from repro.nic.queue import grab_burst
 from repro.osched.thread import SimThread
 from repro.sim.rng import RandomStreams

@@ -59,11 +59,6 @@ class NapiRxBackend(RxBackend):
     def mode_source(self, core_id: int) -> NapiContext:
         return self.napis[core_id]
 
-    def set_tracing(self, enabled: bool) -> None:
-        self.tracing = enabled
-        for napi in self.napis:
-            napi.tracing = enabled
-
     def wire_trace_probes(self, trace) -> None:
         super().wire_trace_probes(trace)
         sim = self.stack.sim

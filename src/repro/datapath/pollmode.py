@@ -29,9 +29,9 @@ from typing import Dict, List, Optional
 
 from repro.cpu.core import PRIORITY_TASK, Work
 from repro.datapath.base import (MODE_BUSY_POLL, RxBackend, RxModeHub,
-                                 check_bypass_params, stamp_poll_grab)
+                                 check_bypass_params)
 from repro.datapath.steering import spread_queues
-from repro.netstack.napi import MODE_POLLING
+from repro.netstack.napi import MODE_POLLING, stamp_poll_grab
 from repro.nic.queue import grab_burst
 from repro.osched.thread import SimThread
 from repro.units import S

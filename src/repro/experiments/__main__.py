@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments --workers 4 fig12   # parallel grid cells
     python -m repro.experiments --markdown out.md
     python -m repro.experiments trace fig9      # Perfetto span trace
-    python -m repro.experiments report fig9 --telemetry
+    python -m repro.experiments trace fig9 --telemetry --prometheus m.txt
     python -m repro.experiments watch slo       # live timeline dashboard
     python -m repro.experiments list            # ids + one-line summaries
     python -m repro.experiments --sanitize fig9 # invariant-checked run
@@ -35,11 +35,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     # Observability subcommands keep their own flag sets; everything else
     # flows through the legacy positional-ids interface below.
-    if argv and argv[0] in ("trace", "report"):
+    if argv and argv[0] == "trace":
         from repro.experiments import tracecli
-        handler = tracecli.cmd_trace if argv[0] == "trace" \
-            else tracecli.cmd_report
-        return handler(argv[1:])
+        return tracecli.cmd_trace(argv[1:])
     if argv and argv[0] == "watch":
         from repro.experiments import watchcli
         return watchcli.cmd_watch(argv[1:])

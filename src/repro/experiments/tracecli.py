@@ -1,14 +1,15 @@
-"""Observability subcommands: ``trace`` and ``report``.
+"""The ``trace`` observability subcommand.
 
 ``python -m repro.experiments trace <exp>`` re-runs one representative
 configuration of an experiment with span tracing enabled, writes a
 Perfetto-loadable JSON trace, and prints the per-stage latency breakdown.
-``report <exp> --telemetry`` runs the same configuration and dumps its
-telemetry registry (optionally in Prometheus text format).
+``--telemetry`` also prints the run's telemetry registry and
+``--prometheus PATH`` writes it in Prometheus text format, from the same
+run.
 
-These commands run the simulation directly (never through the run
-cache): a traced run carries a span log and is meant to be inspected,
-not reused as an experiment artifact.
+The command runs the simulation directly (never through the run cache):
+a traced run carries a span log and is meant to be inspected, not reused
+as an experiment artifact.
 """
 
 from __future__ import annotations
@@ -60,7 +61,13 @@ def representative_config(experiment_id: str, *,
                         trace_sample_rate=sample_rate)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def cmd_trace(argv) -> int:
+    """``trace <exp>``: run traced, write Perfetto JSON, print breakdown
+    (and, on request, the telemetry registry)."""
+    parser = argparse.ArgumentParser(
+        prog="repro.experiments trace",
+        description="Trace one experiment's representative run and export "
+                    "a Perfetto (chrome://tracing) JSON file.")
     parser.add_argument("experiment", choices=list(EXPERIMENTS),
                         metavar="experiment",
                         help=f"one of: {', '.join(EXPERIMENTS)}")
@@ -72,19 +79,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                                           "(default: 1.0)")
     parser.add_argument("--full", action="store_true",
                         help="paper-sized scale (8 cores, longer run)")
-
-
-def cmd_trace(argv) -> int:
-    """``trace <exp>``: run traced, write Perfetto JSON, print breakdown."""
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments trace",
-        description="Trace one experiment's representative run and export "
-                    "a Perfetto (chrome://tracing) JSON file.")
-    _add_common(parser)
     parser.add_argument("--out", metavar="PATH",
                         help="output path (default: trace_<exp>.json)")
     parser.add_argument("--no-channels", action="store_true",
                         help="omit TraceRecorder counter tracks")
+    parser.add_argument("--telemetry", action="store_true",
+                        help="also print every instrument of the "
+                             "telemetry registry")
+    parser.add_argument("--prometheus", metavar="PATH",
+                        help="also write the registry in Prometheus "
+                             "text format")
     args = parser.parse_args(argv)
 
     scale = FULL if args.full else QUICK
@@ -109,40 +113,9 @@ def cmd_trace(argv) -> int:
           f"max span-tiling error {err} ns")
     print(f"wrote {out} ({n_events} trace events) — load in "
           f"https://ui.perfetto.dev or chrome://tracing")
-    return 0 if err == 0 else 1
-
-
-def cmd_report(argv) -> int:
-    """``report <exp> --telemetry``: dump the run's telemetry registry."""
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments report",
-        description="Run one experiment's representative configuration and "
-                    "report its telemetry registry.")
-    _add_common(parser)
-    parser.add_argument("--telemetry", action="store_true",
-                        help="print every instrument of the registry")
-    parser.add_argument("--prometheus", metavar="PATH",
-                        help="also write the registry in Prometheus "
-                             "text format")
-    args = parser.parse_args(argv)
-
-    scale = FULL if args.full else QUICK
-    config = representative_config(args.experiment, scale=scale,
-                                   app=args.app, governor=args.governor,
-                                   load=args.load,
-                                   sample_rate=args.sample_rate)
-    result = ServerSystem(config).run(scale.duration_ns)
-    telemetry = result.telemetry
-
-    title = (f"{args.experiment}: {config.app}/{config.freq_governor}/"
-             f"{config.load_level} ({scale.name})")
-    if result.spans is not None and result.spans.records:
-        headers, rows = result.spans.breakdown_table()
-        print(format_table(headers, rows, title=title + " — stage latency"))
-        print()
     if args.telemetry:
         rows = []
-        for name, labels, kind, instrument in telemetry.items():
+        for name, labels, kind, instrument in result.telemetry.items():
             label_txt = ",".join(f"{k}={v}"
                                  for k, v in sorted(labels.items())) or "-"
             if kind == "histogram":
@@ -151,13 +124,11 @@ def cmd_report(argv) -> int:
             else:
                 value = f"{instrument.value:g}"
             rows.append([name, kind, label_txt, value])
+        print()
         print(format_table(["instrument", "kind", "labels", "value"], rows,
                            title=title + " — telemetry"))
-    else:
-        stats = result.latency_stats()
-        print(f"{title}: completed {result.completed}, {stats.describe()}")
     if args.prometheus:
         with open(args.prometheus, "w") as fh:
-            fh.write(prometheus_text(telemetry))
+            fh.write(prometheus_text(result.telemetry))
         print(f"wrote {args.prometheus}")
-    return 0
+    return 0 if err == 0 else 1

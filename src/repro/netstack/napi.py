@@ -40,6 +40,22 @@ STATE_SOFTIRQ = "softirq"
 STATE_KSOFTIRQD = "ksoftirqd"
 
 
+def stamp_poll_grab(sim_now: int, rx_packets: list,
+                    deferred: bool = False) -> None:
+    """Record the rx-queue -> poll-batch boundary on sampled requests.
+
+    Shared by every RX backend; ``deferred`` marks a batch pulled by
+    ksoftirqd rather than the softirq (bypass backends never defer).
+    """
+    for pkt in rx_packets:
+        request = pkt.request
+        if request is not None:
+            ctx = request.trace
+            if ctx is not None:
+                ctx.poll_ns = sim_now
+                ctx.via_ksoftirqd = deferred
+
+
 @dataclass(frozen=True)
 class NapiConfig:
     """Tunables of the NAPI machinery (Linux defaults unless noted)."""
@@ -89,9 +105,9 @@ class NapiContext:
         self._session_iterations = 0
         self._session_packets = 0
         self._next_poll_is_interrupt_mode = False
-        #: Span tracing enabled (set by the system builder); guards the
+        #: Span tracing enabled (``sim.spans`` set); guards the
         #: per-batch stamping loop so untraced runs pay nothing.
-        self.tracing = False
+        self.tracing = sim.spans is not None
 
         # Reusable Work shells, one per lifecycle slot. The state machine
         # guarantees at most one of each is in flight (irq masked while
@@ -158,17 +174,6 @@ class NapiContext:
     # Poll batches
     # ------------------------------------------------------------------ #
 
-    def _stamp_poll_grab(self, rx_packets: list, deferred: bool) -> None:
-        """Record the rx-queue -> poll-batch boundary on sampled requests."""
-        now = self.sim.now
-        for pkt in rx_packets:
-            request = pkt.request
-            if request is not None:
-                ctx = request.trace
-                if ctx is not None:
-                    ctx.poll_ns = now
-                    ctx.via_ksoftirqd = deferred
-
     def _submit_softirq_poll(self) -> None:
         cfg = self.config
         rx_packets, n_rx, _, cycles = grab_burst(
@@ -177,7 +182,7 @@ class NapiContext:
             cfg.ack_cycles_per_packet, cfg.rx_cycles_per_packet)
         cycles += cfg.poll_overhead_cycles
         if self.tracing and rx_packets:
-            self._stamp_poll_grab(rx_packets, deferred=False)
+            stamp_poll_grab(self.sim.now, rx_packets)
         work = self._softirq_work
         if work is None:
             self._softirq_work = work = Work(
@@ -206,7 +211,7 @@ class NapiContext:
             cfg.ack_cycles_per_packet, cfg.rx_cycles_per_packet)
         cycles += cfg.poll_overhead_cycles
         if self.tracing and rx_packets:
-            self._stamp_poll_grab(rx_packets, deferred=True)
+            stamp_poll_grab(self.sim.now, rx_packets, deferred=True)
         work = self._deferred_work
         if work is None:
             self._deferred_work = work = Work(

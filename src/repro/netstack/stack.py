@@ -59,9 +59,9 @@ class NetworkStack:
         #: RandomStreams of the run (backends derive private streams);
         #: optional so bare unit-test stacks need not provide one.
         self.rng = rng
-        #: Span tracing enabled (set by the system builder); guards the
+        #: Span tracing enabled (``sim.spans`` set); guards the
         #: per-packet boundary stamps.
-        self.tracing = False
+        self.tracing = sim.spans is not None
         self._response_sink: Optional[Callable[[Packet], None]] = None
         #: Optional synchronous variant ``response_sink_at(packet, t_ns)``
         #: for passive receivers (pure recorders): the NIC then notifies

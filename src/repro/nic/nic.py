@@ -52,10 +52,10 @@ class MultiQueueNic:
         #: latency-critical-request filter counts).
         self.rx_data_packets = 0
         self.tx_packets = 0
-        #: Span tracing enabled (set by the system builder when a run
-        #: samples requests); guards the per-packet stamp so the untraced
-        #: hot path pays nothing.
-        self.tracing = False
+        #: Span tracing enabled (the run samples requests, ``sim.spans``);
+        #: guards the per-packet stamp so the untraced hot path pays
+        #: nothing.
+        self.tracing = sim.spans is not None
         #: Consumed bare-ACK packets, returned by the poll loop for the
         #: stack's ACK generator to re-stamp (ACK floods of multi-segment
         #: responses otherwise allocate one short-lived Packet per ACK).

@@ -10,9 +10,9 @@ Fast-path design (the simulator is the hot loop of every experiment):
 * Heap entries are plain ``(time, seq, event)`` tuples, so heap sift
   compares run entirely in C — no Python-level ``__lt__`` calls.
   ``seq`` is unique, so comparison never reaches the event object.
-* :meth:`EventQueue.pop_due` drains cancelled entries and returns the
-  next due event in a single scan, replacing the ``peek_time()`` +
-  ``pop()`` double scan the run loop used to do.
+* The run loop (``Simulator.run_until``) drains cancelled heads and
+  pops the next due event in a single heap scan, inlined rather than
+  paid as a ``peek_time()`` + ``pop()`` double scan.
 * Fired and dropped events are recycled through a freelist
   (:meth:`EventQueue.recycle`) when provably unreferenced, killing the
   per-packet allocation churn of event-heavy workloads. Safety is
@@ -24,7 +24,7 @@ Fast-path design (the simulator is the hot loop of every experiment):
 from __future__ import annotations
 
 import heapq
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heappush as _heappush
 from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -153,36 +153,6 @@ class EventQueue:
         ev = heapq.heappop(self._heap)[2]
         ev._queue = None
         return ev
-
-    def pop_due(self, t_end: int) -> Optional[Event]:
-        """Next live event with ``time <= t_end``, else None (single scan).
-
-        Drops cancelled heads along the way, recycling the ones nobody
-        else references. This is the run loop's fast path: one heap scan
-        per fired event instead of the peek+pop double scan.
-        """
-        heap = self._heap
-        heappop = _heappop
-        free = self._free
-        while heap:
-            ev = heap[0][2]
-            if ev.cancelled:
-                heappop(heap)
-                ev._queue = None
-                # Refcount 2 = this frame + getrefcount's argument: the
-                # heap entry was the only other holder, so reuse is safe.
-                if getrefcount(ev) == 2 and len(free) < _FREELIST_MAX:
-                    ev.fn = None
-                    ev.args = ()
-                    free.append(ev)
-                continue
-            if ev.time > t_end:
-                return None
-            heappop(heap)
-            self._live -= 1
-            ev._queue = None
-            return ev
-        return None
 
     def recycle(self, ev: Event) -> None:
         """Return a fired event to the freelist if provably unreferenced.

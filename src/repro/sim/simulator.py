@@ -37,6 +37,9 @@ class Simulator:
         #: The run's TraceRecorder, or None when channel tracing is off.
         #: Recording components bind it at construction.
         self.trace = None
+        #: The run's SpanLog, or None when span sampling is off. Stamp
+        #: sites bind ``tracing = sim.spans is not None`` at construction.
+        self.spans = None
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "").lower() in (
                 "1", "true", "on", "yes")
@@ -87,10 +90,10 @@ class Simulator:
         This IS the simulation: every fired event passes through this
         loop, so the queue's pop/recycle steps are inlined here (heap
         access, cancelled-head dropping, freelist reuse) rather than paid
-        as two extra call frames per event. Semantics match
-        ``pop_due`` + ``recycle`` exactly — see event.py for the refcount
-        reuse guard being applied (here the safe count is 2: the local
-        binding plus getrefcount's argument).
+        as two extra call frames per event. Cancelled heads are dropped
+        on the way and, like fired events, recycled under
+        ``EventQueue.recycle``'s refcount guard (here the safe count is
+        2: the local binding plus getrefcount's argument).
         """
         queue = self._queue
         heap = queue._heap

@@ -251,6 +251,8 @@ class ServerSystem:
         self.spans: Optional[SpanLog] = None
         if config.trace_sample_rate > 0:
             self.spans = SpanLog(config.trace_sample_rate, seed=config.seed)
+        # Set before any component is built: stamp sites bind it then.
+        self.sim.spans = self.spans
 
         profile = PROCESSOR_PROFILES.get(config.processor)
         if profile is None:
@@ -319,14 +321,7 @@ class ServerSystem:
             wire_latency_ns=config.wire_latency_ns,
             n_flows=config.n_flows,
             flow_weights=config.flow_weights,
-            span_log=self.spans,
             retry=config.retry)
-        if self.spans is not None:
-            # Arm the per-layer stamp guards only for traced runs, so
-            # untraced hot paths carry no per-packet checks.
-            self.nic.tracing = True
-            self.stack.tracing = True
-            self.datapath.set_tracing(True)
         self.stack.response_sink = self.client.on_response
         # The open-loop client is a pure recorder: let the NIC notify it
         # synchronously at transmit time (no per-response event).

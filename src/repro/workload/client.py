@@ -55,7 +55,6 @@ class OpenLoopClient:
                  wire_latency_ns: int = 5_000,
                  n_flows: Optional[int] = None,
                  flow_weights: Optional[Sequence[int]] = None,
-                 span_log: Optional[SpanLog] = None,
                  retry: Optional[RetryPolicy] = None):
         if n_flows is not None and n_flows < 1:
             raise ValueError("need at least one flow")
@@ -80,10 +79,11 @@ class OpenLoopClient:
         #: testbed's many-connection behaviour). A small number
         #: concentrates flows, producing per-core load imbalance.
         self.n_flows = n_flows
-        #: End-to-end span tracing: when set, the client attaches a
-        #: TraceContext to each sampled request and folds it back into
-        #: the log on response. None = tracing off (no per-request cost).
-        self.span_log = span_log
+        #: End-to-end span tracing (``sim.spans``): when set, the client
+        #: attaches a TraceContext to each sampled request and folds it
+        #: back into the log on response. None = tracing off (no
+        #: per-request cost).
+        self.span_log: Optional[SpanLog] = sim.spans
         #: Timeout/retry policy (``repro.workload.retry.RetryPolicy``).
         #: None = no timers armed, no retransmissions — the event
         #: stream is bit-identical to a client without retry support.

@@ -2,8 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.cluster.config import FleetConfig
+from repro.cluster.fleet import _session_ids
 from repro.cluster.lb import (POLICIES, NodeView, PowerAwarePolicy,
                               make_policy)
 from repro.cpu.pstate import PStateTable
@@ -67,6 +70,26 @@ def test_round_robin_is_session_affine():
     assert policy.choose(99, 11) == 1
     assert policy.choose(99, 13) == 0
     assert policy.feedback_free
+
+
+def test_round_robin_batch_equals_scalar_loop():
+    sessions = _session_ids(
+        FleetConfig(n_sessions=40, session_skew=1.0), 5000)
+    times = np.arange(len(sessions), dtype=np.int64) * 1000
+    scalar = bind(make_policy("round-robin"), make_views(5))
+    expected = [scalar.choose(int(t), int(s))
+                for t, s in zip(times, sessions)]
+    batch = bind(make_policy("round-robin"), make_views(5))
+    assert batch.choose_batch(times, sessions).tolist() == expected
+    assert batch._session_node == scalar._session_node
+    assert batch._next == scalar._next
+
+
+def test_feedback_policies_have_no_batch_dispatch():
+    policy = bind(make_policy("least-outstanding"), make_views(2))
+    with pytest.raises(NotImplementedError):
+        policy.choose_batch(np.zeros(1, dtype=np.int64),
+                            np.zeros(1, dtype=np.int64))
 
 
 def test_least_outstanding_scans_all_nodes():

@@ -42,11 +42,14 @@ SAMPLE_CALL_BUDGET = 100
 BASE = ServerConfig(app="memcached", load_level="medium",
                     freq_governor="nmap", n_cores=2, seed=1)
 
-#: Cells of the tracing checks: both apps, plus the fault and P4 record
-#: sites (``fault.*`` windows, ``fault.p4.drop`` per dropped packet).
+#: Cells of the tracing checks: both apps, the two bypass datapaths,
+#: plus the fault and P4 record sites (``fault.*`` windows,
+#: ``fault.p4.drop`` per dropped packet).
 TRACE_CELLS = [
     pytest.param({"app": "memcached"}, id="memcached"),
     pytest.param({"app": "nginx"}, id="nginx"),
+    pytest.param({"datapath": "poll"}, id="poll"),
+    pytest.param({"datapath": "metronome"}, id="metronome"),
     pytest.param({"fault_plan": make_plan("throttle", 20 * MS)},
                  id="fault-throttle"),
     pytest.param({"n_flows": 4, "pipeline": drop_program("session", [0])},

@@ -46,6 +46,21 @@ def test_full_sampling_tiles_every_latency():
     assert np.array_equal(stage_sum, spans.totals_ns())
 
 
+@pytest.mark.parametrize("datapath",
+                         ["napi", "poll", "metronome", "nmap-hybrid"])
+def test_full_sampling_tiles_on_every_datapath(datapath):
+    # Every RX backend binds its stamp guard from ``sim.spans``: one
+    # left unarmed would drop its requests' spans without an error.
+    config = _config(freq_governor="nmap", n_cores=2, datapath=datapath,
+                     trace_sample_rate=1.0)
+    result = ServerSystem(config).run(DURATION)
+    spans = result.spans
+    assert len(spans) == result.completed > 0
+    assert spans.max_tiling_error_ns() == 0
+    assert np.array_equal(np.sort(spans.totals_ns()),
+                          np.sort(result.latencies_ns))
+
+
 def test_tracing_does_not_perturb_the_simulation():
     off = ServerSystem(_config(trace_sample_rate=0.0)).run(DURATION)
     on = ServerSystem(_config(trace_sample_rate=1.0)).run(DURATION)

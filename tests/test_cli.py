@@ -70,11 +70,12 @@ def test_trace_subcommand_writes_perfetto_json(capsys, tmp_path,
     assert doc["otherData"]["freq_governor"] == "performance"
 
 
-def test_report_subcommand_telemetry_and_prometheus(capsys, tmp_path):
+def test_trace_subcommand_telemetry_and_prometheus(capsys, tmp_path):
     prom = tmp_path / "metrics.txt"
-    code = experiments_main(["report", "tab2", "--governor", "performance",
+    out = tmp_path / "t.json"
+    code = experiments_main(["trace", "tab2", "--governor", "performance",
                              "--load", "low", "--telemetry",
-                             "--prometheus", str(prom)])
+                             "--prometheus", str(prom), "--out", str(out)])
     printed = capsys.readouterr().out
     assert code == 0
     assert "requests_completed_total" in printed
