@@ -20,15 +20,14 @@ Quickstart::
     print(result.slo_result())
 """
 
-from repro.system import (DEFAULT_NMAP_THRESHOLDS, RunResult, ServerConfig,
-                          ServerSystem, run_server)
-from repro.core.nmap import NmapThresholds
-from repro.core.profiling import profile_thresholds
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ServerConfig", "ServerSystem", "RunResult", "run_server",
-    "NmapThresholds", "profile_thresholds", "DEFAULT_NMAP_THRESHOLDS",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "system": ("DEFAULT_NMAP_THRESHOLDS", "RunResult", "ServerConfig",
+               "ServerSystem", "run_server"),
+    "core.nmap": ("NmapThresholds",),
+    "core.profiling": ("profile_thresholds",),
+})
+__all__.append("__version__")

@@ -24,16 +24,11 @@ mechanically, in two layers:
 See ``docs/ANALYSIS.md`` for the rule catalogue and invariants.
 """
 
-from repro.analysis.lint import Finding, LintReport, lint_paths
-from repro.analysis.sanitize import (EventHandle, SanitizerError,
-                                     SimSanitizer, sanitize_enabled)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintReport",
-    "lint_paths",
-    "EventHandle",
-    "SanitizerError",
-    "SimSanitizer",
-    "sanitize_enabled",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "common": ("Finding",),
+    "lint": ("LintReport", "lint_paths"),
+    "sanitize": ("EventHandle", "SanitizerError", "SimSanitizer",
+                 "sanitize_enabled"),
+})

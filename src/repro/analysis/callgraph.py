@@ -224,13 +224,21 @@ class ProjectIndex:
 
     # -- resolution ------------------------------------------------------ #
 
-    def resolve_dotted(self, dotted: str) -> Optional[Symbol]:
+    def resolve_dotted(self, dotted: str,
+                       _seen: Optional[Set[str]] = None) -> Optional[Symbol]:
         """Resolve ``pkg.mod.func`` / ``pkg.mod.Class[.method]``.
 
         Tries the longest module prefix first, then walks the remaining
-        attributes through classes and their methods.
+        attributes through classes and their methods. A dotted name
+        that is itself a module resolves to None (modules are not
+        symbols). Re-exported names follow import hops, each dotted
+        name at most once, so ``from pkg import sub`` in
+        ``pkg/__init__.py`` or an import cycle resolves to None instead
+        of recursing.
         """
         parts = dotted.split(".")
+        if dotted in self.modules:
+            return None
         for split in range(len(parts) - 1, 0, -1):
             module = self.modules.get(".".join(parts[:split]))
             if module is None:
@@ -240,12 +248,14 @@ class ProjectIndex:
             symbol: Optional[Symbol] = (module.functions.get(head)
                                         or module.classes.get(head))
             if symbol is None:
-                # Re-exported name: follow one import hop.
+                # Re-exported name: follow the import hop.
                 origin = module.imports.origin(head)
-                if origin:
-                    return self.resolve_dotted(
-                        ".".join([origin] + rest[1:]))
-                return None
+                seen = _seen if _seen is not None else set()
+                if not origin or dotted in seen:
+                    return None
+                seen.add(dotted)
+                return self.resolve_dotted(
+                    ".".join([origin] + rest[1:]), seen)
             for attr in rest[1:]:
                 if isinstance(symbol, ClassInfo):
                     symbol = self.lookup_method(symbol, attr)

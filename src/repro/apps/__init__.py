@@ -7,10 +7,11 @@ Service costs are in *cycles*, so a core's P-state directly scales service
 time — the coupling every governor in the paper exploits.
 """
 
-from repro.apps.base import AppWorkerThread, ServerApplication
-from repro.apps.memcached import MemcachedApp
-from repro.apps.nginx import NginxApp
-from repro.apps.registry import make_app, APPLICATIONS
+from repro._lazy import lazy_exports
 
-__all__ = ["ServerApplication", "AppWorkerThread", "MemcachedApp",
-           "NginxApp", "make_app", "APPLICATIONS"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("AppWorkerThread", "ServerApplication"),
+    "memcached": ("MemcachedApp",),
+    "nginx": ("NginxApp",),
+    "registry": ("make_app", "APPLICATIONS"),
+})

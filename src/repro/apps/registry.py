@@ -2,23 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
-from repro.apps.memcached import MemcachedApp
-from repro.apps.nginx import NginxApp
+from repro._lazy import load, lookup
 
-#: Applications constructible by name.
-APPLICATIONS: Dict[str, Callable] = {
-    "memcached": MemcachedApp,
-    "nginx": NginxApp,
+#: Applications constructible by name, as ``"module:class"`` specs: only
+#: the chosen application's module is imported.
+APPLICATIONS: Dict[str, str] = {
+    "memcached": "repro.apps.memcached:MemcachedApp",
+    "nginx": "repro.apps.nginx:NginxApp",
 }
 
 
 def make_app(name: str, rng, **params):
     """Instantiate the application ``name``."""
-    try:
-        cls = APPLICATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown application {name!r}; "
-                         f"known: {sorted(APPLICATIONS)}") from None
-    return cls(rng, **params)
+    return load(lookup(APPLICATIONS, name, "application"))(rng, **params)

@@ -10,7 +10,9 @@
   against the SLO and steps the V/F state by the slack.
 """
 
-from repro.baselines.ncap import NcapManager
-from repro.baselines.parties import PartiesManager
+from repro._lazy import lazy_exports
 
-__all__ = ["NcapManager", "PartiesManager"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ncap": ("NcapManager",),
+    "parties": ("PartiesManager",),
+})

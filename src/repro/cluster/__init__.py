@@ -18,13 +18,11 @@ See ``docs/CLUSTER.md`` for the co-simulation model and its determinism
 guarantees.
 """
 
-from repro.cluster.config import FleetConfig
-from repro.cluster.fleet import FleetResult, FleetSystem, run_fleet
-from repro.cluster.lb import POLICIES, DispatchPolicy, NodeView, make_policy
-from repro.cluster.power import BudgetArbiter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FleetConfig", "FleetSystem", "FleetResult", "run_fleet",
-    "DispatchPolicy", "NodeView", "POLICIES", "make_policy",
-    "BudgetArbiter",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("FleetConfig",),
+    "fleet": ("FleetResult", "FleetSystem", "run_fleet"),
+    "lb": ("POLICIES", "DispatchPolicy", "NodeView", "make_policy"),
+    "power": ("BudgetArbiter",),
+})

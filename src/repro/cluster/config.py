@@ -4,14 +4,16 @@ power budget, and the lockstep lookahead."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.cluster.health import HealthPolicy
-from repro.faults.plan import FaultPlan
-from repro.obs.timeline import TimelineConfig
 from repro.sim.rng import derive_stream
 from repro.system import ServerConfig
 from repro.units import MS
+
+if TYPE_CHECKING:
+    from repro.cluster.health import HealthPolicy
+    from repro.faults.plan import FaultPlan
+    from repro.obs.timeline import TimelineConfig
 
 
 @dataclass

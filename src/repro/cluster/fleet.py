@@ -48,7 +48,7 @@ import random
 import time
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,18 +59,18 @@ from repro.cluster.health import HealthMonitor
 from repro.cluster.lb import NodeView, make_policy
 from repro.cluster.power import BudgetArbiter, busy_ns, power_ladder
 from repro.metrics.energy import EnergySummary
-from repro.metrics.fleet import imbalance_ratio, node_p99s_ns
-from repro.metrics.latency import LatencyStats
-from repro.metrics.slo import SloResult, check_slo
 from repro.obs.registry import TelemetryRegistry
-from repro.obs.timeline import (TimelineDriver, TimelineResult,
-                                TimelineSampler)
 from repro.sim.perf import LockstepPerf
 from repro.sim.rng import derive_stream
-from repro.system import RunResult, ServerSystem
+from repro.system import RunResult, ServerSystem, validate_server_config
 from repro.units import MS, S
 from repro.workload.profiles import levels_for
 from repro.workload.shapes import ScaledLoad, generate_arrivals
+
+if TYPE_CHECKING:
+    from repro.metrics.latency import LatencyStats
+    from repro.metrics.slo import SloResult
+    from repro.obs.timeline import TimelineDriver, TimelineResult
 
 
 @dataclass
@@ -106,10 +106,12 @@ class FleetResult:
 
     def latency_stats(self) -> LatencyStats:
         """Percentile summary over the whole fleet's requests."""
+        from repro.metrics.latency import LatencyStats
         return LatencyStats.from_sample(self.latencies_ns)
 
     def slo_result(self) -> SloResult:
         """Fleet-level p99-vs-SLO verdict."""
+        from repro.metrics.slo import check_slo
         return check_slo(self.latencies_ns, self.slo_ns)
 
     @property
@@ -122,10 +124,12 @@ class FleetResult:
 
     def node_p99s_ns(self) -> List[float]:
         """Per-node p99 latencies, in node order."""
+        from repro.metrics.fleet import node_p99s_ns
         return node_p99s_ns(self.node_results)
 
     def imbalance(self) -> float:
         """Worst-node p99 over fleet p99 (1.0 = perfectly balanced)."""
+        from repro.metrics.fleet import imbalance_ratio
         return imbalance_ratio(self.node_p99s_ns(), self.p99_ns)
 
 
@@ -361,6 +365,10 @@ def validate_fleet_config(config: FleetConfig) -> None:
             f"{config.node.wire_latency_ns}], got "
             f"{config.lb_wire_latency_ns}: the lookahead guarantee "
             f"needs dispatches to arrive no earlier than one window")
+    # Every node's effective config, at any shard count: a bad
+    # ``node_overrides`` entry fails here, not inside a shard worker.
+    for node_id in range(config.n_nodes):
+        validate_server_config(config.node_config(node_id))
 
 
 def fleet_load_shape(config: FleetConfig):
@@ -441,8 +449,10 @@ class _LocalBackend:
         # Samplers live with the nodes — the same code path whether the
         # nodes are in-process or inside a shard worker, which is what
         # makes sharded and serial timelines bit-identical.
-        self.samplers = ([TimelineSampler(node) for node in nodes]
-                         if config.timeline is not None else None)
+        self.samplers = None
+        if config.timeline is not None:
+            from repro.obs.timeline import TimelineSampler
+            self.samplers = [TimelineSampler(node) for node in nodes]
 
     def prefeed(self, batches: List[List[int]]) -> None:
         for node, batch in zip(self.nodes, batches):
@@ -580,6 +590,7 @@ class FleetSystem:
                     initial_busy=backend.busy())
             driver = None
             if config.timeline is not None:
+                from repro.obs.timeline import TimelineDriver
                 driver = TimelineDriver(
                     config.timeline, slo_ns=backend.slo_ns,
                     n_nodes=config.n_nodes, duration_ns=duration_ns,

@@ -14,19 +14,15 @@ Thresholds come from the lightweight offline profiler in
 :mod:`repro.core.profiling`.
 """
 
-from repro.core.monitor import ModeTransitionMonitor
-from repro.core.decision import DecisionEngine, MODE_CPU_UTIL, MODE_NET_INTENSIVE
-from repro.core.nmap import NmapGovernor, NmapThresholds
-from repro.core.nmap_simpl import NmapSimplGovernor
-from repro.core.profiling import (OnlineReprofiler, ThresholdProfiler,
-                                  profile_thresholds)
-from repro.core.adaptive import AdaptiveNmapGovernor
-from repro.core.sleep_integration import ModeAwareIdleGovernor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ModeTransitionMonitor", "DecisionEngine",
-    "MODE_CPU_UTIL", "MODE_NET_INTENSIVE",
-    "NmapGovernor", "NmapThresholds", "NmapSimplGovernor",
-    "ThresholdProfiler", "OnlineReprofiler", "profile_thresholds",
-    "AdaptiveNmapGovernor", "ModeAwareIdleGovernor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "monitor": ("ModeTransitionMonitor",),
+    "decision": ("DecisionEngine", "MODE_CPU_UTIL", "MODE_NET_INTENSIVE"),
+    "nmap": ("NmapGovernor", "NmapThresholds"),
+    "nmap_simpl": ("NmapSimplGovernor",),
+    "profiling": ("OnlineReprofiler", "ThresholdProfiler",
+                  "profile_thresholds"),
+    "adaptive": ("AdaptiveNmapGovernor",),
+    "sleep_integration": ("ModeAwareIdleGovernor",),
+})

@@ -5,19 +5,15 @@ This package models the processor the paper evaluates on (Intel Xeon Gold
 three other processors whose transition latencies Tables 1 and 2 report.
 """
 
-from repro.cpu.pstate import PState, PStateTable
-from repro.cpu.cstate import CState, CStateTable
-from repro.cpu.power import PowerModel, EnergyMeter
-from repro.cpu.core import Core, Work, PRIORITY_HARDIRQ, PRIORITY_SOFTIRQ, PRIORITY_TASK
-from repro.cpu.dvfs import DvfsController, TransitionLatencyModel
-from repro.cpu.profiles import ProcessorProfile, PROCESSOR_PROFILES, XEON_GOLD_6134
-from repro.cpu.topology import Processor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PState", "PStateTable", "CState", "CStateTable",
-    "PowerModel", "EnergyMeter",
-    "Core", "Work", "PRIORITY_HARDIRQ", "PRIORITY_SOFTIRQ", "PRIORITY_TASK",
-    "DvfsController", "TransitionLatencyModel",
-    "ProcessorProfile", "PROCESSOR_PROFILES", "XEON_GOLD_6134",
-    "Processor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "pstate": ("PState", "PStateTable"),
+    "cstate": ("CState", "CStateTable"),
+    "power": ("PowerModel", "EnergyMeter"),
+    "core": ("Core", "Work", "PRIORITY_HARDIRQ", "PRIORITY_SOFTIRQ",
+             "PRIORITY_TASK"),
+    "dvfs": ("DvfsController", "TransitionLatencyModel"),
+    "profiles": ("ProcessorProfile", "PROCESSOR_PROFILES", "XEON_GOLD_6134"),
+    "topology": ("Processor",),
+})

@@ -21,16 +21,12 @@ See docs/DATAPATH.md for the interface contract and the energy
 accounting of each backend.
 """
 
-from repro.datapath.base import (MODE_BUSY_POLL, MODE_INTERMITTENT,
-                                 RxBackend, RxModeHub)
-from repro.datapath.metronome import MetronomeBackend, NmapHybridBackend
-from repro.datapath.napi import NapiRxBackend
-from repro.datapath.pollmode import PollModeBackend
-from repro.datapath.registry import RX_BACKENDS, make_rx_backend
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RxBackend", "RxModeHub", "MODE_BUSY_POLL", "MODE_INTERMITTENT",
-    "NapiRxBackend", "PollModeBackend",
-    "MetronomeBackend", "NmapHybridBackend", "RX_BACKENDS",
-    "make_rx_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("MODE_BUSY_POLL", "MODE_INTERMITTENT", "RxBackend", "RxModeHub"),
+    "metronome": ("MetronomeBackend", "NmapHybridBackend"),
+    "napi": ("NapiRxBackend",),
+    "pollmode": ("PollModeBackend",),
+    "registry": ("RX_BACKENDS", "make_rx_backend"),
+})

@@ -2,26 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
-from repro.datapath.metronome import MetronomeBackend, NmapHybridBackend
-from repro.datapath.napi import NapiRxBackend
-from repro.datapath.pollmode import PollModeBackend
+from repro._lazy import load, lookup
 
-#: RX datapath backends constructible by name.
-RX_BACKENDS: Dict[str, Callable] = {
-    "napi": NapiRxBackend,
-    "poll": PollModeBackend,
-    "metronome": MetronomeBackend,
-    "nmap-hybrid": NmapHybridBackend,
+#: RX datapath backends constructible by name, as ``"module:class"``
+#: specs: only the chosen backend's module is imported.
+RX_BACKENDS: Dict[str, str] = {
+    "napi": "repro.datapath.napi:NapiRxBackend",
+    "poll": "repro.datapath.pollmode:PollModeBackend",
+    "metronome": "repro.datapath.metronome:MetronomeBackend",
+    "nmap-hybrid": "repro.datapath.metronome:NmapHybridBackend",
 }
 
 
 def make_rx_backend(name: str, stack, **params):
     """Instantiate (without building) the RX backend ``name``."""
-    try:
-        cls = RX_BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown datapath {name!r}; "
-                         f"known: {sorted(RX_BACKENDS)}") from None
-    return cls(stack, **params)
+    return load(lookup(RX_BACKENDS, name, "datapath"))(stack, **params)

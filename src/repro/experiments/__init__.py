@@ -6,9 +6,10 @@ functions. Results carry printable rows plus the raw series, and
 ``EXPERIMENTS.md`` is generated from them (``python -m repro.experiments``).
 """
 
-from repro.experiments.base import ExperimentResult, ExperimentScale, QUICK, FULL
-from repro.experiments.runner import run_cached, clear_cache
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentResult", "ExperimentScale", "QUICK", "FULL",
-           "run_cached", "clear_cache", "EXPERIMENTS", "run_experiment"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("ExperimentResult", "ExperimentScale", "QUICK", "FULL"),
+    "runner": ("run_cached", "clear_cache"),
+    "registry": ("EXPERIMENTS", "run_experiment"),
+})

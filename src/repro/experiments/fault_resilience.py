@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.cluster import FleetConfig
+from repro.cluster.config import FleetConfig
 from repro.cluster.health import HealthPolicy
 from repro.experiments import parallel
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale

@@ -15,7 +15,7 @@ Four ways to run the same fleet:
 
 from __future__ import annotations
 
-from repro.cluster import FleetConfig
+from repro.cluster.config import FleetConfig
 from repro.experiments import parallel
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 from repro.experiments.runner import run_cached

@@ -18,7 +18,7 @@ exactly what a serial run would produce, at a fraction of the wall time.
 
 from __future__ import annotations
 
-from repro.cluster import FleetConfig
+from repro.cluster.config import FleetConfig
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 from repro.experiments.runner import run_cached
 from repro.system import ServerConfig

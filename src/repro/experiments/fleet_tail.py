@@ -12,7 +12,7 @@ every fleet size.
 
 from __future__ import annotations
 
-from repro.cluster import FleetConfig
+from repro.cluster.config import FleetConfig
 from repro.experiments import parallel
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 from repro.system import ServerConfig

@@ -9,16 +9,19 @@ per process (the runner memoizes by configuration).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.experiments import parallel
 from repro.experiments.base import ExperimentScale
 from repro.experiments.runner import run_cached
-from repro.faults.plan import FaultPlan
-from repro.obs.timeline import TimelineConfig
-from repro.p4.program import PipelineProgram
-from repro.system import RunResult, ServerConfig
-from repro.workload.retry import RetryPolicy
+from repro.system import ServerConfig
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+    from repro.obs.timeline import TimelineConfig
+    from repro.p4.program import PipelineProgram
+    from repro.system import RunResult
+    from repro.workload.retry import RetryPolicy
 
 FIG12_GOVERNORS = ("intel_powersave", "ondemand", "performance",
                    "nmap-simpl", "nmap")

@@ -2,64 +2,65 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import importlib
+from typing import Dict
 
 from repro.experiments import parallel
-from repro.experiments import (fig02_mode_transitions, fig03_response_latency,
-                               fig04_latency_cdf, fig07_cc6_entries,
-                               fig08_sleep_policies, fig09_nmap_trace,
-                               fig10_nmap_latency, fig11_nmap_cdf,
-                               fig12_p99, fig13_energy, fig14_sota_p99,
-                               fig15_sota_energy, fig16_changing_load,
-                               datapath_duel, fault_resilience, fleet_energy,
-                               fleet_scale, fleet_tail, imbalance, p4_steering,
-                               robustness, slo_calibration,
-                               tab01_retransition, tab02_wakeup)
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 
-#: All paper artifacts, in paper order.
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig2": fig02_mode_transitions.run,
-    "fig3": fig03_response_latency.run,
-    "fig4": fig04_latency_cdf.run,
-    "tab1": tab01_retransition.run,
-    "tab2": tab02_wakeup.run,
-    "fig7": fig07_cc6_entries.run,
-    "fig8": fig08_sleep_policies.run,
-    "fig9": fig09_nmap_trace.run,
-    "fig10": fig10_nmap_latency.run,
-    "fig11": fig11_nmap_cdf.run,
-    "fig12": fig12_p99.run,
-    "fig13": fig13_energy.run,
-    "fig14": fig14_sota_p99.run,
-    "fig15": fig15_sota_energy.run,
-    "fig16": fig16_changing_load.run,
+#: All paper artifacts, in paper order: id -> the harness module (under
+#: ``repro.experiments``) whose ``run`` it calls. Only the module of the
+#: experiment that runs is imported.
+EXPERIMENTS: Dict[str, str] = {
+    "fig2": "fig02_mode_transitions",
+    "fig3": "fig03_response_latency",
+    "fig4": "fig04_latency_cdf",
+    "tab1": "tab01_retransition",
+    "tab2": "tab02_wakeup",
+    "fig7": "fig07_cc6_entries",
+    "fig8": "fig08_sleep_policies",
+    "fig9": "fig09_nmap_trace",
+    "fig10": "fig10_nmap_latency",
+    "fig11": "fig11_nmap_cdf",
+    "fig12": "fig12_p99",
+    "fig13": "fig13_energy",
+    "fig14": "fig14_sota_p99",
+    "fig15": "fig15_sota_energy",
+    "fig16": "fig16_changing_load",
     # The SLO-setting procedure behind Sec. 3.1 (not a numbered artifact).
-    "slo": slo_calibration.run,
+    "slo": "slo_calibration",
     # Seed-sweep of the headline orderings (reproduction hygiene).
-    "robustness": robustness.run,
+    "robustness": "robustness",
     # Per-core vs chip-wide advantage under skewed RSS (Sec. 6.3 claim).
-    "imbalance": imbalance.run,
+    "imbalance": "imbalance",
     # Fleet extensions (repro.cluster): multi-node co-simulation.
-    "fleet_tail": fleet_tail.run,
-    "fleet_energy": fleet_energy.run,
+    "fleet_tail": "fleet_tail",
+    "fleet_energy": "fleet_energy",
     # Rack-scale sharded co-simulation (repro.cluster.sharded).
-    "fleet_scale": fleet_scale.run,
+    "fleet_scale": "fleet_scale",
     # Fault injection (repro.faults): governors under degraded operation.
-    "fault_resilience": fault_resilience.run,
+    "fault_resilience": "fault_resilience",
     # Kernel-bypass RX backends (repro.datapath) vs the kernel path.
-    "datapath_duel": datapath_duel.run,
+    "datapath_duel": "datapath_duel",
     # Match-action RX pipeline (repro.p4): programmable steering vs RSS.
-    "p4_steering": p4_steering.run,
+    "p4_steering": "p4_steering",
 }
+
+
+def _harness_module(experiment_id: str):
+    """The harness module of experiment ``experiment_id``, imported."""
+    if experiment_id not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment_id!r}; "
+                         f"known: {list(EXPERIMENTS)}")
+    return importlib.import_module(
+        f"repro.experiments.{EXPERIMENTS[experiment_id]}")
 
 
 def describe_experiments() -> Dict[str, str]:
     """id -> one-line description (each harness module's first doc line)."""
-    import sys
     out = {}
-    for experiment_id, harness in EXPERIMENTS.items():
-        doc = sys.modules[harness.__module__].__doc__ or ""
+    for experiment_id in EXPERIMENTS:
+        doc = _harness_module(experiment_id).__doc__ or ""
         out[experiment_id] = doc.strip().splitlines()[0] if doc else ""
     return out
 
@@ -73,12 +74,8 @@ def run_experiment(experiment_id: str,
     cells, per-manager runs) out over a process pool; None keeps the
     ambient/environment worker count (``REPRO_WORKERS``, default serial).
     """
-    try:
-        harness = EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise ValueError(f"unknown experiment {experiment_id!r}; "
-                         f"known: {list(EXPERIMENTS)}") from None
+    run = _harness_module(experiment_id).run
     if workers is None:
-        return harness(scale)
+        return run(scale)
     with parallel.using_workers(workers):
-        return harness(scale)
+        return run(scale)

@@ -35,16 +35,19 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
-from repro.cluster.config import FleetConfig
-from repro.cluster.fleet import FleetResult, run_fleet
 from repro.experiments.confighash import MODEL_VERSION, run_key
 from repro.system import RunResult, ServerConfig, ServerSystem
 
-#: What the cache runs, and what it answers with.
-RunConfig = Union[ServerConfig, FleetConfig]
-Result = Union[RunResult, FleetResult]
+if TYPE_CHECKING:
+    from repro.cluster.config import FleetConfig
+    from repro.cluster.fleet import FleetResult
+
+#: What the cache runs, and what it answers with. The fleet simulator
+#: (``repro.cluster.fleet``) is imported only for a fleet.
+RunConfig = Union[ServerConfig, "FleetConfig"]
+Result = Union[RunResult, "FleetResult"]
 
 _cache: Dict[str, Result] = {}
 _cache_dir_override: Optional[Path] = None
@@ -124,7 +127,11 @@ def _disk_load(key: str) -> Optional[Result]:
             ImportError, IndexError):
         # Missing, torn, or stale-format entry: treat as a miss.
         return None
-    return result if isinstance(result, (RunResult, FleetResult)) else None
+    if isinstance(result, RunResult):
+        return result
+    # Unpickling a fleet result has already imported its module.
+    from repro.cluster.fleet import FleetResult
+    return result if isinstance(result, FleetResult) else None
 
 
 def _disk_store(key: str, result: Result) -> None:
@@ -158,8 +165,8 @@ def _key(config: RunConfig, duration_ns: int) -> str:
 
 def record_fresh_run(result: Result) -> None:
     """Count one simulated (not cache-served) run in :func:`cache_stats`."""
-    nodes = (result.node_results if isinstance(result, FleetResult)
-             else (result,))
+    nodes = ((result,) if isinstance(result, RunResult)
+             else result.node_results)
     perfs = [node.perf for node in nodes]
     _stats.fresh_runs += 1
     _stats.fresh_events_fired += sum(perf.events_fired for perf in perfs)
@@ -178,10 +185,11 @@ def run_cached(config: RunConfig, duration_ns: int) -> Result:
         _stats.disk_hits += 1
         _cache[key] = result
         return result
-    if isinstance(config, FleetConfig):
-        result = run_fleet(config, duration_ns)
-    else:
+    if isinstance(config, ServerConfig):
         result = ServerSystem(config).run(duration_ns)
+    else:
+        from repro.cluster.fleet import run_fleet
+        result = run_fleet(config, duration_ns)
     record_fresh_run(result)
     _cache[key] = result
     _disk_store(key, result)

@@ -20,7 +20,8 @@ from typing import Dict, Optional, Tuple
 from repro.experiments.base import FULL, QUICK
 from repro.experiments.registry import EXPERIMENTS
 from repro.metrics.report import format_table
-from repro.obs import prometheus_text, write_perfetto
+from repro.obs.perfetto import write_perfetto
+from repro.obs.prometheus import prometheus_text
 from repro.system import ServerConfig, ServerSystem
 
 #: Representative (app, governor, load_level) per experiment — the cell

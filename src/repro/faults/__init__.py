@@ -8,8 +8,9 @@ Public API::
     config = ServerConfig(fault_plan=plan, retry=RetryPolicy())
 """
 
-from repro.faults.plan import KINDS, FaultPlan, FaultWindow, merged
-from repro.faults.scenarios import SCENARIOS, make_plan
+from repro._lazy import lazy_exports
 
-__all__ = ["FaultPlan", "FaultWindow", "KINDS", "merged",
-           "SCENARIOS", "make_plan"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "plan": ("KINDS", "FaultPlan", "FaultWindow", "merged"),
+    "scenarios": ("SCENARIOS", "make_plan"),
+})

@@ -11,22 +11,17 @@ Idle (cpuidle) policies: ``menu`` (predictive), ``disable`` (never sleep),
 Sec. 5.2 / Fig. 8.
 """
 
-from repro.governors.base import FreqGovernor, UtilGovernorBase
-from repro.governors.static import (PerformanceGovernor, PowersaveGovernor,
-                                    UserspaceGovernor)
-from repro.governors.ondemand import OndemandGovernor
-from repro.governors.conservative import ConservativeGovernor
-from repro.governors.intel_pstate import IntelPowersaveGovernor
-from repro.governors.cpuidle import (MenuIdleGovernor, DisableIdleGovernor,
-                                     C6OnlyIdleGovernor)
-from repro.governors.registry import (FREQ_GOVERNORS, IDLE_GOVERNORS,
-                                      make_freq_governor, make_idle_governor)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FreqGovernor", "UtilGovernorBase",
-    "PerformanceGovernor", "PowersaveGovernor", "UserspaceGovernor",
-    "OndemandGovernor", "ConservativeGovernor", "IntelPowersaveGovernor",
-    "MenuIdleGovernor", "DisableIdleGovernor", "C6OnlyIdleGovernor",
-    "FREQ_GOVERNORS", "IDLE_GOVERNORS",
-    "make_freq_governor", "make_idle_governor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("FreqGovernor", "UtilGovernorBase"),
+    "static": ("PerformanceGovernor", "PowersaveGovernor",
+               "UserspaceGovernor"),
+    "ondemand": ("OndemandGovernor",),
+    "conservative": ("ConservativeGovernor",),
+    "intel_pstate": ("IntelPowersaveGovernor",),
+    "cpuidle": ("MenuIdleGovernor", "DisableIdleGovernor",
+                "C6OnlyIdleGovernor"),
+    "registry": ("FREQ_GOVERNORS", "IDLE_GOVERNORS", "make_freq_governor",
+                 "make_idle_governor"),
+})

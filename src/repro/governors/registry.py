@@ -2,49 +2,35 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
-from repro.governors.conservative import ConservativeGovernor
-from repro.governors.cpuidle import (C6OnlyIdleGovernor, DisableIdleGovernor,
-                                     IdleGovernor, MenuIdleGovernor)
-from repro.governors.intel_pstate import IntelPowersaveGovernor
-from repro.governors.ondemand import OndemandGovernor
-from repro.governors.static import (PerformanceGovernor, PowersaveGovernor,
-                                    UserspaceGovernor)
+from repro._lazy import load, lookup
 
-#: Frequency governors constructible by name.
-FREQ_GOVERNORS: Dict[str, Callable] = {
-    "performance": PerformanceGovernor,
-    "powersave": PowersaveGovernor,
-    "userspace": UserspaceGovernor,
-    "ondemand": OndemandGovernor,
-    "conservative": ConservativeGovernor,
-    "intel_powersave": IntelPowersaveGovernor,
+#: Frequency governors constructible by name, as ``"module:class"``
+#: specs: only the chosen governor's module is imported.
+FREQ_GOVERNORS: Dict[str, str] = {
+    "performance": "repro.governors.static:PerformanceGovernor",
+    "powersave": "repro.governors.static:PowersaveGovernor",
+    "userspace": "repro.governors.static:UserspaceGovernor",
+    "ondemand": "repro.governors.ondemand:OndemandGovernor",
+    "conservative": "repro.governors.conservative:ConservativeGovernor",
+    "intel_powersave": "repro.governors.intel_pstate:IntelPowersaveGovernor",
 }
 
 #: Idle governors constructible by name.
-IDLE_GOVERNORS: Dict[str, Callable] = {
-    "menu": MenuIdleGovernor,
-    "disable": DisableIdleGovernor,
-    "c6only": C6OnlyIdleGovernor,
+IDLE_GOVERNORS: Dict[str, str] = {
+    "menu": "repro.governors.cpuidle:MenuIdleGovernor",
+    "disable": "repro.governors.cpuidle:DisableIdleGovernor",
+    "c6only": "repro.governors.cpuidle:C6OnlyIdleGovernor",
 }
 
 
 def make_freq_governor(name: str, sim, processor, core_id: int, **params):
     """Instantiate the frequency governor ``name`` for one core."""
-    try:
-        cls = FREQ_GOVERNORS[name]
-    except KeyError:
-        raise ValueError(f"unknown frequency governor {name!r}; "
-                         f"known: {sorted(FREQ_GOVERNORS)}") from None
+    cls = load(lookup(FREQ_GOVERNORS, name, "frequency governor"))
     return cls(sim, processor, core_id, **params)
 
 
-def make_idle_governor(name: str, **params) -> IdleGovernor:
+def make_idle_governor(name: str, **params):
     """Instantiate the idle governor ``name`` (shared across cores)."""
-    try:
-        cls = IDLE_GOVERNORS[name]
-    except KeyError:
-        raise ValueError(f"unknown idle governor {name!r}; "
-                         f"known: {sorted(IDLE_GOVERNORS)}") from None
-    return cls(**params)
+    return load(lookup(IDLE_GOVERNORS, name, "idle governor"))(**params)

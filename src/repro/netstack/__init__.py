@@ -9,10 +9,11 @@ re-enables the interrupt — these transitions between *interrupt* and
 *polling* modes are exactly what NMAP monitors.
 """
 
-from repro.netstack.napi import NapiConfig, NapiContext, MODE_INTERRUPT, MODE_POLLING
-from repro.netstack.ksoftirqd import KsoftirqdThread
-from repro.netstack.socket import SocketQueue
-from repro.netstack.stack import NetworkStack, StackConfig
+from repro._lazy import lazy_exports
 
-__all__ = ["NapiConfig", "NapiContext", "MODE_INTERRUPT", "MODE_POLLING",
-           "KsoftirqdThread", "SocketQueue", "NetworkStack", "StackConfig"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "napi": ("NapiConfig", "NapiContext", "MODE_INTERRUPT", "MODE_POLLING"),
+    "ksoftirqd": ("KsoftirqdThread",),
+    "socket": ("SocketQueue",),
+    "stack": ("NetworkStack", "StackConfig"),
+})

@@ -10,16 +10,18 @@ queue per core, RSS steering flows evenly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.cpu.topology import Processor
-from repro.netstack.ksoftirqd import KsoftirqdThread
 from repro.netstack.napi import NapiConfig, NapiContext
 from repro.netstack.socket import SocketQueue
 from repro.nic.nic import MultiQueueNic
 from repro.nic.packet import Packet
 from repro.osched.scheduler import CoreScheduler
 from repro.units import MS
+
+if TYPE_CHECKING:
+    from repro.netstack.ksoftirqd import KsoftirqdThread
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ interrupt-mode packet counts are capped while polling-mode counts track
 load (Fig. 2).
 """
 
-from repro.nic.packet import Packet
-from repro.nic.queue import NicQueue
-from repro.nic.rss import RssDistributor
-from repro.nic.interrupt import InterruptModerator
-from repro.nic.nic import MultiQueueNic
+from repro._lazy import lazy_exports
 
-__all__ = ["Packet", "NicQueue", "RssDistributor",
-           "InterruptModerator", "MultiQueueNic"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "packet": ("Packet",),
+    "queue": ("NicQueue",),
+    "rss": ("RssDistributor",),
+    "interrupt": ("InterruptModerator",),
+    "nic": ("MultiQueueNic",),
+})

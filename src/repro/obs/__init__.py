@@ -17,23 +17,14 @@ Four pillars (see docs/OBSERVABILITY.md):
   timeline-aware, plus CSV (``repro.obs.timeline.timeline_csv``).
 """
 
-from repro.obs.registry import Counter, Gauge, Histogram, TelemetryRegistry
-from repro.obs.span import (STAGES, RequestTrace, SpanLog, TraceContext)
-from repro.obs.monitors import (MonitorEvent, MonitorSpec, oscillation,
-                                slo_burn)
-from repro.obs.timeline import (FlightDump, Timeline, TimelineConfig,
-                                TimelineResult, timeline_csv,
-                                write_flight_dumps, write_timeline_csv)
-from repro.obs.perfetto import (fleet_perfetto_trace, perfetto_trace,
-                                write_perfetto)
-from repro.obs.prometheus import prometheus_text, prometheus_timeline_text
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "TelemetryRegistry",
-    "STAGES", "RequestTrace", "SpanLog", "TraceContext",
-    "MonitorSpec", "MonitorEvent", "slo_burn", "oscillation",
-    "TimelineConfig", "Timeline", "TimelineResult", "FlightDump",
-    "timeline_csv", "write_timeline_csv", "write_flight_dumps",
-    "perfetto_trace", "fleet_perfetto_trace", "write_perfetto",
-    "prometheus_text", "prometheus_timeline_text",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "registry": ("Counter", "Gauge", "Histogram", "TelemetryRegistry"),
+    "span": ("STAGES", "RequestTrace", "SpanLog", "TraceContext"),
+    "monitors": ("MonitorEvent", "MonitorSpec", "oscillation", "slo_burn"),
+    "timeline": ("FlightDump", "Timeline", "TimelineConfig", "TimelineResult",
+                 "timeline_csv", "write_flight_dumps", "write_timeline_csv"),
+    "perfetto": ("fleet_perfetto_trace", "perfetto_trace", "write_perfetto"),
+    "prometheus": ("prometheus_text", "prometheus_timeline_text"),
+})

@@ -6,7 +6,9 @@ processing steals CPU time from the application fairly, and the wake/sleep
 events of ksoftirqd are visible scheduling signals.
 """
 
-from repro.osched.thread import SimThread
-from repro.osched.scheduler import CoreScheduler
+from repro._lazy import lazy_exports
 
-__all__ = ["SimThread", "CoreScheduler"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "thread": ("SimThread",),
+    "scheduler": ("CoreScheduler",),
+})

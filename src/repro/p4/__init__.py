@@ -14,16 +14,12 @@ An absent or empty program is bit-identical to today's backends; canned
 programs live in :mod:`repro.p4.library`. See docs/DATAPATH.md.
 """
 
-from repro.p4.engine import PipelineEngine
-from repro.p4.library import (drop_program, flow_affine_program,
-                              hash_rss_program, identity_program,
-                              meter_program)
-from repro.p4.program import (ACTIONS, FIELDS, PipelineProgram, TableEntry,
-                              TableStage, chained, size_class_of)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACTIONS", "FIELDS", "PipelineProgram", "TableStage", "TableEntry",
-    "PipelineEngine", "chained", "size_class_of", "identity_program",
-    "flow_affine_program", "hash_rss_program", "drop_program",
-    "meter_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": ("PipelineEngine",),
+    "library": ("drop_program", "flow_affine_program", "hash_rss_program",
+                "identity_program", "meter_program"),
+    "program": ("ACTIONS", "FIELDS", "PipelineProgram", "TableEntry",
+                "TableStage", "chained", "size_class_of"),
+})

@@ -5,9 +5,11 @@ subsystem is built on, plus seeded random-number streams and a lightweight
 trace recorder for time-series instrumentation.
 """
 
-from repro.sim.event import Event, EventQueue
-from repro.sim.simulator import Simulator
-from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceRecorder
+from repro._lazy import lazy_exports
 
-__all__ = ["Event", "EventQueue", "Simulator", "RandomStreams", "TraceRecorder"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "event": ("Event", "EventQueue"),
+    "simulator": ("Simulator",),
+    "rng": ("RandomStreams",),
+    "trace": ("TraceRecorder",),
+})

@@ -19,35 +19,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
+from repro._lazy import lookup
 from repro.apps.base import AppWorkerThread
-from repro.apps.registry import make_app
-from repro.baselines.ncap import NcapManager
-from repro.baselines.parties import PartiesManager
+from repro.apps.registry import APPLICATIONS, make_app
 from repro.core.nmap import NmapGovernor, NmapThresholds
-from repro.core.nmap_simpl import NmapSimplGovernor
 from repro.cpu.power import PowerModel
 from repro.cpu.profiles import PROCESSOR_PROFILES
 from repro.cpu.topology import Processor
-from repro.faults.plan import FaultPlan
-from repro.governors.ondemand import OndemandGovernor
-from repro.governors.registry import (FREQ_GOVERNORS, make_freq_governor,
-                                      make_idle_governor)
+from repro.datapath.registry import RX_BACKENDS
+from repro.governors.registry import (FREQ_GOVERNORS, IDLE_GOVERNORS,
+                                      make_freq_governor, make_idle_governor)
 from repro.metrics.energy import EnergySummary
-from repro.metrics.latency import LatencyStats
-from repro.metrics.slo import SloResult, check_slo
 from repro.nic.nic import MultiQueueNic
 from repro.netstack.napi import MODE_POLLING
 from repro.netstack.stack import NetworkStack, StackConfig
 from repro.obs.registry import TelemetryRegistry
-from repro.p4.program import PipelineProgram
-from repro.obs.span import SpanLog
-from repro.obs.timeline import (TimelineConfig, TimelineDriver,
-                                TimelineResult, TimelineSampler,
-                                recent_spans)
 from repro.sim.perf import PerfSnapshot
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator
@@ -55,8 +45,17 @@ from repro.sim.trace import TraceRecorder
 from repro.units import MS, S
 from repro.workload.client import OpenLoopClient
 from repro.workload.profiles import levels_for
-from repro.workload.retry import RetryPolicy
 from repro.workload.shapes import LoadShape, ScaledLoad
+
+if TYPE_CHECKING:
+    # Annotation-only names: each module is imported where it is used.
+    from repro.faults.plan import FaultPlan
+    from repro.metrics.latency import LatencyStats
+    from repro.metrics.slo import SloResult
+    from repro.obs.span import SpanLog
+    from repro.obs.timeline import TimelineConfig, TimelineResult
+    from repro.p4.program import PipelineProgram
+    from repro.workload.retry import RetryPolicy
 
 #: Governor names handled by the system builder beyond the plain cpufreq
 #: governors.
@@ -157,6 +156,38 @@ class ServerConfig:
         return replace(self, **kwargs)
 
 
+def validate_server_config(config: ServerConfig) -> None:
+    """Reject unknown names and out-of-range values before anything is
+    built (``ValueError``). It imports nothing: each name is checked
+    against its registry's keys, so a fleet can check every node's
+    config before it starts a node or a shard."""
+    if not 0.0 <= config.trace_sample_rate <= 1.0:
+        raise ValueError(f"trace_sample_rate must be in [0, 1], got "
+                         f"{config.trace_sample_rate}")
+    if config.processor not in PROCESSOR_PROFILES:
+        raise ValueError(f"unknown processor {config.processor!r}; "
+                         f"known: {sorted(PROCESSOR_PROFILES)}")
+    lookup(RX_BACKENDS, config.datapath, "datapath")
+    lookup(APPLICATIONS, config.app, "application")
+    if config.load_shape is None:
+        levels_for(config.app).level(config.load_level)
+    if config.idle_governor != "nmap-sleep":
+        lookup(IDLE_GOVERNORS, config.idle_governor, "idle governor")
+    name = config.freq_governor
+    if name not in FREQ_GOVERNORS and name not in MANAGED_GOVERNORS:
+        raise ValueError(
+            f"unknown frequency governor {name!r}; known: "
+            f"{sorted(FREQ_GOVERNORS) + list(MANAGED_GOVERNORS)}")
+    if name == "nmap-simpl" and config.datapath != "napi":
+        raise ValueError("freq_governor='nmap-simpl' reads ksoftirqd wake "
+                         "signals; it requires datapath='napi'")
+    if (config.idle_governor == "nmap-sleep"
+            and name not in ("nmap", "nmap-adaptive")):
+        raise ValueError("idle_governor='nmap-sleep' requires an "
+                         "NMAP-family frequency governor "
+                         "(nmap / nmap-adaptive)")
+
+
 @dataclass
 class RunResult:
     """Outcome of one :meth:`ServerSystem.run`."""
@@ -188,10 +219,12 @@ class RunResult:
 
     def latency_stats(self) -> LatencyStats:
         """Percentile summary of completed-request latencies."""
+        from repro.metrics.latency import LatencyStats
         return LatencyStats.from_sample(self.latencies_ns)
 
     def slo_result(self) -> SloResult:
         """P99-vs-SLO verdict."""
+        from repro.metrics.slo import check_slo
         return check_slo(self.latencies_ns, self.slo_ns)
 
     @property
@@ -238,6 +271,7 @@ class ServerSystem:
     """A fully wired server + client, ready to run."""
 
     def __init__(self, config: ServerConfig):
+        validate_server_config(config)
         self.config = config
         self.sim = Simulator()
         self.rng = RandomStreams(config.seed)
@@ -245,19 +279,14 @@ class ServerSystem:
         #: ``config.trace`` hands it to the components as ``sim.trace``.
         self.trace = TraceRecorder()
         self.sim.trace = self.trace if config.trace else None
-        if not 0.0 <= config.trace_sample_rate <= 1.0:
-            raise ValueError(f"trace_sample_rate must be in [0, 1], got "
-                             f"{config.trace_sample_rate}")
         self.spans: Optional[SpanLog] = None
         if config.trace_sample_rate > 0:
+            from repro.obs.span import SpanLog
             self.spans = SpanLog(config.trace_sample_rate, seed=config.seed)
         # Set before any component is built: stamp sites bind it then.
         self.sim.spans = self.spans
 
-        profile = PROCESSOR_PROFILES.get(config.processor)
-        if profile is None:
-            raise ValueError(f"unknown processor {config.processor!r}; "
-                             f"known: {sorted(PROCESSOR_PROFILES)}")
+        profile = PROCESSOR_PROFILES[config.processor]
         # Uncore power scales with the simulated core count; the per-core
         # envelope lives with the processor profiles so every system —
         # including heterogeneous fleet nodes — derives it from one place.
@@ -346,14 +375,8 @@ class ServerSystem:
         self._build_power_management()
 
         if config.idle_governor == "nmap-sleep":
-            engines = [getattr(gov, "engine", None)
-                       for gov in self.freq_governors]
-            if not engines or any(e is None for e in engines):
-                raise ValueError(
-                    "idle_governor='nmap-sleep' requires an NMAP-family "
-                    "frequency governor (nmap / nmap-adaptive)")
-            for cid, engine in enumerate(engines):
-                self.idle_governor.register_engine(cid, engine)
+            for cid, gov in enumerate(self.freq_governors):
+                self.idle_governor.register_engine(cid, gov.engine)
 
         # Late backend hook: nmap-hybrid grabs the per-core decision
         # engines it couples the sleep interval to (no-op otherwise).
@@ -414,15 +437,14 @@ class ServerSystem:
                 slo_ns=self.app.slo_ns,
                 ideal_transitions=name.endswith("ideal"), **params)
         elif name == "nmap-simpl":
-            if not self.stack.ksoftirqds:
-                raise ValueError(
-                    "freq_governor='nmap-simpl' reads ksoftirqd wake "
-                    "signals; it requires datapath='napi'")
+            from repro.core.nmap_simpl import NmapSimplGovernor
             for cid in range(cfg.n_cores):
                 self.freq_governors.append(NmapSimplGovernor(
                     self.sim, self.processor, cid, self.stack.ksoftirqds[cid],
                     **params))
         elif name in ("ncap", "ncap-menu"):
+            from repro.baselines.ncap import NcapManager
+            from repro.governors.ondemand import OndemandGovernor
             threshold = cfg.ncap_threshold_rps
             if threshold is None:
                 threshold = (DEFAULT_NCAP_THRESHOLD_RPS_PER_CORE[cfg.app]
@@ -434,13 +456,10 @@ class ServerSystem:
                 threshold_rps=threshold,
                 disable_sleep_in_boost=(name == "ncap"), **params)
         elif name == "parties":
+            from repro.baselines.parties import PartiesManager
             self.manager = PartiesManager(
                 self.sim, self.processor, self.client,
                 slo_ns=self.app.slo_ns, **params)
-        else:
-            raise ValueError(
-                f"unknown frequency governor {name!r}; known: "
-                f"{sorted(FREQ_GOVERNORS) + list(MANAGED_GOVERNORS)}")
 
     # ------------------------------------------------------------------ #
 
@@ -530,6 +549,8 @@ class ServerSystem:
         determinism contract tests enforce.
         """
         from repro.analysis.sanitize import SanitizerError
+        from repro.obs.timeline import (TimelineDriver, TimelineSampler,
+                                        recent_spans)
 
         tl_config = self.config.timeline
         fault_windows = []

@@ -8,20 +8,15 @@ levels, which is why NMAP's thresholds transfer across load changes
 :mod:`repro.workload.profiles`.
 """
 
-from repro.workload.request import Request
-from repro.workload.shapes import (BurstLoad, ConstantLoad, LoadShape,
-                                   PiecewiseLoad, ScaledLoad,
-                                   generate_arrivals)
-from repro.workload.client import OpenLoopClient
-from repro.workload.profiles import (LoadLevel, WorkloadProfile,
-                                     MEMCACHED_LEVELS, NGINX_LEVELS,
-                                     levels_for)
-from repro.workload.changing import make_changing_load
-from repro.workload.closed_loop import ClosedLoopClient
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Request", "LoadShape", "ConstantLoad", "BurstLoad", "PiecewiseLoad",
-    "ScaledLoad", "generate_arrivals", "OpenLoopClient",
-    "LoadLevel", "WorkloadProfile", "MEMCACHED_LEVELS", "NGINX_LEVELS",
-    "levels_for", "make_changing_load", "ClosedLoopClient",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "request": ("Request",),
+    "shapes": ("BurstLoad", "ConstantLoad", "LoadShape", "PiecewiseLoad",
+               "ScaledLoad", "generate_arrivals"),
+    "client": ("OpenLoopClient",),
+    "profiles": ("LoadLevel", "WorkloadProfile", "MEMCACHED_LEVELS",
+                 "NGINX_LEVELS", "levels_for"),
+    "changing": ("make_changing_load",),
+    "closed_loop": ("ClosedLoopClient",),
+})

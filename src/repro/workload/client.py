@@ -8,15 +8,17 @@ client would mask queueing collapse).
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nic.packet import Packet
 from repro.obs.span import SpanLog, TraceContext
 from repro.workload.request import Request
-from repro.workload.retry import RetryPolicy
 from repro.workload.shapes import LoadShape, generate_arrivals
+
+if TYPE_CHECKING:
+    from repro.workload.retry import RetryPolicy
 
 
 def wrr_pattern(weights: Sequence[int]) -> Tuple[int, ...]:

@@ -101,6 +101,26 @@ def test_resolve_dotted_follows_reexport_hop(index):
     assert sym.qname == "synthpkg.core.tick"
 
 
+def test_resolve_dotted_stops_on_package_importing_itself(tmp_path):
+    # ``from selfpkg import sub`` in the package's own __init__: the
+    # full dotted name is a module, not a re-exported symbol, and an
+    # import hop back to the same name must not recurse forever.
+    files = {
+        "selfpkg/__init__.py": "from selfpkg import sub, ghost\n",
+        "selfpkg/sub.py": "def run():\n    return 0\n",
+    }
+    for rel, body in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body)
+    index = build_index([tmp_path], rel_to=tmp_path)
+    assert index.resolve_dotted("selfpkg.sub") is None
+    assert index.resolve_dotted("selfpkg.ghost") is None
+    assert index.resolve_dotted("selfpkg.ghost.run") is None
+    run = index.resolve_dotted("selfpkg.sub.run")
+    assert isinstance(run, FunctionInfo) and run.qname == "selfpkg.sub.run"
+
+
 def test_resolve_name_through_symbol_alias(index):
     use = index.modules["synthpkg.use"]
     kid = index.resolve_name(use, "Kid")

@@ -112,3 +112,22 @@ def test_validation_errors():
         FleetConfig(node=_node(), n_nodes=2).node_config(2)
     with pytest.raises(ValueError, match="duration"):
         FleetSystem(FleetConfig(node=_node())).run(0)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_bad_node_override_rejected_at_construction(shards):
+    # Every node's effective config is checked when the fleet is built,
+    # at any shard count: a sharded fleet used to build it only inside
+    # a worker process, at run().
+    config = FleetConfig(node=ServerConfig(app="memcached", n_cores=2),
+                         n_nodes=4, shards=shards,
+                         node_overrides={3: {"freq_governor": "bogus"}})
+    with pytest.raises(ValueError,
+                       match="unknown frequency governor 'bogus'"):
+        FleetSystem(config)
+    assert multiprocessing.active_children() == []
+    bad_rate = FleetConfig(node=ServerConfig(app="memcached", n_cores=2),
+                           n_nodes=4, shards=shards,
+                           node_overrides={1: {"trace_sample_rate": 2.0}})
+    with pytest.raises(ValueError, match="trace_sample_rate"):
+        FleetSystem(bad_rate)
