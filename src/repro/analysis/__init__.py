@@ -13,13 +13,11 @@ mechanically, in two layers:
   dodge the ``_ns`` unit convention.
 * :mod:`repro.analysis.sanitize` — an opt-in runtime sanitizer
   (``REPRO_SANITIZE=1`` or ``Simulator(sanitize=True)``) that checks
-  kernel invariants while a simulation runs: clock causality, freelist
-  use-after-free / double recycles (generation counters instead of the
-  production refcount guard's blind trust), fleet lockstep lookahead,
-  and energy conservation. The off path is untouched — the sanitizer
-  installs itself by shadowing the kernel's methods in the instance
-  dict, so unsanitized runs pay nothing and sanitized runs stay
-  bit-identical.
+  model invariants while a simulation runs: clock causality, fleet
+  lockstep lookahead, and energy conservation. The off path is
+  untouched — the sanitizer installs itself by shadowing the kernel's
+  run loop in the instance dict, so unsanitized runs pay nothing and
+  sanitized runs stay bit-identical.
 
 See ``docs/ANALYSIS.md`` for the rule catalogue and invariants.
 """
@@ -29,6 +27,5 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "common": ("Finding",),
     "lint": ("LintReport", "lint_paths"),
-    "sanitize": ("EventHandle", "SanitizerError", "SimSanitizer",
-                 "sanitize_enabled"),
+    "sanitize": ("SanitizerError", "SimSanitizer", "sanitize_enabled"),
 })

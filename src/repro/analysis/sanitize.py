@@ -1,29 +1,19 @@
-"""Runtime simulation sanitizer: kernel invariants checked while running.
+"""Runtime simulation sanitizer: model invariants checked while running.
 
 Enabled by ``REPRO_SANITIZE=1`` (picked up by every
 :class:`~repro.sim.simulator.Simulator` built afterwards) or explicitly
 with ``Simulator(sanitize=True)``. Installation is a bound-method
-swap: the sanitizer shadows ``run_until`` / ``step`` / ``schedule`` /
-``schedule_at`` (and the queue's ``recycle``) in the *instance* dict, so
-an unsanitized simulator carries not a single extra branch and a
-sanitized one is bit-identical — every check is read-only with respect
-to simulation state.
+swap: the sanitizer shadows ``run_until`` and ``step`` in the
+*instance* dict, so an unsanitized simulator carries not a single extra
+branch and a sanitized one is bit-identical — every check is read-only
+with respect to simulation state, and the shadows pop and fire events
+exactly as the production loop does.
 
 Invariants checked:
 
 * **Causality / monotonic clock** — no fired event may carry a
   timestamp behind ``sim.now`` (catches past-time pushes that bypass
   ``schedule``'s guard, heap corruption, and backwards ``run_until``).
-* **Freelist integrity** — the production kernel recycles fired events
-  through a freelist guarded only by ``sys.getrefcount`` arithmetic
-  (``== 2``/``== 3`` depending on the frame shape; see
-  ``repro.sim.event``). The sanitizer replaces that blind trust with
-  per-event *generation counters*: every reuse bumps ``Event.gen``, and
-  every handle the sanitized ``schedule`` returns revalidates its
-  captured generation on use. A stale handle touching a recycled-and-
-  reused event raises instead of silently cancelling an unrelated
-  event. Double recycles (same event freed twice) are caught at the
-  freelist append.
 * **Fleet lockstep lookahead** — a :class:`~repro.cluster.fleet.
   FleetSystem` window may only dispatch arrivals inside its own
   ``[start, end)`` span, and no node may run past the window end
@@ -45,10 +35,8 @@ from __future__ import annotations
 
 import os
 from heapq import heappop as _heappop
-from sys import getrefcount
 from typing import Optional
 
-from repro.sim.event import _FREELIST_MAX, Event, EventQueue
 from repro.units import S
 
 
@@ -118,68 +106,6 @@ def sanitize_enabled() -> bool:
         "1", "true", "on", "yes")
 
 
-class EventHandle:
-    """Generation-checked stand-in for an :class:`Event`.
-
-    The sanitized ``schedule`` returns one of these instead of the raw
-    event. It quacks like the event (``cancel``, ``cancelled``,
-    ``time``, ``seq``, ordering) but revalidates the captured
-    generation on every access: if the underlying object was recycled
-    and now embodies a *different* logical event, using the handle is a
-    use-after-free and raises.
-
-    The handle holds exactly one reference to the event — the same
-    count the caller's own binding would hold — so the production
-    refcount-guarded recycling decisions are unchanged.
-    """
-
-    __slots__ = ("_ev", "_gen")
-
-    def __init__(self, ev: Event):
-        self._ev = ev
-        self._gen = ev.gen
-
-    def _event(self) -> Event:
-        ev = self._ev
-        if ev.gen != self._gen:
-            raise SanitizerError(
-                f"use-after-free: handle of generation {self._gen} "
-                f"touched an event object recycled into generation "
-                f"{ev.gen} ({ev!r}); the freelist refcount guard "
-                f"failed to protect a retained reference")
-        return ev
-
-    def cancel(self) -> None:
-        self._event().cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event().cancelled
-
-    @property
-    def time(self) -> int:
-        return self._event().time
-
-    @property
-    def seq(self) -> int:
-        return self._event().seq
-
-    @property
-    def fn(self):
-        return self._event().fn
-
-    @property
-    def args(self) -> tuple:
-        return self._event().args
-
-    def __lt__(self, other) -> bool:
-        mine = self._event()
-        return (mine.time, mine.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<EventHandle gen={self._gen} {self._ev!r}>"
-
-
 class SimSanitizer:
     """Checked shadows of one simulator's hot methods.
 
@@ -190,8 +116,6 @@ class SimSanitizer:
     def __init__(self, sim):
         self.sim = sim
         self.events_checked = 0
-        self.handles_issued = 0
-        self.recycles_checked = 0
         self.windows_checked = 0
         self.energy_checks = 0
         #: Opt-in periodic energy-conservation variant: when armed (via
@@ -203,58 +127,10 @@ class SimSanitizer:
                 "1", "true", "on", "yes")
         self.energy_window_checks = 0
         self._energy_floor = {}
-        queue = sim._queue
-        # Unbound originals, so the shadows can delegate.
-        self._queue_push = EventQueue.push.__get__(queue)
-        self._queue_recycle = EventQueue.recycle.__get__(queue)
-        # Instance-dict shadows (the TraceRecorder pattern): the class
-        # methods stay untouched for every other simulator.
+        # Instance-dict shadows: the class methods stay untouched for
+        # every other simulator.
         sim.run_until = self._run_until
         sim.step = self._step
-        sim.schedule = self._schedule
-        sim.schedule_at = self._schedule_at
-        queue.recycle = self._recycle
-
-    # -- scheduling ----------------------------------------------------- #
-
-    def _schedule(self, delay, fn, *args) -> EventHandle:
-        sim = self.sim
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        self.handles_issued += 1
-        return EventHandle(self._queue_push(sim.now + int(delay), fn, args))
-
-    def _schedule_at(self, time, fn, *args) -> EventHandle:
-        sim = self.sim
-        if time < sim.now:
-            raise ValueError(f"cannot schedule at {time} < now={sim.now}")
-        self.handles_issued += 1
-        return EventHandle(self._queue_push(int(time), fn, args))
-
-    # -- freelist ------------------------------------------------------- #
-
-    def _check_not_freed(self, ev: Event) -> None:
-        if ev.fn is None:
-            raise SanitizerError(
-                f"double recycle: {ev!r} (generation {ev.gen}) is "
-                f"already on the freelist")
-
-    def _recycle(self, ev: Event) -> None:
-        """Shadow of ``EventQueue.recycle`` with double-free detection."""
-        self.recycles_checked += 1
-        self._check_not_freed(ev)
-        if ev._queue is not None:
-            raise SanitizerError(
-                f"recycling a pending event: {ev!r} still belongs to "
-                f"its queue")
-        # Refcount 3 = caller's local + our parameter + getrefcount's
-        # argument: the same frame shape as the production guard, so
-        # recycling decisions match the unsanitized kernel bit for bit.
-        if getrefcount(ev) == 3 and len(self.sim._queue._free) \
-                < _FREELIST_MAX:
-            ev.fn = None
-            ev.args = ()
-            self.sim._queue._free.append(ev)
 
     # -- the run loop --------------------------------------------------- #
 
@@ -271,16 +147,13 @@ class SimSanitizer:
         sim._events_processed += 1
         ev.fn(*ev.args)
         self.events_checked += 1
-        self._recycle(ev)
         return True
 
     def _run_until(self, t_end: int) -> None:
         """Checked mirror of ``Simulator.run_until``.
 
-        Same drain loop, same freelist policy (the refcount constants
-        below match the production frame shapes), plus the causality
-        and double-free checks. Event ordering, ``now`` stepping, and
-        recycling decisions are identical, so results are bit-identical.
+        Same drain loop plus the causality checks. Event ordering and
+        ``now`` stepping are identical, so results are bit-identical.
         """
         sim = self.sim
         if t_end < sim.now:
@@ -289,9 +162,7 @@ class SimSanitizer:
                 f"(now={sim.now})")
         queue = sim._queue
         heap = queue._heap
-        free = queue._free
         heappop = _heappop
-        refcount = getrefcount
         processed = 0
         now = sim.now
         while heap:
@@ -299,11 +170,6 @@ class SimSanitizer:
             if ev.cancelled:
                 heappop(heap)
                 ev._queue = None
-                if refcount(ev) == 2 and len(free) < _FREELIST_MAX:
-                    self._check_not_freed(ev)
-                    ev.fn = None
-                    ev.args = ()
-                    free.append(ev)
                 continue
             time = ev.time
             if time > t_end:
@@ -318,11 +184,6 @@ class SimSanitizer:
             sim.now = now = time
             processed += 1
             ev.fn(*ev.args)
-            if refcount(ev) == 2 and len(free) < _FREELIST_MAX:
-                self._check_not_freed(ev)
-                ev.fn = None
-                ev.args = ()
-                free.append(ev)
         self.events_checked += processed
         sim._events_processed += processed
         if t_end > sim.now:

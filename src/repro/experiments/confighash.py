@@ -28,7 +28,7 @@ import numpy as np
 
 #: Version of the simulation model semantics. Part of every cache key and
 #: the on-disk cache namespace; bump on any change that alters RunResults.
-MODEL_VERSION = "2026.10-sim-trace"
+MODEL_VERSION = "2026.10-no-freelist"
 
 #: The fields each known config class contributes to its cache key, in
 #: definition order (so digests match the generic dataclass traversal).

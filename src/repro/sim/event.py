@@ -13,52 +13,36 @@ Fast-path design (the simulator is the hot loop of every experiment):
 * The run loop (``Simulator.run_until``) drains cancelled heads and
   pops the next due event in a single heap scan, inlined rather than
   paid as a ``peek_time()`` + ``pop()`` double scan.
-* Fired and dropped events are recycled through a freelist
-  (:meth:`EventQueue.recycle`) when provably unreferenced, killing the
-  per-packet allocation churn of event-heavy workloads. Safety is
-  enforced with a refcount guard: an event is only reused when the queue
-  holds the sole reference, so a caller-retained handle (e.g. a pending
-  timer) can never alias a recycled event.
+* :meth:`EventQueue.push` builds each event with ``object.__new__`` and
+  direct slot stores, so scheduling pays no ``__init__`` frame. Events
+  are never reused: a fired one is freed once nothing references it, so
+  a handle a caller keeps always refers to its own event.
 """
 
 from __future__ import annotations
 
 import heapq
 from heapq import heappush as _heappush
-from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.perf import PerfSnapshot
 
-#: Upper bound on freelist length; beyond this, events are left to the GC.
-_FREELIST_MAX = 4096
+_new = object.__new__
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, built only by :meth:`EventQueue.push`.
 
     Attributes:
         time: absolute simulation time (ns) the event fires at.
         seq: tie-breaker; preserves FIFO order among same-time events.
         fn: the callback; called with ``*args`` when the event fires.
         cancelled: set by :meth:`cancel`; cancelled events never fire.
-        gen: incarnation counter — bumped each time the object is reused
-            from the freelist, so a retained stale handle is detectable
-            (``repro.analysis.sanitize`` validates it against the
-            generation captured at schedule time).
+        _queue: the owning queue while the event is pending; None once
+            popped.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "gen", "_queue")
-
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.gen = 0
-        #: The owning queue while the event is pending; None once popped.
-        self._queue: Optional["EventQueue"] = None
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_queue")
 
     def cancel(self) -> None:
         """Prevent the event from firing. Safe to call more than once.
@@ -76,9 +60,6 @@ class Event:
                 queue._live -= 1
                 queue.cancelled_total += 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
@@ -92,11 +73,9 @@ class EventQueue:
         self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self._live = 0
-        self._free: List[Event] = []
         # Lifetime perf counters (see repro.sim.perf). scheduled_total is
         # the seq counter itself (every push consumes exactly one seq).
         self.cancelled_total = 0
-        self.recycled_total = 0
         self.heap_peak = 0
 
     @property
@@ -112,20 +91,13 @@ class EventQueue:
         """Schedule ``fn(*args)`` at absolute time ``time`` and return the event."""
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.gen += 1  # new incarnation: stale handles become detectable
-            ev._queue = self
-            self.recycled_total += 1
-        else:
-            ev = Event(time, seq, fn, args)
-            ev._queue = self
+        ev = _new(Event)
+        ev.time = time
+        ev.seq = seq
+        ev.fn = fn
+        ev.args = args
+        ev.cancelled = False
+        ev._queue = self
         self._live += 1
         heap = self._heap
         _heappush(heap, (time, seq, ev))
@@ -154,21 +126,6 @@ class EventQueue:
         ev._queue = None
         return ev
 
-    def recycle(self, ev: Event) -> None:
-        """Return a fired event to the freelist if provably unreferenced.
-
-        Callers (the simulator run loop) hand back events after firing
-        them. Refcount 3 = caller's local + our parameter + getrefcount's
-        argument; anything higher means some object still holds the
-        handle (a pending-timer field, a test) and the event must not be
-        reused, or a later ``cancel()`` through the stale handle would
-        hit an unrelated event.
-        """
-        if getrefcount(ev) == 3 and len(self._free) < _FREELIST_MAX:
-            ev.fn = None
-            ev.args = ()
-            self._free.append(ev)
-
     def perf_snapshot(self, events_fired: int = 0,
                       wall_s: float = 0.0) -> PerfSnapshot:
         """Current counter values as a :class:`PerfSnapshot`."""
@@ -176,7 +133,6 @@ class EventQueue:
             events_scheduled=self.scheduled_total,
             events_fired=events_fired,
             events_cancelled=self.cancelled_total,
-            events_recycled=self.recycled_total,
             heap_peak=self.heap_peak,
             wall_s=wall_s)
 

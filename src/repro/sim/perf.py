@@ -3,16 +3,14 @@
 The simulator is the hot loop of every experiment, so speedups there must
 be measured, not asserted. :class:`PerfSnapshot` captures the kernel-level
 counters of one run (events scheduled/fired/cancelled, heap high-water
-mark, freelist reuse) plus the wall-clock time the caller measured, and
-derives the two figures of merit: events/sec and the cancel ratio.
+mark) plus the wall-clock time the caller measured, and derives the two
+figures of merit: events/sec and the cancel ratio.
 
 Counter semantics:
 
 * ``events_scheduled`` — pushes into the queue (``schedule``/``push``).
 * ``events_fired`` — callbacks actually executed.
 * ``events_cancelled`` — events cancelled before firing (lazy-deleted).
-* ``events_recycled`` — fired/dropped events returned through the
-  freelist instead of being garbage (allocation churn avoided).
 * ``heap_peak`` — maximum heap length observed, cancelled entries
   included (lazy cancellation keeps them in the heap until popped).
 """
@@ -30,6 +28,8 @@ class PerfSnapshot:
     events_scheduled: int = 0
     events_fired: int = 0
     events_cancelled: int = 0
+    #: Always 0: the kernel keeps no event freelist. Kept only because
+    #: ``simbench/run.py`` reads it for ``sim.recycle_ratio``.
     events_recycled: int = 0
     heap_peak: int = 0
     #: Wall-clock seconds the measured section took (0 when not timed).
@@ -49,19 +49,11 @@ class PerfSnapshot:
             return 0.0
         return self.events_cancelled / self.events_scheduled
 
-    @property
-    def recycle_ratio(self) -> float:
-        """Fraction of scheduled events served from the freelist."""
-        if self.events_scheduled <= 0:
-            return 0.0
-        return self.events_recycled / self.events_scheduled
-
     def as_dict(self) -> dict:
         """Counters plus derived rates, for JSON export / reports."""
         d = asdict(self)
         d["events_per_sec"] = round(self.events_per_sec, 1)
         d["cancel_ratio"] = round(self.cancel_ratio, 4)
-        d["recycle_ratio"] = round(self.recycle_ratio, 4)
         return d
 
     def register_into(self, registry, subsystem: str = "sim") -> None:
@@ -78,8 +70,6 @@ class PerfSnapshot:
              self.events_fired),
             ("sim_events_cancelled", "Events cancelled before firing",
              self.events_cancelled),
-            ("sim_events_recycled", "Events served from the freelist",
-             self.events_recycled),
             ("sim_heap_peak", "Maximum event-heap length observed",
              self.heap_peak),
             ("sim_wall_seconds", "Wall-clock seconds of the measured run",
@@ -88,8 +78,6 @@ class PerfSnapshot:
              self.events_per_sec),
             ("sim_cancel_ratio", "Fraction of scheduled events cancelled",
              self.cancel_ratio),
-            ("sim_recycle_ratio", "Fraction of events served from freelist",
-             self.recycle_ratio),
         ]
         for name, help_text, value in gauges:
             registry.gauge(name, help_text, subsystem=subsystem).set(value)
@@ -100,8 +88,7 @@ class PerfSnapshot:
                 if self.wall_s > 0 else "untimed")
         return (f"{self.events_fired:,} events fired ({rate}), "
                 f"heap peak {self.heap_peak:,}, "
-                f"cancel ratio {self.cancel_ratio:.1%}, "
-                f"recycle ratio {self.recycle_ratio:.1%}")
+                f"cancel ratio {self.cancel_ratio:.1%}")
 
 
 @dataclass

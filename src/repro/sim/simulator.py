@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import os
 from heapq import heappop as _heappop
-from sys import getrefcount
 from typing import Any, Callable, Optional
 
-from repro.sim.event import _FREELIST_MAX, Event, EventQueue
+from repro.sim.event import Event, EventQueue
 from repro.sim.perf import PerfSnapshot
 
 
@@ -23,7 +22,7 @@ class Simulator:
     ``sanitize=True`` (or the ``REPRO_SANITIZE=1`` environment variable,
     consulted when the argument is None) attaches a
     :class:`~repro.analysis.sanitize.SimSanitizer`: runtime invariant
-    checks (causality, freelist generations, energy conservation) with
+    checks (causality, lockstep lookahead, energy conservation) with
     bit-identical results. The default path is untouched — the
     sanitizer shadows methods in the instance dict only.
     """
@@ -81,35 +80,25 @@ class Simulator:
         self.now = ev.time
         self._events_processed += 1
         ev.fn(*ev.args)
-        self._queue.recycle(ev)
         return True
 
     def run_until(self, t_end: int) -> None:
         """Run events up to and including time ``t_end``, then set now=t_end.
 
         This IS the simulation: every fired event passes through this
-        loop, so the queue's pop/recycle steps are inlined here (heap
-        access, cancelled-head dropping, freelist reuse) rather than paid
-        as two extra call frames per event. Cancelled heads are dropped
-        on the way and, like fired events, recycled under
-        ``EventQueue.recycle``'s refcount guard (here the safe count is
-        2: the local binding plus getrefcount's argument).
+        loop, so the queue's pop step is inlined here (heap access and
+        cancelled-head dropping) rather than paid as extra call frames
+        per event.
         """
         queue = self._queue
         heap = queue._heap
-        free = queue._free
         heappop = _heappop
-        refcount = getrefcount
         processed = 0
         while heap:
             ev = heap[0][2]
             if ev.cancelled:
                 heappop(heap)
                 ev._queue = None
-                if refcount(ev) == 2 and len(free) < _FREELIST_MAX:
-                    ev.fn = None
-                    ev.args = ()
-                    free.append(ev)
                 continue
             time = ev.time
             if time > t_end:
@@ -120,10 +109,6 @@ class Simulator:
             self.now = time
             processed += 1
             ev.fn(*ev.args)
-            if refcount(ev) == 2 and len(free) < _FREELIST_MAX:
-                ev.fn = None
-                ev.args = ()
-                free.append(ev)
         self._events_processed += processed
         if t_end > self.now:
             self.now = t_end

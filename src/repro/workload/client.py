@@ -13,11 +13,11 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nic.packet import Packet
-from repro.obs.span import SpanLog, TraceContext
 from repro.workload.request import Request
 from repro.workload.shapes import LoadShape, generate_arrivals
 
 if TYPE_CHECKING:
+    from repro.obs.span import SpanLog
     from repro.workload.retry import RetryPolicy
 
 
@@ -86,6 +86,12 @@ class OpenLoopClient:
         #: back into the log on response. None = tracing off (no
         #: per-request cost).
         self.span_log: Optional[SpanLog] = sim.spans
+        #: The TraceContext class, imported only when spans are on so a
+        #: spans-off run never loads ``repro.obs.span``.
+        self._trace_context = None
+        if self.span_log is not None:
+            from repro.obs.span import TraceContext
+            self._trace_context = TraceContext
         #: Timeout/retry policy (``repro.workload.retry.RetryPolicy``).
         #: None = no timers armed, no retransmissions — the event
         #: stream is bit-identical to a client without retry support.
@@ -204,7 +210,7 @@ class OpenLoopClient:
         request = self.request_factory(flow_id, created_ns)
         span_log = self.span_log
         if span_log is not None and span_log.want(self._flow_counter):
-            request.trace = TraceContext()
+            request.trace = self._trace_context()
         return Packet(flow_id=request.flow_id,
                       size_bytes=request.size_bytes,
                       created_ns=created_ns, request=request)

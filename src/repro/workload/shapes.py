@@ -86,8 +86,10 @@ class BurstLoad(LoadShape):
         x = t / burst_len  # position within the burst, in [0, 1/duty)
         rise = self.rise_frac
         if rise > 0:
-            up = np.clip(x / rise, 0.0, 1.0)
-            down = np.clip((1.0 - x) / rise, 0.0, 1.0)
+            # Clip before dividing, so a subnormal rise cannot overflow;
+            # x / rise is unchanged for x <= rise and rise / rise == 1.0.
+            up = np.clip(x, 0.0, rise) / rise
+            down = np.clip(1.0 - x, 0.0, rise) / rise
             envelope = np.minimum(np.minimum(up, down), 1.0)
         else:
             envelope = np.ones_like(x)

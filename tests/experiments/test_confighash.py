@@ -74,20 +74,20 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for MODEL_VERSION 2026.10-sim-trace (the config schema
-    is unchanged; the bump retires cached results pickled with the old
-    ``TraceRecorder`` state, which carried an ``enabled`` flag). Any
-    further drift without a schema change or a MODEL_VERSION bump
-    silently invalidates every cached run key.
+    Re-pinned for MODEL_VERSION 2026.10-no-freelist (the config
+    schema is unchanged; the bump retires cached results whose
+    telemetry still carries the event-freelist gauges). Any further
+    drift without a schema change or a MODEL_VERSION bump silently
+    invalidates every cached run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "8dfd281d5502f8b99536087732326b1b73fbbb6cbd6700844446dd8e855b3205")
+        "e626ed9dbef997f408553c760adbe080126e6a88ec65559083d988d65e35756d")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "c8d4b1af1652df185b15bd5ab8b1eca729ea314b1094125d8b1289368b6993a9")
+        "45ab5c0ae9248f3407e55cbc08df55738c567520646b39a80b026ef3848fbed8")
     assert run_key(server, 1_000_000) == (
-        "e7b07d2d8212b77ae28d7be7805fec3150e19ac3e5e0e681d174d5c7f0afe22b")
+        "8934e83593641d47ecad290ef2f44ae43a0fc2a8324b2bcffd242237de9ffeed")
 
 
 @pytest.mark.parametrize("cls", [ServerConfig, FleetConfig])

@@ -53,17 +53,17 @@ CELLS = {
 
 TELEMETRY_SHA256 = {
     "napi-nginx-traced": (
-        "0ea585cd6ba43b786573f26a36cb5bd0"
-        "f38f603fb2f7e324882def46f2e074cb"),
+        "fbfd577509a8f42fc42a407a79b50674"
+        "fc3c42789c47cca35033e0aa03fa7417"),
     "poll-p4-steered": (
-        "fd7425b59d0912159c87e1798086b725"
-        "546d9b551f2397ba0d88438fec3c2761"),
+        "757cf071b970428018313a0ce78423ca"
+        "91c11248cb400550aa79eb661a855643"),
     "hybrid-nmap": (
-        "924e85ceb0e68040e91ee987b0d5230a"
-        "8222780db9d5b7534347a1bdb597183c"),
+        "0f24abc80efd38a108fc486501e6d3bb"
+        "0fc9819652553e6e4e4972bddcac96e8"),
     "memcached-loss-retry": (
-        "a7b2dfc136fbe94a28ffa2403c0e6866"
-        "32c08ba747a0b6137d36270a61a8d05d"),
+        "9b36e0a1d6679628c21e99c58e751196"
+        "101eca3e70cb4b54999f9c106cb0911d"),
 }
 
 TIMELINE_SHA256 = {

@@ -1,10 +1,10 @@
 """Stress tests of the event-kernel fast path.
 
 The run loop is inlined into :meth:`Simulator.run_until` (heap access,
-cancelled-head dropping, freelist reuse), so these tests hammer exactly
-the paths a slip there would corrupt: same-timestamp FIFO order through
-recycled event shells, cancellation-heavy counter bookkeeping, and the
-refcount guard that keeps externally-held handles out of the freelist.
+cancelled-head dropping), so these tests hammer exactly the paths a
+slip there would corrupt: same-timestamp FIFO order behind dropped
+cancelled heads, cancellation-heavy counter bookkeeping, and handles
+that callers keep after their event fired.
 """
 
 from repro.sim.simulator import Simulator
@@ -36,22 +36,16 @@ def test_cancellation_heavy_counters_stay_consistent():
 
 def test_same_timestamp_fifo_survives_recycling():
     sim = Simulator()
-    queue = sim._queue
     order = []
-    # Prime the freelist: cancelled events are recycled when the run loop
-    # drops them off the heap (handles released first).
+    # Cancelled heads are dropped off the heap by the run loop.
     victims = [sim.schedule(1, order.append, -1) for _ in range(50)]
     for ev in victims:
         ev.cancel()
-    del victims, ev
     sim.run_until(2)
     assert order == []
-    assert len(queue._free) > 0
-    # Same-timestamp events must fire in scheduling order even when their
-    # shells come out of the freelist with stale (time, seq) fields.
+    # Same-timestamp events fire in scheduling order.
     for i in range(200):
         sim.schedule_at(10, order.append, i)
-    assert queue.recycled_total > 0
     sim.run_until(10)
     assert order == list(range(200))
 
@@ -135,33 +129,8 @@ def test_retained_handle_is_never_recycled():
     sim = Simulator()
     ev = sim.schedule(1, lambda: None)
     sim.run_until(5)
-    # We still hold `ev`, so the refcount guard must have kept it out of
-    # the freelist: the next push allocates a distinct object.
+    # Every push builds a fresh event: a handle kept past its firing
+    # never aliases a later one.
     ev2 = sim.schedule(1, lambda: None)
     assert ev2 is not ev
-    assert sim._queue.recycled_total == 0
 
-
-def test_unreferenced_fired_events_are_recycled():
-    sim = Simulator()
-    count = [0]
-
-    def bump():
-        count[0] += 1
-
-    for i in range(100):
-        sim.schedule(i, bump)
-    sim.run_until(200)
-    assert count[0] == 100
-    queue = sim._queue
-    assert len(queue._free) > 0
-    before = queue.recycled_total
-    sim.schedule(10, bump)
-    assert queue.recycled_total == before + 1
-
-
-def test_step_path_recycles_too():
-    sim = Simulator()
-    sim.schedule(1, lambda: None)
-    assert sim.step()
-    assert len(sim._queue._free) == 1

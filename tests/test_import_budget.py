@@ -109,6 +109,14 @@ def test_setup_probe_imports_load_no_optional_subsystem():
                            "repro.experiments.base"}
 
 
+@pytest.mark.parametrize("name", ["memcached-changing", "bypass-steered",
+                                  "fleet-failover"])
+def test_spans_off_run_loads_no_span_module(name):
+    """Only a run that samples spans imports ``repro.obs.span``."""
+    modules = loaded_modules(_entry_points()[f"run-5ms:{name}"])
+    assert "repro.obs.span" not in modules
+
+
 def test_analysis_loads_neither_the_simulator_nor_numpy():
     modules = loaded_modules("import repro.analysis.flow\n")
     assert "repro.system" not in modules

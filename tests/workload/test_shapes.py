@@ -1,6 +1,7 @@
 """Load shapes and arrival generation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,17 @@ def test_burst_rate_envelope():
     assert shape.rate_at(25 * MS) == pytest.approx(1000)
     assert shape.rate_at(5 * MS) == pytest.approx(500)
     assert shape.rate_at(80 * MS) == 0.0
+
+
+def test_subnormal_rise_does_not_overflow():
+    shape = BurstLoad(peak_rps=1000.0, rise_frac=5e-324)
+    t = np.linspace(0, 100 * MS, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = shape.rate_at(t)
+        assert shape.rate_at(25 * MS) == 1000.0
+    assert (rate[t < 50 * MS][1:] == 1000.0).all()
+    assert (rate[t >= 50 * MS] == 0.0).all()
 
 
 def test_burst_vectorized_matches_scalar():
