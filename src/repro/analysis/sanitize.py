@@ -136,7 +136,7 @@ class SimSanitizer:
 
     def _step(self) -> bool:
         sim = self.sim
-        ev = sim._queue.pop()
+        ev = sim.queue.pop()
         if ev is None:
             return False
         if ev.time < sim.now:
@@ -160,7 +160,7 @@ class SimSanitizer:
             raise SanitizerError(
                 f"run_until({t_end}) would move the clock backwards "
                 f"(now={sim.now})")
-        queue = sim._queue
+        queue = sim.queue
         heap = queue._heap
         heappop = _heappop
         processed = 0

@@ -97,8 +97,5 @@ class AppWorkerThread(SimThread):
                   read=lambda: self.service_cycles_total, **app)
 
     def _serve_done(self, work: Work) -> None:
-        self._respond(self._serving)
-
-    def _respond(self, request: Request) -> None:
         self.requests_served += 1
-        self.stack.send_response(request, self.core_id)
+        self.stack.send_response(self._serving, self.core_id)

@@ -6,7 +6,9 @@ service times. SLO: P99 <= 1 ms (Sec. 3.1).
 
 from __future__ import annotations
 
-from repro.apps.base import ServerApplication, lognormal_cycles
+import math
+
+from repro.apps.base import ServerApplication
 from repro.units import MS
 from repro.workload.request import Request
 
@@ -37,13 +39,19 @@ class MemcachedApp(ServerApplication):
                 + (1 - self.get_fraction) * self.set_mean_cycles)
 
     def make_request(self, flow_id: int, created_ns: int) -> Request:
-        if self.rng.random() < self.get_fraction:
+        rng = self.rng
+        if rng.random() < self.get_fraction:
             kind, mean = "get", self.get_mean_cycles
             size = 96
         else:
             kind, mean = "set", self.set_mean_cycles
             size = 256
-        cycles = lognormal_cycles(self.rng, mean, self.sigma)
+        sigma = self.sigma
+        if sigma <= 0:  # lognormal_cycles, inlined (one draw per request)
+            cycles = mean
+        else:
+            cycles = math.exp(rng.gauss(
+                math.log(mean) - sigma * sigma / 2.0, sigma))
         return Request(flow_id, created_ns, kind=kind, size_bytes=size,
                        service_cycles=cycles, response_bytes=256,
                        acked_response=False)

@@ -36,10 +36,11 @@ class NginxApp(ServerApplication):
         return self.base_cycles + self.cycles_per_byte * mean_size
 
     def make_request(self, flow_id: int, created_ns: int) -> Request:
+        rng = self.rng
         size = self.median_file_bytes * math.exp(
-            self.rng.gauss(0.0, self.file_sigma))
+            rng.gauss(0.0, self.file_sigma))
         size = max(64.0, size)
-        cycles = (lognormal_cycles(self.rng, self.base_cycles, 0.15)
+        cycles = (lognormal_cycles(rng, self.base_cycles, 0.15)
                   + self.cycles_per_byte * size)
         # The multi-segment TCP response draws one ACK per MSS segment —
         # the inbound packet flood that makes nginx's softirq load heavy.

@@ -108,7 +108,9 @@ class Core:
         self._deep_entry_ev = None
 
         self.pstate_index: int = 0
-        self.cstate: CState = self.cstates.cc0
+        self._cc0 = self.cstates.cc0
+        self._deepest_index = self.cstates.deepest.index
+        self.cstate: CState = self._cc0
         #: Current clock, cached off the P-state table (hot path: work
         #: checkpointing/completion touches it per work item).
         self._freq_hz: float = pstate_table.freq_of(0)
@@ -194,7 +196,7 @@ class Core:
         # A waking core is not yet executing: it draws idle-CC0-level
         # power (ungating, cache refill) rather than full active power.
         active = self._acct_busy and not self._waking
-        cstate = self.cstate if not self._acct_busy else self.cstates.cc0
+        cstate = self.cstate if not self._acct_busy else self._cc0
         key = (active, self.pstate_index, cstate.index)
         watts = self._power_memo.get(key)
         if watts is None:
@@ -203,12 +205,6 @@ class Core:
                 cstate=cstate)
             self._power_memo[key] = watts
         self.meter.set_power(self.sim.now, watts)
-
-    def _set_busy(self, busy: bool) -> None:
-        if busy != self._acct_busy:
-            self._account()
-            self._acct_busy = busy
-            self._update_power()
 
     def finalize(self) -> None:
         """Flush accounting/energy up to the current simulation time."""
@@ -221,12 +217,19 @@ class Core:
 
     def submit(self, work: Work) -> None:
         """Enqueue work; preempts lower-priority work and wakes idle cores."""
-        if self._current is not None and work.priority < self._current.priority:
+        current = self._current
+        if current is not None and work.priority < current.priority:
             self._preempt_current()
+            current = None
         self._pending[work.priority].append(work)
         self._pending_n += 1
-        if self._current is None and not self._waking:
-            self._wake_and_start()
+        if current is None and not self._waking:
+            # No idle accounting open: the core is between two items in
+            # CC0 (a completion callback submitting), so it starts at once.
+            if self._idle_start_ns is None:
+                self._start_next()
+            else:
+                self._wake_and_start()
 
     def pause(self, work: Work) -> bool:
         """Remove ``work`` from the core (running or queued).
@@ -250,7 +253,10 @@ class Core:
     def kick(self) -> None:
         """Start the next pending work (or go idle) if the core is free."""
         if self._current is None and not self._waking:
-            self._wake_and_start()
+            if self._idle_start_ns is None:
+                self._start_next()
+            else:
+                self._wake_and_start()
 
     def _preempt_current(self) -> None:
         work = self._current
@@ -271,52 +277,46 @@ class Core:
 
     def _cancel_completion(self) -> None:
         if self._completion_ev is not None:
-            self.sim.cancel(self._completion_ev)
+            self._completion_ev.cancel()
             self._completion_ev = None
 
-    def _next_pending(self) -> Optional[Work]:
-        for queue in self._pending:
-            if queue:
-                self._pending_n -= 1
-                return queue.popleft()
-        return None
-
     def _wake_and_start(self) -> None:
-        """Transition out of idle (paying wake latency) and run next work."""
+        """Leave idle (paying the C-state's wake latency) and run the next
+        work item. Called with the idle accounting open."""
         if not self._pending_n:
-            self._go_idle()
-            return
-        if self.cstate.index > 0:
-            latency = self.cstates.sample_exit_latency(self.cstate, self.rng)
-            if self.cstate.flushes_caches:
+            return  # stays idle
+        cstate = self.cstate
+        deep = cstate.index > 0
+        if deep:
+            latency = self.cstates.sample_exit_latency(cstate, self.rng)
+            if cstate.flushes_caches:
                 latency += int(self.cstates.cache_refill_penalty_ns
                                * self.cache_penalty_fraction)
-            self._end_idle_accounting()
-            self._waking = True
-            self._set_busy(True)
-            self._wake_ev = self.sim.schedule(latency, self._wake_done)
-            return
-        self._end_idle_accounting()
-        self._start_next()
-
-    def _end_idle_accounting(self) -> None:
-        if self._idle_start_ns is None:
-            return
-        idle_dur = self.sim.now - self._idle_start_ns
+        # Close the idle period; busy or waking counts as busy.
+        sim = self.sim
+        now = sim.now
+        idle_dur = now - self._idle_start_ns
         self._idle_start_ns = None
         if self._reselect_ev is not None:
-            self.sim.cancel(self._reselect_ev)
+            self._reselect_ev.cancel()
             self._reselect_ev = None
         if self._deep_entry_ev is not None:
-            self.sim.cancel(self._deep_entry_ev)
+            self._deep_entry_ev.cancel()
             self._deep_entry_ev = None
         self._account()
-        if self.cstate.index != 0:
-            self.cstate = self.cstates.cc0
+        self._acct_busy = True
+        if deep:
+            self._waking = True
+            self.cstate = self._cc0
             if self.trace is not None:
-                self.trace.record(self._cstate_channel, self.sim.now, 0)
+                self.trace.record(self._cstate_channel, now, 0)
+        self._update_power()
         if self.idle_governor is not None:
             self.idle_governor.on_idle_end(self, idle_dur)
+        if deep:
+            self._wake_ev = sim.queue.push(now + latency, self._wake_done, ())
+        else:
+            self._start_next()
 
     def _wake_done(self) -> None:
         self._waking = False
@@ -326,15 +326,20 @@ class Core:
         self._start_next()
 
     def _start_next(self) -> None:
-        work = self._next_pending()
-        if work is None:
+        """Run the highest-priority pending item, or go idle. The core is
+        free and awake, with no idle accounting open (so it is accounted
+        busy: ``_go_idle`` and ``_wake_and_start`` flip the two together)."""
+        if not self._pending_n:
             self._go_idle()
             return
+        pending = self._pending
+        work = (pending[PRIORITY_HARDIRQ] or pending[PRIORITY_SOFTIRQ]
+                or pending[PRIORITY_TASK]).popleft()
+        self._pending_n -= 1
         self._current = work
         sim = self.sim
-        self._run_start_ns = sim.now
-        if not self._acct_busy:
-            self._set_busy(True)
+        now = sim.now
+        self._run_start_ns = now
         # Inlined cycles_to_ns (this runs once per work item).
         cycles = work.cycles_remaining
         if cycles <= 0:
@@ -343,7 +348,8 @@ class Core:
             duration = int(round(cycles * S / self._freq_hz))
             if duration < 1:
                 duration = 1
-        self._completion_ev = sim.schedule(duration, self._complete)
+        self._completion_ev = sim.queue.push(now + duration, self._complete,
+                                             ())
 
     def _complete(self) -> None:
         work = self._current
@@ -351,26 +357,33 @@ class Core:
         work.cycles_remaining = 0.0
         self._current = None
         self.works_completed += 1
-        if work.on_complete is not None:
-            work.on_complete(work)
+        on_complete = work.on_complete
+        if on_complete is not None:
+            on_complete(work)
         if self._current is None and not self._waking:
-            self._wake_and_start()
+            if self._idle_start_ns is None:
+                self._start_next()
+            else:
+                self._wake_and_start()
 
     def _go_idle(self) -> None:
         if self._idle_start_ns is not None:
             return  # already idle
-        self._set_busy(False)
-        self._idle_start_ns = self.sim.now
-        chosen = self.cstates.cc0
+        now = self.sim.now
+        self._idle_start_ns = now
+        chosen = self._cc0
         if self.idle_governor is not None:
             chosen = self.idle_governor.select(self)
-        if chosen.index > 0 and self.idle_entry_delay_ns > 0:
-            # Dwell in idle CC0 first; short idles never reach the state.
-            self._enter_cstate(self.cstates.cc0)
-            self._deep_entry_ev = self.sim.schedule(
-                self.idle_entry_delay_ns, self._enter_deep, chosen)
-        else:
-            self._enter_cstate(chosen)
+        # Dwell in idle CC0 first; short idles never reach the state.
+        dwell = chosen.index > 0 and self.idle_entry_delay_ns > 0
+        target = self._cc0 if dwell else chosen
+        # Leave busy straight into the target state: one power change.
+        self._account()
+        self._acct_busy = False
+        self._enter_cstate(target)
+        if dwell:
+            self._deep_entry_ev = self.sim.queue.push(
+                now + self.idle_entry_delay_ns, self._enter_deep, (chosen,))
         self._arm_reselect()
 
     def _enter_deep(self, cstate: CState) -> None:
@@ -382,9 +395,10 @@ class Core:
     def _arm_reselect(self) -> None:
         if (self.idle_reselect_period_ns > 0
                 and self.idle_governor is not None
-                and self.cstate.index < self.cstates.deepest.index):
-            self._reselect_ev = self.sim.schedule(
-                self.idle_reselect_period_ns, self._idle_reselect)
+                and self.cstate.index < self._deepest_index):
+            self._reselect_ev = self.sim.queue.push(
+                self.sim.now + self.idle_reselect_period_ns,
+                self._idle_reselect, ())
 
     def _idle_reselect(self) -> None:
         """Tick-driven re-selection: an over-long idle may deepen its state."""

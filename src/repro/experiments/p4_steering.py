@@ -31,15 +31,12 @@ polling-mode packets and lower energy than the unmetered bracket.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.experiments import parallel
-from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
-from repro.experiments.grid import cell_config
 from repro.nic.rss import _mix
-from repro.p4.library import (flow_affine_program, hash_rss_program,
-                              meter_program)
-from repro.p4.program import chained
+
+if TYPE_CHECKING:
+    from repro.experiments.base import ExperimentResult, ExperimentScale
 
 APP = "memcached"
 LEVEL = "high"
@@ -78,7 +75,17 @@ def skewed_weights(n_queues: int, n_flows: int,
     return tuple(weights)
 
 
-def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
+def run(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
+    # Imported here: a caller of the module constants (the benchmark's
+    # bypass-steered workload) never loads the grid and report stack.
+    from repro.experiments import parallel
+    from repro.experiments.base import QUICK, ExperimentResult
+    from repro.experiments.grid import cell_config
+    from repro.p4.library import (flow_affine_program, hash_rss_program,
+                                  meter_program)
+    from repro.p4.program import chained
+    if scale is None:
+        scale = QUICK
     n_queues = scale.n_cores
     n_flows = 8 * n_queues
     weights = skewed_weights(n_queues, n_flows)

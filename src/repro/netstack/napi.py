@@ -231,35 +231,34 @@ class NapiContext:
     def _poll_done(self, rx_packets: list, n: int) -> None:
         """Account one finished poll batch; ``n`` counts all Rx items
         (data + consumed ACKs), ``rx_packets`` the deliverable ones."""
-        mode = (MODE_INTERRUPT if self._next_poll_is_interrupt_mode
-                else MODE_POLLING)
-        self._next_poll_is_interrupt_mode = False
-        self.poll_count += 1
-        if mode == MODE_INTERRUPT:
+        if self._next_poll_is_interrupt_mode:
+            self._next_poll_is_interrupt_mode = False
+            mode = MODE_INTERRUPT
             self.pkts_interrupt_mode += n
         else:
+            mode = MODE_POLLING
             self.pkts_polling_mode += n
+        self.poll_count += 1
         self._session_packets += n
-        if self.deliver is not None:
+        deliver = self.deliver
+        if deliver is not None:
             core_id = self.core.core_id
             for pkt in rx_packets:
-                self.deliver(pkt, core_id)
+                deliver(pkt, core_id)
         for listener in self.poll_listeners:
             listener(self, n, mode)
-        self._after_poll()
-
-    def _after_poll(self) -> None:
+        # Drained (NicQueue.has_work, inlined): the session ends.
         queue = self.nic.queues[self.queue_id]
-        if not queue.has_work:
+        if not queue.rx and not queue.txc_pending:
             self._finish_session()
             return
         if self.state == STATE_SOFTIRQ:
             cfg = self.config
             self._session_iterations += 1
-            over_iterations = self._session_iterations >= cfg.max_iterations
-            over_time = (self.sim.now - self._session_start_ns) >= cfg.time_limit_ns
-            over_budget = self._session_packets >= cfg.total_budget
-            if over_iterations or over_time or over_budget:
+            if (self._session_iterations >= cfg.max_iterations
+                    or self.sim.now - self._session_start_ns
+                    >= cfg.time_limit_ns
+                    or self._session_packets >= cfg.total_budget):
                 self._defer_to_ksoftirqd()
             else:
                 self._submit_softirq_poll()

@@ -34,15 +34,18 @@ class SocketQueue:
 
     def deliver(self, packet: Packet) -> bool:
         """Softirq-side enqueue; wakes the consumer. False if dropped."""
-        if len(self._queue) >= self.capacity:
+        queue = self._queue
+        depth = len(queue)
+        if depth >= self.capacity:
             self.dropped += 1
             return False
-        self._queue.append(packet)
+        queue.append(packet)
         self.delivered += 1
-        if len(self._queue) > self.max_depth:
-            self.max_depth = len(self._queue)
-        if self.consumer is not None:
-            self.consumer.wake()
+        if depth >= self.max_depth:
+            self.max_depth = depth + 1
+        consumer = self.consumer
+        if consumer is not None:
+            consumer.wake()
         return True
 
     def pop(self) -> Optional[Packet]:

@@ -119,26 +119,30 @@ class NetworkStack:
         (``request.acked_response``) — draws one inbound ACK per segment
         after a round trip, which the softirq must also process.
         """
-        if self.response_sink is None:
+        sink = self._response_sink
+        if sink is None:
             raise RuntimeError("response_sink not wired")
+        now = self.sim.now
         if self.tracing and request.trace is not None:
-            request.trace.tx_ns = self.sim.now
-        n_segments = max(1, -(-int(request.response_bytes)
-                              // self.config.mss_bytes))
-        last_size = (int(request.response_bytes)
-                     - (n_segments - 1) * self.config.mss_bytes)
+            request.trace.tx_ns = now
+        response_bytes = int(request.response_bytes)
+        mss = self.config.mss_bytes
+        n_segments = -(-response_bytes // mss)
+        if n_segments < 1:
+            n_segments = 1
+        last_size = response_bytes - (n_segments - 1) * mss
         packet = Packet(flow_id=request.flow_id,
-                        size_bytes=max(64, last_size),
-                        created_ns=self.sim.now, request=request)
+                        size_bytes=last_size if last_size > 64 else 64,
+                        created_ns=now, request=request)
+        nic = self.nic
         # Extra segments: Tx completions only (payload carried by `packet`).
         if n_segments > 1:
-            self.nic.queues[core_id].push_txc(n_segments - 1)
-        self.nic.transmit(packet, core_id, self.response_sink,
-                          sink_at=self.response_sink_at)
+            nic.queues[core_id].push_txc(n_segments - 1)
+        nic.transmit(packet, core_id, sink, sink_at=self.response_sink_at)
         if request.acked_response:
             # The whole train steers to one queue; hash the flow once.
-            qid = self.nic.rss.queue_for(request.flow_id)
-            self.sim.schedule(2 * self.nic.wire_latency_ns, self._ack_train,
+            qid = nic.rss.queue_for(request.flow_id)
+            self.sim.schedule(2 * nic.wire_latency_ns, self._ack_train,
                               request.flow_id, n_segments, qid)
 
     def _ack_train(self, flow_id: int, n_left: int, qid: int) -> None:

@@ -10,6 +10,8 @@ from repro.nic.queue import NicQueue
 from repro.nic.rss import RssDistributor
 from repro.units import US
 
+_KIND_DATA = Packet.KIND_DATA
+
 
 class MultiQueueNic:
     """A multi-queue NIC with RSS steering and per-queue moderation.
@@ -115,41 +117,48 @@ class MultiQueueNic:
         engine calls this directly once it has chosen (or delayed to)
         the queue.
         """
+        # The ring push (NicQueue.push_rx), inlined.
         queue = self.queues[qid]
-        if not queue.push_rx(packet):
+        rx = queue.rx
+        if len(rx) >= queue.rx_capacity:
+            queue.rx_dropped += 1
             return False
+        rx.append(packet)
+        queue.rx_enqueued += 1
         self.rx_packets += 1
-        if packet.kind == Packet.KIND_DATA and packet.request is not None:
+        request = packet.request
+        if request is not None and packet.kind == _KIND_DATA:
             self.rx_data_packets += 1
             if self.tracing:
-                ctx = packet.request.trace
+                ctx = request.trace
                 if ctx is not None:
                     ctx.nic_rx_ns = self.sim.now
-        # Inline the common no-op guards: under load the interrupt is
-        # masked or already pending for nearly every packet of a burst,
-        # so one batched irq event serves N arrivals (moderation + NAPI).
+        # Under load the interrupt is masked or already pending for
+        # nearly every packet of a burst, so one batched irq event serves
+        # N arrivals (moderation + NAPI). The ring holds work now.
         if self._irq_enabled[qid] and self._irq_pending_ev[qid] is None:
-            self._maybe_raise_irq(qid)
+            self._raise_irq(qid)
         elif self._rx_doorbells is not None:
             doorbell = self._rx_doorbells[qid]
             if doorbell is not None:
                 doorbell(qid)
         return True
 
-    def _maybe_raise_irq(self, qid: int) -> None:
-        if not self._irq_enabled[qid]:
-            return
-        if self._irq_pending_ev[qid] is not None:
-            return
-        if not self.queues[qid].has_work:
-            return
-        fire_at = self.moderators[qid].next_fire_time(self.sim.now)
-        self._irq_pending_ev[qid] = self.sim.schedule_at(
-            fire_at, self._fire_irq, qid)
+    def _raise_irq(self, qid: int) -> None:
+        """Schedule queue ``qid``'s interrupt at the moderator's next
+        permitted instant. The caller has checked that the interrupt is
+        enabled, none is pending, and the queue has work."""
+        sim = self.sim
+        fire_at = self.moderators[qid].next_fire_time(sim.now)
+        self._irq_pending_ev[qid] = sim.queue.push(fire_at, self._fire_irq,
+                                                   (qid,))
 
     def _fire_irq(self, qid: int) -> None:
         self._irq_pending_ev[qid] = None
-        if not self._irq_enabled[qid] or not self.queues[qid].has_work:
+        if not self._irq_enabled[qid]:
+            return
+        queue = self.queues[qid]
+        if not queue.rx and not queue.txc_pending:
             return
         self.moderators[qid].record_fire(self.sim.now)
         handler = self._handlers[qid]
@@ -169,13 +178,16 @@ class MultiQueueNic:
         self._irq_enabled[qid] = False
         ev = self._irq_pending_ev[qid]
         if ev is not None:
-            self.sim.cancel(ev)
+            ev.cancel()
             self._irq_pending_ev[qid] = None
 
     def enable_irq(self, qid: int) -> None:
         """Unmask the queue's interrupt; re-arms if work is pending."""
         self._irq_enabled[qid] = True
-        self._maybe_raise_irq(qid)
+        if self._irq_pending_ev[qid] is None:
+            queue = self.queues[qid]
+            if queue.rx or queue.txc_pending:
+                self._raise_irq(qid)
 
     # ------------------------------------------------------------------ #
     # Tx path
@@ -192,8 +204,13 @@ class MultiQueueNic:
         event per response enters the heap.
         """
         self.tx_packets += 1
-        self.queues[qid].push_txc()
-        self._maybe_raise_irq(qid)
+        # The Tx-completion post (NicQueue.push_txc), inlined; the queue
+        # holds work now.
+        queue = self.queues[qid]
+        queue.txc_pending += 1
+        queue.txc_enqueued += 1
+        if self._irq_enabled[qid] and self._irq_pending_ev[qid] is None:
+            self._raise_irq(qid)
         if sink_at is not None:
             sink_at(packet, self.sim.now + self.wire_latency_ns)
         else:

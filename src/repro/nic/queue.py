@@ -80,16 +80,19 @@ def grab_burst(queue: NicQueue, free_acks: list, budget: int,
     back to the NIC's freelist. ``cycles`` excludes any fixed per-poll
     overhead (the caller adds it).
     """
-    n = queue.take_txc(budget)
+    # take_txc and pop_rx, inlined: this runs once per poll batch.
+    n = queue.txc_pending
+    if n > budget:
+        n = budget
+    queue.txc_pending -= n
     cycles = n * txc_cycles
-    pop_rx = queue.pop_rx
+    rx = queue.rx
+    popleft = rx.popleft
     data_packets: list = []
     append = data_packets.append
     n_rx = 0
-    while n < budget:
-        pkt = pop_rx()
-        if pkt is None:
-            break
+    while n < budget and rx:
+        pkt = popleft()
         n += 1
         n_rx += 1
         if pkt.kind == "ack":

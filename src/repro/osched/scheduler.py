@@ -87,10 +87,14 @@ class CoreScheduler:
         self.current = None
         self._current_work = None
 
-    def _work_done(self, thread: SimThread, work: Work, original) -> None:
-        """Called by the thread's wrapped completion callback."""
-        if self._slice_ev is not None:
-            self.sim.cancel(self._slice_ev)
+    def _work_done(self, work: Work) -> None:
+        """Completion callback of every chunk a thread hands out (set by
+        :meth:`SimThread.take_work`)."""
+        thread = work.owner
+        original = thread._pre_complete
+        slice_ev = self._slice_ev
+        if slice_ev is not None:
+            slice_ev.cancel()
             self._slice_ev = None
         self.current = None
         self._current_work = None

@@ -32,10 +32,11 @@ class SimThread:
         self.state = SLEEPING
         self.scheduler = None
         self._paused_work: Optional[Work] = None
-        #: The in-flight chunk's pre-wrap completion callback. One chunk
-        #: is in flight per thread at a time (a preempted chunk is parked
-        #: and resumed before the next one is pulled), so a single slot
-        #: plus the bound :meth:`_finish` replaces a per-chunk closure.
+        #: The in-flight chunk's pre-wrap completion callback, run by
+        #: the scheduler's completion handler. One chunk is in flight per
+        #: thread at a time (a preempted chunk is parked and resumed
+        #: before the next one is pulled), so a single slot replaces a
+        #: per-chunk closure.
         self._pre_complete: Optional[Callable[[Work], None]] = None
         #: Called with (thread,) on SLEEPING -> RUNNABLE transitions.
         self.wake_listeners: List[Callable[["SimThread"], None]] = []
@@ -54,12 +55,16 @@ class SimThread:
 
     def wake(self) -> None:
         """Make the thread runnable (no-op unless sleeping)."""
+        if self.state != SLEEPING:
+            return  # an attached thread's scheduler would ignore it too
         if self.scheduler is None:
             raise RuntimeError(f"thread {self.name!r} not attached to a scheduler")
         self.scheduler.wake(self)
 
     def take_work(self) -> Optional[Work]:
-        """Paused work if any, else a freshly wrapped chunk from next_work."""
+        """Paused work if any, else a freshly wrapped chunk from next_work:
+        its completion goes to the scheduler (which finds the thread as
+        ``work.owner``) and from there to the chunk's own callback."""
         if self._paused_work is not None:
             work, self._paused_work = self._paused_work, None
             return work
@@ -67,12 +72,9 @@ class SimThread:
         if work is None:
             return None
         self._pre_complete = work.on_complete
-        work.on_complete = self._finish
+        work.on_complete = self.scheduler._work_done
         work.owner = self
         return work
-
-    def _finish(self, work: Work) -> None:
-        self.scheduler._work_done(self, work, self._pre_complete)
 
     def park(self, work: Work) -> None:
         """Store preempted work to resume on the next dispatch."""

@@ -29,7 +29,12 @@ class Simulator:
 
     def __init__(self, sanitize: Optional[bool] = None) -> None:
         self.now: int = 0
-        self._queue = EventQueue()
+        #: The event queue. Per-event hot paths push through it directly
+        #: as ``queue.push(time, fn, args)`` (absolute integer time, not
+        #: before ``now``), skipping :meth:`schedule`'s frame; the
+        #: causality check on every pop still holds them to the clock
+        #: in sanitized runs.
+        self.queue = EventQueue()
         self._events_processed = 0
         #: The attached SimSanitizer, or None for the zero-cost default.
         self.sanitizer = None
@@ -54,19 +59,19 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live events still scheduled."""
-        return len(self._queue)
+        return len(self.queue)
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self._queue.push(self.now + int(delay), fn, args)
+        return self.queue.push(self.now + int(delay), fn, args)
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute time ``time`` (ns)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now={self.now}")
-        return self._queue.push(int(time), fn, args)
+        return self.queue.push(int(time), fn, args)
 
     def cancel(self, ev: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -74,7 +79,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event. Returns False when the queue is empty."""
-        ev = self._queue.pop()
+        ev = self.queue.pop()
         if ev is None:
             return False
         self.now = ev.time
@@ -90,7 +95,7 @@ class Simulator:
         cancelled-head dropping) rather than paid as extra call frames
         per event.
         """
-        queue = self._queue
+        queue = self.queue
         heap = queue._heap
         heappop = _heappop
         processed = 0
@@ -123,8 +128,8 @@ class Simulator:
 
     def perf_snapshot(self, wall_s: float = 0.0) -> PerfSnapshot:
         """Kernel counters of this simulator (see :mod:`repro.sim.perf`)."""
-        return self._queue.perf_snapshot(events_fired=self._events_processed,
-                                         wall_s=wall_s)
+        return self.queue.perf_snapshot(events_fired=self._events_processed,
+                                        wall_s=wall_s)
 
     def every(self, period: int, fn: Callable[..., Any], *args: Any,
               start_delay: Optional[int] = None) -> "PeriodicTimer":

@@ -162,8 +162,11 @@ class OpenLoopClient:
         if self._next_idx >= len(self._arrivals):
             self._armed = False
             return
+        sim = self.sim
         t_arrive = self._arrivals[self._next_idx] + self.wire_latency_ns
-        self.sim.schedule_at(max(t_arrive, self.sim.now), self._ring_doorbell)
+        now = sim.now
+        sim.queue.push(t_arrive if t_arrive > now else now,
+                       self._ring_doorbell, ())
         self._armed = True
 
     def _ring_doorbell(self) -> None:
@@ -171,49 +174,39 @@ class OpenLoopClient:
         arrivals = self._arrivals
         now = self.sim.now
         wire = self.wire_latency_ns
+        retry = self.retry
+        pattern = self._flow_pattern
+        n_flows = self.n_flows
+        make_request = self.request_factory
+        span_log = self.span_log
         i = self._next_idx
         n = len(arrivals)
-        if self.retry is None:
-            while i < n:
-                t = arrivals[i]
-                if t + wire > now:
-                    break
-                i += 1
-                self._next_idx = i
-                self.sent += 1
-                if not self.nic.receive(self._make_packet(t)):
-                    self.dropped += 1
-        else:
-            while i < n:
-                t = arrivals[i]
-                if t + wire > now:
-                    break
-                i += 1
-                self._next_idx = i
-                self.sent += 1
-                packet = self._make_packet(t)
-                if not self.nic.receive(packet):
-                    self.dropped += 1
+        while i < n:
+            t = arrivals[i]
+            if t + wire > now:
+                break
+            i += 1
+            self.sent += 1
+            self._flow_counter = counter = self._flow_counter + 1
+            if pattern is not None:
+                flow_id = pattern[(counter - 1) % len(pattern)]
+            else:
+                flow_id = counter if n_flows is None else counter % n_flows
+            request = make_request(flow_id, t)
+            if span_log is not None and span_log.want(counter):
+                request.trace = self._trace_context()
+            packet = Packet(flow_id=request.flow_id,
+                            size_bytes=request.size_bytes,
+                            created_ns=t, request=request)
+            # Looked up per packet: fault windows shadow nic.receive.
+            if not self.nic.receive(packet):
+                self.dropped += 1
+            if retry is not None:
                 # Armed regardless of NIC acceptance: a dropped packet
                 # is exactly what the timeout exists to recover.
-                self._arm_timeout(packet.request)
+                self._arm_timeout(request)
+        self._next_idx = i
         self._ring_next()
-
-    def _make_packet(self, created_ns: int) -> Packet:
-        self._flow_counter += 1
-        if self._flow_pattern is not None:
-            pattern = self._flow_pattern
-            flow_id = pattern[(self._flow_counter - 1) % len(pattern)]
-        else:
-            flow_id = (self._flow_counter if self.n_flows is None
-                       else self._flow_counter % self.n_flows)
-        request = self.request_factory(flow_id, created_ns)
-        span_log = self.span_log
-        if span_log is not None and span_log.want(self._flow_counter):
-            request.trace = self._trace_context()
-        return Packet(flow_id=request.flow_id,
-                      size_bytes=request.size_bytes,
-                      created_ns=created_ns, request=request)
 
     def _arrive(self, packet: Packet) -> None:
         if not self.nic.receive(packet):
@@ -277,7 +270,7 @@ class OpenLoopClient:
                 return
             ev = request.timeout_ev
             if ev is not None:
-                self.sim.cancel(ev)
+                ev.cancel()
                 request.timeout_ev = None
         request.completed_ns = deliver_ns
         self.completed += 1

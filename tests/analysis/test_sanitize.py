@@ -52,7 +52,7 @@ def test_causality_violation_raises():
     sim = Simulator(sanitize=True)
     sim.run_until(50)
     # Bypass schedule()'s guard, as heap corruption would.
-    sim._queue.push(10, lambda: None, ())
+    sim.queue.push(10, lambda: None, ())
     with pytest.raises(SanitizerError, match="causality"):
         sim.run_until(100)
 
@@ -61,7 +61,7 @@ def test_unsanitized_kernel_tolerates_the_same_fault():
     """Documents why the check exists: the fast path never looks."""
     sim = Simulator()
     sim.run_until(50)
-    sim._queue.push(10, lambda: None, ())
+    sim.queue.push(10, lambda: None, ())
     sim.run_until(100)  # silently fires the past-time event
     assert sim.now == 100
 
@@ -77,7 +77,7 @@ def test_step_checks_causality():
     sim = Simulator(sanitize=True)
     sim.schedule(5, lambda: None)
     assert sim.step()
-    sim._queue.push(1, lambda: None, ())
+    sim.queue.push(1, lambda: None, ())
     with pytest.raises(SanitizerError, match="causality"):
         sim.step()
 

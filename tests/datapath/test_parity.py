@@ -6,8 +6,11 @@ interface. The contract is bit-identity: a ``datapath="napi"`` run (the
 default) reproduces the pre-refactor RunResult exactly — integer
 counters, the full latency array, exact float energy, and event counts.
 
-The constants below were captured on the pre-refactor tree (the parent
-of the datapath commit). A mismatch here means the refactor changed
+The first two cells were captured on the pre-refactor tree (the parent
+of the datapath commit); the three later memcached cells (changing
+load, low load, wire loss with retries) were captured the same way on
+the tree before the per-request hot path was flattened, and hold that
+change to the same bits. A mismatch here means the refactor changed
 simulation *behaviour*, not just structure — which voids every cached
 result and figure in one stroke, so these tests are intentionally
 brittle.
@@ -19,8 +22,13 @@ import numpy as np
 import pytest
 
 from repro.experiments import parallel, runner
+from repro.faults.scenarios import loss_burst_plan
+from repro.sim.rng import RandomStreams
 from repro.system import ServerConfig, ServerSystem
 from repro.units import MS
+from repro.workload.changing import make_changing_load
+from repro.workload.profiles import levels_for
+from repro.workload.retry import RetryPolicy
 
 #: Captured pre-refactor (see module docstring). Floats are stored as
 #: ``float.hex()`` strings: parity means the same bits, not "close".
@@ -47,6 +55,39 @@ GOLDENS = {
                             "b81944f371956265337cc9fe385ed8f129",
         "events_fired": 180538,
     },
+    "memcached_changing_nmap": {
+        "sent": 27067, "completed": 27067, "dropped": 0,
+        "pkts_interrupt_mode": 12705, "pkts_polling_mode": 14362,
+        "ksoftirqd_wakeups": 0,
+        "package_j_hex": "0x1.4929654ec2a93p+1",
+        "cores_j_hex": "0x1.b3d669fc097f4p+0",
+        "p99_ns": 199498.28,
+        "latencies_sha256": "638b2d50beeb8da8ea3ba9ec0d69b870"
+                            "3981e35e7146215b331937d8e81cde90",
+        "events_fired": 104535,
+    },
+    "memcached_low_menu": {
+        "sent": 2298, "completed": 2298, "dropped": 0,
+        "pkts_interrupt_mode": 2060, "pkts_polling_mode": 238,
+        "ksoftirqd_wakeups": 0,
+        "package_j_hex": "0x1.1a06eaa25597ep+0",
+        "cores_j_hex": "0x1.1660783c0dc2ap-1",
+        "p99_ns": 64429.67000000006,
+        "latencies_sha256": "867e168a33aa3cdd2087a58cc6b7cb9e"
+                            "685a1b3aad2df3539b6718b8e5dd174e",
+        "events_fired": 20260,
+    },
+    "memcached_loss_retry": {
+        "sent": 21804, "completed": 21704, "dropped": 2710,
+        "pkts_interrupt_mode": 11384, "pkts_polling_mode": 10320,
+        "ksoftirqd_wakeups": 0,
+        "package_j_hex": "0x1.18d148c600be6p+1",
+        "cores_j_hex": "0x1.5ff4b711895e5p+0",
+        "p99_ns": 4337842.04,
+        "latencies_sha256": "bf5c0ebd011285bd65634c32546f2ab0"
+                            "8bf77ad7d588cd02369ec49ba95dcd7a",
+        "events_fired": 97278,
+    },
 }
 
 CELLS = {
@@ -57,6 +98,30 @@ CELLS = {
     "nginx_medium_ondemand": (
         ServerConfig(app="nginx", load_level="medium",
                      freq_governor="ondemand", n_cores=2, seed=1),
+        300 * MS),
+    # What simbench's memcached-changing runs, at a 100 ms switch period
+    # so a 300 ms cell sees three levels.
+    "memcached_changing_nmap": (
+        ServerConfig(app="memcached",
+                     load_shape=make_changing_load(
+                         levels_for("memcached"), 300 * MS,
+                         switch_period_ns=100 * MS,
+                         rng=RandomStreams(1).numpy_stream("changing-load")),
+                     freq_governor="nmap", idle_governor="menu", n_cores=2,
+                     seed=1),
+        300 * MS),
+    # Low load: idle entry, deferred deep entry, re-selection, deep wakes.
+    "memcached_low_menu": (
+        ServerConfig(app="memcached", load_level="low", freq_governor="nmap",
+                     idle_governor="menu", n_cores=2, seed=1),
+        300 * MS),
+    # Wire loss shadows nic.receive mid-run; the client times out and
+    # retransmits.
+    "memcached_loss_retry": (
+        ServerConfig(app="memcached", load_level="medium",
+                     freq_governor="nmap", n_cores=2, seed=1,
+                     retry=RetryPolicy(),
+                     fault_plan=loss_burst_plan(300 * MS)),
         300 * MS),
 }
 

@@ -73,6 +73,6 @@ def test_sanitized_kernel_matches_unsanitized(ops):
 def test_queue_lifetime_invariant_holds_under_fuzz(ops):
     sim = Simulator(sanitize=False)
     _execute(sim, ops)
-    queue = sim._queue
+    queue = sim.queue
     assert (queue.scheduled_total
             == sim.events_processed + queue.cancelled_total + len(queue))

@@ -12,7 +12,7 @@ from repro.sim.simulator import Simulator
 
 def test_cancellation_heavy_counters_stay_consistent():
     sim = Simulator()
-    queue = sim._queue
+    queue = sim.queue
     fired = []
     events = [sim.schedule(i % 97, fired.append, i) for i in range(2000)]
     cancelled = 0
@@ -92,7 +92,7 @@ def test_periodic_timer_stop_during_fire():
 
 def test_cancel_paths_share_one_implementation():
     sim = Simulator()
-    queue = sim._queue
+    queue = sim.queue
     a = sim.schedule(5, lambda: None)
     b = sim.schedule(6, lambda: None)
     assert len(queue) == 2
@@ -119,7 +119,7 @@ def test_cancel_through_stale_handle_is_harmless():
     # must not disturb live accounting or any later event.
     ev.cancel()
     assert sim.pending_events == 0
-    assert sim._queue.cancelled_total == 0
+    assert sim.queue.cancelled_total == 0
     sim.schedule(1, fired.append, 2)
     sim.run_until(20)
     assert fired == [1, 2]
