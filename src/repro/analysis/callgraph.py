@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.analysis.common import (Finding, ImportMap, display_path,
                                    iter_python_files)
@@ -68,12 +68,6 @@ class FunctionInfo:
     @property
     def is_method(self) -> bool:
         return self.class_qname is not None
-
-    def param_index(self, name: str) -> Optional[int]:
-        try:
-            return self.params.index(name)
-        except ValueError:
-            return None
 
 
 @dataclass
@@ -156,6 +150,10 @@ class ProjectIndex:
                 col=exc.offset or 0, message=f"syntax error: {exc.msg}"))
             return
         name = _module_name(path)
+        if name in self.modules:
+            # Same dotted name under two analyzed roots: key the later
+            # file by its path so it is analyzed too, not shadowed.
+            name = display
         module = ModuleInfo(name=name, path=display, tree=tree,
                             source=source,
                             imports=ImportMap().collect(tree))
@@ -330,23 +328,3 @@ def build_index(paths: Sequence[Path],
         index.add_file(path, rel_to=rel_to)
     return index
 
-
-def resolve_call_target(index: ProjectIndex, module: ModuleInfo,
-                        func: ast.AST) -> Tuple[Optional[Symbol],
-                                                Optional[str]]:
-    """Resolve a call's ``func`` expression statically.
-
-    Returns ``(symbol, dotted)``: the project symbol when the target is
-    indexed, plus the dotted external origin when the name resolves
-    through imports (either may be None). The flow engine handles
-    ``self.x()``/typed-object calls itself — this helper covers the
-    environment-free cases: bare names, module attributes, and imports.
-    """
-    if isinstance(func, ast.Name):
-        symbol = index.resolve_name(module, func.id)
-        return symbol, module.imports.origin(func.id) or None
-    if isinstance(func, ast.Attribute):
-        dotted = module.imports.dotted(func)
-        if dotted:
-            return index.resolve_dotted(dotted), dotted
-    return None, None

@@ -1,15 +1,13 @@
-"""Shared machinery of the static-analysis passes.
+"""Shared machinery of the determinism analysis.
 
-:mod:`repro.analysis.lint` (the intraprocedural determinism linter) and
-:mod:`repro.analysis.flow` (the interprocedural call-graph engine) share
-everything that is not a rule: the :class:`Finding`/:class:`Report`
-shapes and their JSON format, import-alias resolution, per-line
+The rules live in :mod:`repro.analysis.lint` (what one file's syntax
+shows) and :mod:`repro.analysis.flow` (dataflow across functions);
+everything else lives here: the :class:`Finding`/:class:`Report` shapes
+and their JSON format, import-alias resolution, per-line
 ``# repro: allow[RULE] -- why`` pragma suppression, file discovery, and
 the suppression-*debt* accounting that the ``--debt`` gate ratchets.
-
-Keeping one copy matters beyond hygiene: a pragma must mean the same
-thing to both passes, and the JSON report format is pinned by golden
-tests that consumers (CI, the debt gate) rely on.
+The JSON report format is pinned by a golden test that consumers (CI,
+the debt gate) rely on.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Matches the suppression pragma: "repro: allow[RULES]" in a comment,
 #: optionally followed by "-- justification" (rules comma-separated).
@@ -64,6 +62,8 @@ class Report:
     #: Rule id -> one-line meaning, embedded in the JSON report so a
     #: consumer never needs the producing module to interpret ids.
     rules: Dict[str, str] = field(default_factory=dict)
+    #: Suppression debt of the scanned files (see :func:`count_debt`).
+    debt: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def active(self) -> List[Finding]:
         """Findings that are not suppressed (these fail ``--strict``)."""
@@ -175,14 +175,13 @@ def parse_pragmas(source: str) -> Dict[int, Tuple[set, Optional[str]]]:
     return allows
 
 
-def apply_suppressions(findings: List[Finding], source: str, path: str,
-                       emit_s001: bool = True) -> List[Finding]:
+def apply_suppressions(findings: List[Finding], source: str,
+                       path: str) -> List[Finding]:
     """Mark findings allowed by their line's pragma; flag bare pragmas.
 
     A pragma without a ``-- justification`` is itself a finding
     (``S001``): the whole point of an allowlist entry is the recorded
-    *why*. The linter owns emitting S001; a second pass over the same
-    files passes ``emit_s001=False`` so the finding is not duplicated.
+    *why*.
     """
     allows = parse_pragmas(source)
     for finding in findings:
@@ -191,14 +190,13 @@ def apply_suppressions(findings: List[Finding], source: str, path: str,
             finding.suppressed = True
             finding.justification = entry[1]
     out = list(findings)
-    if emit_s001:
-        for lineno, (rules, justification) in sorted(allows.items()):
-            if justification is None:
-                out.append(Finding(
-                    rule="S001", path=path, line=lineno, col=0,
-                    message=f"suppression of {','.join(sorted(rules))} "
-                            f"carries no justification (write "
-                            f"'# repro: allow[RULE] -- why')"))
+    for lineno, (rules, justification) in sorted(allows.items()):
+        if justification is None:
+            out.append(Finding(
+                rule="S001", path=path, line=lineno, col=0,
+                message=f"suppression of {','.join(sorted(rules))} "
+                        f"carries no justification (write "
+                        f"'# repro: allow[RULE] -- why')"))
     return out
 
 
@@ -239,29 +237,25 @@ def _string_literal_lines(tree: ast.AST) -> set:
     return lines
 
 
-def count_debt(paths: Sequence[Path],
-               rel_to: Optional[Path] = None) -> Dict[str, Dict[str, int]]:
-    """Suppression-pragma counts: rule id -> display path -> count.
+def count_debt(modules: Iterable) -> Dict[str, Dict[str, int]]:
+    """Suppression-pragma counts: rule id -> file path -> count.
 
-    Counts every ``# repro: allow[...]`` pragma outside string literals,
-    one per rule id it names. This is the *debt* the ``--debt`` gate
-    ratchets: each (rule, module) count may only stay or go down
-    relative to the checked-in baseline.
+    ``modules`` are parsed files carrying ``path``, ``source`` and
+    ``tree`` (the :class:`~repro.analysis.callgraph.ModuleInfo` of each
+    analyzed file). Counts every ``# repro: allow[...]`` pragma outside
+    string literals, one per rule id it names. This is the *debt* the
+    ``--debt`` gate ratchets: each (rule, module) count may only stay or
+    go down relative to the checked-in baseline.
     """
     debt: Dict[str, Dict[str, int]] = {}
-    for path in iter_python_files(paths):
-        display = display_path(path, rel_to)
-        source = path.read_text()
-        try:
-            doc_lines = _string_literal_lines(ast.parse(source))
-        except SyntaxError:
-            doc_lines = set()
-        for lineno, (rules, _) in parse_pragmas(source).items():
+    for module in modules:
+        doc_lines = _string_literal_lines(module.tree)
+        for lineno, (rules, _) in parse_pragmas(module.source).items():
             if lineno in doc_lines:
                 continue
             for rule in sorted(rules):
                 per_path = debt.setdefault(rule, {})
-                per_path[display] = per_path.get(display, 0) + 1
+                per_path[module.path] = per_path.get(module.path, 0) + 1
     return {rule: dict(sorted(paths_.items()))
             for rule, paths_ in sorted(debt.items())}
 

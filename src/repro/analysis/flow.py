@@ -1,4 +1,4 @@
-"""Interprocedural determinism analysis over the project call graph.
+"""Interprocedural determinism analysis, and the one analysis entry point.
 
 :mod:`repro.analysis.lint` checks what one file's syntax shows; this
 engine owns the rules that need dataflow, within a function and across
@@ -18,8 +18,7 @@ parameters, attribute stores, and container round-trips:
   fields (``.seed`` / ``*_seed``) produce derived values; provenance
   follows assignments, returns, and call arguments.
 
-Rules (same report/JSON/pragma format as the linter, disjoint from its
-rule set):
+Rules (same pragma format as the linter's, disjoint from its rule set):
 
 ========  ===========================================================
 Rule      Meaning
@@ -37,13 +36,6 @@ Rule      Meaning
           helper returns, parameters, and laundering containers.
 ``D004``  Float accumulation (``+=`` loops, ``sum()``) in hash order,
           with the same interprocedural reach.
-``H001``  A config field that simulation code reads but the
-          ``HASHED_FIELDS`` registry in ``confighash.py`` does not
-          hash: changing it would silently serve stale cached results.
-``H002``  A ``HASHED_FIELDS`` entry no simulation code reads: dead
-          config that still invalidates the cache, or a stale registry
-          entry naming no real field.
-``P000``  File does not parse.
 ========  ===========================================================
 
 Known limits (by design — this is a linter, not a verifier): the
@@ -54,34 +46,32 @@ callbacks handed to the kernel. Suppress residual false positives with
 the usual ``# repro: allow[RULE] -- why`` pragma; the ``--debt`` gate
 keeps the pragma count ratcheting down.
 
-Run ``python -m repro.analysis flow [--strict] [--json PATH]
-[--debt [BASELINE]] [paths]``; ``lint --strict`` folds these findings
-in automatically.
+:func:`analyze_paths` runs both rule sets over one parse and returns one
+report; ``python -m repro.analysis lint [--strict] [--debt] [paths]`` is
+its command line.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (Dict, FrozenSet, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.analysis.callgraph import (ClassInfo, FunctionInfo,
                                       ModuleInfo, ProjectIndex,
                                       build_index)
-from repro.analysis.common import Finding, Report, apply_suppressions
+from repro.analysis.common import (Finding, Report, apply_suppressions,
+                                   count_debt)
 
-__all__ = ["FLOW_RULES", "FlowReport", "analyze_index", "analyze_paths"]
+__all__ = ["FLOW_RULES", "analyze_paths"]
 
 #: Rule id -> one-line meaning (embedded in the JSON report).
 FLOW_RULES: Dict[str, str] = {
     "D002": "RNG seed not provably derived from the experiment seed",
     "D003": "unordered iteration reaching the event kernel (flow-aware)",
     "D004": "float accumulation in hash order (flow-aware)",
-    "H001": "config field read by simulation but missing from the hash",
-    "H002": "hashed config field never read by simulation code",
-    "P000": "file does not parse",
 }
 
 #: Event-kernel entry points.
@@ -120,9 +110,6 @@ _GLOBAL_RANDOM = frozenset({
 })
 #: Calls that re-seed a process-global PRNG, whatever the argument.
 _GLOBAL_SEEDERS = frozenset({"random.seed", "numpy.random.seed"})
-#: Methods of registry config classes whose reads are validation, not
-#: behavior — excluded from H-rule read evidence.
-_VALIDATION_METHODS = frozenset({"__post_init__", "validate"})
 
 _D003_LOCAL = ("iterating an unordered collection into the event "
                "kernel: same-timestamp event order would follow hash "
@@ -610,8 +597,6 @@ class _Analyzer:
         if base.cls is not None:
             info = self.index.classes.get(base.cls)
             if info is not None:
-                if self.report:
-                    self.engine.record_read(self, info, attr)
                 stored = self.engine.attr_vals.get((base.cls, attr))
                 if stored is not None:
                     out = join(out, stored)
@@ -971,16 +956,6 @@ class _ModuleFunction(FunctionInfo):
     """Pseudo-function wrapping a module body for the analyzer."""
 
 
-@dataclass
-class _Registry:
-    """One ``HASHED_FIELDS`` mapping found in the analyzed tree."""
-
-    module: ModuleInfo
-    #: class name -> (declared fields, per-field line numbers).
-    entries: Dict[str, Tuple[Tuple[str, ...], Dict[str, int]]] = \
-        dc_field(default_factory=dict)
-
-
 class FlowEngine:
     """Run the interprocedural analysis over a ProjectIndex."""
 
@@ -994,13 +969,6 @@ class FlowEngine:
         self.changed = False
         self.findings: List[Finding] = []
         self._finding_keys: Set[Tuple] = set()
-        self.registries = self._discover_registries()
-        self._registry_names = {name for reg in self.registries
-                                for name in reg.entries}
-        self._registry_paths = {reg.module.path
-                                for reg in self.registries}
-        #: class name -> fields read through a typed binding.
-        self.typed_reads: Dict[str, Set[str]] = {}
         # Resolution caches: these run on every pass, the underlying
         # index answers never change.
         self.ann_cache: Dict[int, Tuple[Optional[str]]] = {}
@@ -1040,18 +1008,6 @@ class FlowEngine:
             self.attr_vals[key] = new
             self.changed = True
 
-    def record_read(self, analyzer: _Analyzer, info: ClassInfo,
-                    attr: str) -> None:
-        if info.name not in self._registry_names:
-            return
-        if analyzer.module.path in self._registry_paths:
-            return
-        finfo = analyzer.finfo
-        if (finfo.class_qname == info.qname
-                and finfo.node.name in _VALIDATION_METHODS):
-            return  # self-validation reads are not behavior
-        self.typed_reads.setdefault(info.name, set()).add(attr)
-
     def eval_in_module(self, module: ModuleInfo,
                        expr: ast.AST) -> Val:
         pseudo = _ModuleFunction(qname=f"{module.name}.<expr>",
@@ -1067,7 +1023,6 @@ class FlowEngine:
             if not self.changed:
                 break
         self._one_pass(report=True)
-        self._check_hash_registry()
         return self.findings
 
     def _one_pass(self, report: bool) -> None:
@@ -1096,170 +1051,43 @@ class FlowEngine:
                 analyzer.visit_stmt(stmt)
         return analyzer.env
 
-    # -- H001 / H002 ----------------------------------------------------- #
-
-    def _discover_registries(self) -> List[_Registry]:
-        registries: List[_Registry] = []
-        for module in self.index.modules.values():
-            for stmt in module.tree.body:
-                target = None
-                if isinstance(stmt, ast.Assign) and len(
-                        stmt.targets) == 1:
-                    target = stmt.targets[0]
-                elif isinstance(stmt, ast.AnnAssign):
-                    target = stmt.target
-                if not (isinstance(target, ast.Name)
-                        and target.id == "HASHED_FIELDS"
-                        and isinstance(getattr(stmt, "value", None),
-                                       ast.Dict)):
-                    continue
-                registry = _Registry(module=module)
-                for key, value in zip(stmt.value.keys,
-                                      stmt.value.values):
-                    if not (isinstance(key, ast.Constant)
-                            and isinstance(key.value, str)
-                            and isinstance(value, (ast.Tuple,
-                                                   ast.List))):
-                        continue
-                    fields: List[str] = []
-                    lines: Dict[str, int] = {}
-                    for elt in value.elts:
-                        if isinstance(elt, ast.Constant) and \
-                                isinstance(elt.value, str):
-                            fields.append(elt.value)
-                            lines[elt.value] = elt.lineno
-                    registry.entries[key.value] = (tuple(fields), lines)
-                if registry.entries:
-                    registries.append(registry)
-        return registries
-
-    def _name_reads(self) -> Set[str]:
-        """Attribute names read anywhere outside registry/validation.
-
-        The recall-oriented read evidence: it cannot tell *which*
-        class's field is being read, so it treats any ``x.foo`` as
-        potential use of every field named ``foo``.
-        """
-        reads: Set[str] = set()
-
-        def walk(node: ast.AST, in_class: bool) -> None:
-            for child in ast.iter_child_nodes(node):
-                if (in_class
-                        and isinstance(child, (ast.FunctionDef,
-                                               ast.AsyncFunctionDef))
-                        and child.name in _VALIDATION_METHODS):
-                    continue
-                if (isinstance(child, ast.Attribute)
-                        and isinstance(child.ctx, ast.Load)):
-                    reads.add(child.attr)
-                walk(child, isinstance(child, ast.ClassDef))
-
-        for module in self.index.modules.values():
-            if module.path in self._registry_paths:
-                continue
-            walk(module.tree, False)
-        return reads
-
-    def _check_hash_registry(self) -> None:
-        if not self.registries:
-            return
-        name_reads = self._name_reads()
-        for registry in self.registries:
-            for cls_name, (declared,
-                           lines) in registry.entries.items():
-                classes = [c for c in self.index.classes.values()
-                           if c.name == cls_name]
-                typed = self.typed_reads.get(cls_name, set())
-                declared_set = set(declared)
-                for cls in classes:
-                    fields = self.fields_of(cls)
-                    for fname, fnode in fields.items():
-                        if fname in declared_set:
-                            continue
-                        if fname in typed or fname in name_reads:
-                            self.add_finding(Finding(
-                                rule="H001", path=cls.module.path,
-                                line=fnode.lineno,
-                                col=fnode.col_offset,
-                                message=f"field '{cls_name}.{fname}' "
-                                f"is read by simulation code but "
-                                f"missing from HASHED_FIELDS in "
-                                f"{registry.module.path}: changing it "
-                                f"would silently reuse stale cached "
-                                f"results"))
-                    for fname in declared:
-                        line = lines.get(fname, 1)
-                        if classes and all(
-                                fname not in self.fields_of(c)
-                                for c in classes):
-                            self.add_finding(Finding(
-                                rule="H002", path=registry.module.path,
-                                line=line, col=0,
-                                message=f"HASHED_FIELDS entry "
-                                f"'{cls_name}.{fname}' names no field "
-                                f"on {cls_name}: stale registry "
-                                f"entry"))
-                        elif fname not in typed and \
-                                fname not in name_reads:
-                            self.add_finding(Finding(
-                                rule="H002", path=registry.module.path,
-                                line=line, col=0,
-                                message=f"hashed field "
-                                f"'{cls_name}.{fname}' is never read "
-                                f"by simulation code: dead config "
-                                f"that still invalidates the cache"))
-                if not classes:
-                    first = min(lines.values()) if lines else 1
-                    self.add_finding(Finding(
-                        rule="H002", path=registry.module.path,
-                        line=first, col=0,
-                        message=f"HASHED_FIELDS names unknown class "
-                        f"'{cls_name}'"))
-
-
 # --------------------------------------------------------------------- #
 # Public entry points
 # --------------------------------------------------------------------- #
 
-@dataclass
-class FlowReport(Report):
-    """A :class:`~repro.analysis.common.Report` with the flow rules."""
-
-    rules: Dict[str, str] = dc_field(
-        default_factory=lambda: dict(FLOW_RULES))
-
-
-def analyze_index(index: ProjectIndex,
-                  select: Optional[Sequence[str]] = None
-                  ) -> FlowReport:
-    """Run the flow engine over an already-built index."""
-    engine = FlowEngine(index)
-    findings = engine.run()
-    findings.extend(index.parse_failures)
-    sources = {m.path: m.source for m in index.modules.values()}
-    by_path: Dict[str, List[Finding]] = {}
-    for finding in findings:
-        by_path.setdefault(finding.path, []).append(finding)
-    out: List[Finding] = []
-    for path, group in by_path.items():
-        source = sources.get(path)
-        if source is not None:
-            group = apply_suppressions(group, source, path,
-                                       emit_s001=False)
-        out.extend(group)
-    if select:
-        wanted = set(select)
-        out = [f for f in out if f.rule in wanted]
-    out.sort(key=Finding.sort_key)
-    return FlowReport(findings=out,
-                      files_scanned=len(index.modules)
-                      + len(index.parse_failures))
-
-
 def analyze_paths(paths: Sequence[Path],
                   rel_to: Optional[Path] = None,
-                  select: Optional[Sequence[str]] = None
-                  ) -> FlowReport:
-    """Build the index for ``paths`` and analyze it."""
-    return analyze_index(build_index(paths, rel_to=rel_to),
-                         select=select)
+                  select: Optional[Iterable[str]] = None) -> Report:
+    """Run every determinism rule over ``paths`` from one parse.
+
+    Builds the :class:`~repro.analysis.callgraph.ProjectIndex` once,
+    runs the syntactic rules of :mod:`repro.analysis.lint` on each tree
+    it parsed and the flow engine over the whole index, then applies
+    each file's pragmas once. The report's ``rules`` are both rule
+    tables, and its ``debt`` counts the same files' pragmas. ``select``
+    keeps only the findings of those rule ids.
+    """
+    # Imported on use: loading the flow engine alone (the pinned
+    # ``analysis-flow`` import budget) does not need the linter.
+    from repro.analysis.lint import RULES, _FileLinter, _perf_allowed
+    index = build_index(paths, rel_to=rel_to)
+    flow: Dict[str, List[Finding]] = {}
+    for finding in FlowEngine(index).run():
+        flow.setdefault(finding.path, []).append(finding)
+    findings: List[Finding] = list(index.parse_failures)
+    for module in index.modules.values():
+        file = Path(rel_to, module.path) if rel_to else Path(module.path)
+        linter = _FileLinter(module.path, perf_allowed=_perf_allowed(file))
+        linter.visit(module.tree)
+        findings += apply_suppressions(
+            linter.findings + flow.get(module.path, []), module.source,
+            module.path)
+    if select is not None:
+        wanted = set(select)
+        findings = [f for f in findings if f.rule in wanted]
+    findings.sort(key=Finding.sort_key)
+    return Report(findings=findings,
+                  files_scanned=len(index.modules)
+                  + len(index.parse_failures),
+                  rules={**RULES, **FLOW_RULES},
+                  debt=count_debt(index.modules.values()))

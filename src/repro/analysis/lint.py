@@ -29,25 +29,21 @@ Suppression is per line, with a mandatory justification::
 The dataflow rules — global or unseeded randomness (``D002``) and
 hash-ordered iteration reaching the event kernel or a float sum
 (``D003``/``D004``) — belong to :mod:`repro.analysis.flow`, which
-follows values across functions.
-
-Run ``python -m repro.analysis lint [--strict] [--json PATH] [paths]``;
-``--strict`` (the CI gate) also runs the flow engine and exits non-zero
-on any unsuppressed finding of either.
+follows values across functions. Its
+:func:`~repro.analysis.flow.analyze_paths` runs :class:`_FileLinter`
+on every tree it parsed, so both rule sets come from one parse and one
+report: ``python -m repro.analysis lint [--strict] [paths]``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.analysis.common import (Finding, ImportMap, Report,
-                                   apply_suppressions, iter_python_files)
+from repro.analysis.common import Finding, ImportMap
 
-__all__ = ["RULES", "PERF_COUNTER_ALLOWLIST", "Finding", "LintReport",
-           "lint_file", "lint_paths", "iter_python_files"]
+__all__ = ["RULES", "PERF_COUNTER_ALLOWLIST"]
 
 #: Rule id -> one-line meaning (stable: the JSON report embeds these).
 RULES: Dict[str, str] = {
@@ -81,12 +77,6 @@ _PERF_COUNTER = frozenset({
 })
 #: Time-unit constants from repro.units (ns-denominated).
 _UNIT_NAMES = frozenset({"NS", "US", "MS", "S"})
-
-@dataclass
-class LintReport(Report):
-    """A :class:`~repro.analysis.common.Report` carrying the lint rules."""
-
-    rules: Dict[str, str] = field(default_factory=lambda: dict(RULES))
 
 
 # --------------------------------------------------------------------- #
@@ -232,40 +222,6 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-# --------------------------------------------------------------------- #
-# Entry points
-# --------------------------------------------------------------------- #
-
 def _perf_allowed(path: Path) -> bool:
     posix = path.as_posix()
     return any(posix.endswith(entry) for entry in PERF_COUNTER_ALLOWLIST)
-
-
-def lint_file(path: Path, rel_to: Optional[Path] = None) -> List[Finding]:
-    """Lint one file; returns findings (suppressions already applied)."""
-    display = str(path.relative_to(rel_to) if rel_to else path)
-    source = path.read_text()
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [Finding(rule="P000", path=display,
-                        line=exc.lineno or 1, col=exc.offset or 0,
-                        message=f"syntax error: {exc.msg}")]
-    linter = _FileLinter(display, perf_allowed=_perf_allowed(path))
-    linter.visit(tree)
-    return apply_suppressions(linter.findings, source, display)
-
-
-def lint_paths(paths: Sequence[Path],
-               rel_to: Optional[Path] = None,
-               select: Optional[Iterable[str]] = None) -> LintReport:
-    """Lint files/directories; ``select`` restricts to those rule ids."""
-    files = iter_python_files(paths)
-    findings: List[Finding] = []
-    for path in files:
-        findings.extend(lint_file(path, rel_to=rel_to))
-    if select is not None:
-        wanted = set(select)
-        findings = [f for f in findings if f.rule in wanted]
-    findings.sort(key=Finding.sort_key)
-    return LintReport(findings=findings, files_scanned=len(files))

@@ -33,10 +33,10 @@ cost (gated in ``benchmarks/perf_smoke.py``).
 
 from __future__ import annotations
 
-import os
 from heapq import heappop as _heappop
 from typing import Optional
 
+from repro.sim.simulator import env_flag
 from repro.units import S
 
 
@@ -100,12 +100,6 @@ def check_stride_plan(stride_start: int, stride_end: int, window_ns: int,
                 f"(first window ends {first_window_end})")
 
 
-def sanitize_enabled() -> bool:
-    """True when ``REPRO_SANITIZE`` requests sanitized simulators."""
-    return os.environ.get("REPRO_SANITIZE", "").lower() in (
-        "1", "true", "on", "yes")
-
-
 class SimSanitizer:
     """Checked shadows of one simulator's hot methods.
 
@@ -122,9 +116,7 @@ class SimSanitizer:
         #: REPRO_SANITIZE_ENERGY_WINDOWS=1 on top of REPRO_SANITIZE=1),
         #: fleet lockstep loops call :meth:`check_energy_window` every
         #: window instead of only at the measurement boundary.
-        self.periodic_energy = os.environ.get(
-            "REPRO_SANITIZE_ENERGY_WINDOWS", "").lower() in (
-                "1", "true", "on", "yes")
+        self.periodic_energy = env_flag("REPRO_SANITIZE_ENERGY_WINDOWS")
         self.energy_window_checks = 0
         self._energy_floor = {}
         # Instance-dict shadows: the class methods stay untouched for

@@ -74,7 +74,8 @@ class PollThread(SimThread):
         cycles = 0.0
         for qid in self.queue_ids:
             queue = nic.queues[qid]
-            if not queue.has_work:
+            # ``queue.has_work``, read without the property frame.
+            if not queue.rx and queue.txc_pending <= 0:
                 continue
             data, q_rx, q_items, q_cycles = grab_burst(
                 queue, nic.free_acks, be.burst_size,
@@ -96,10 +97,11 @@ class PollThread(SimThread):
         if n_items == 0:
             # Empty poll: spin for one gap. Charged at the current
             # clock; a packet arrival terminates the chunk early via
-            # the NIC doorbell.
+            # the NIC doorbell. (``_freq_hz`` is ``core.frequency_hz``
+            # without the property frame: this runs once per spin.)
             spin_cycles = max(1.0,
                               self.backend.spin_gap_ns
-                              * self.core.frequency_hz / S)
+                              * self.core._freq_hz / S)
             work = self._spin_shell
             if work is None:
                 self._spin_shell = work = Work(

@@ -10,6 +10,11 @@ from repro.sim.event import Event, EventQueue
 from repro.sim.perf import PerfSnapshot
 
 
+def env_flag(name: str) -> bool:
+    """True when environment variable ``name`` is set to 1/true/on/yes."""
+    return os.environ.get(name, "").lower() in ("1", "true", "on", "yes")
+
+
 class Simulator:
     """Single-threaded discrete-event simulator with an integer-ns clock.
 
@@ -45,8 +50,7 @@ class Simulator:
         #: sites bind ``tracing = sim.spans is not None`` at construction.
         self.spans = None
         if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "").lower() in (
-                "1", "true", "on", "yes")
+            sanitize = env_flag("REPRO_SANITIZE")
         if sanitize:
             from repro.analysis.sanitize import SimSanitizer
             self.sanitizer = SimSanitizer(self)

@@ -7,14 +7,11 @@ package-``__init__`` re-export, and a ``functools.partial`` binding
 whose taint must still reach the kernel sink.
 """
 
-import ast
 import textwrap
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.callgraph import (ClassInfo, FunctionInfo,
-                                      build_index, resolve_call_target)
+from repro.analysis.callgraph import ClassInfo, FunctionInfo, build_index
 from repro.analysis.flow import FlowEngine, analyze_paths
 
 FILES = {
@@ -126,17 +123,6 @@ def test_resolve_name_through_symbol_alias(index):
     kid = index.resolve_name(use, "Kid")
     assert isinstance(kid, ClassInfo)
     assert kid.qname == "synthpkg.models.Child"
-
-
-def test_resolve_call_target_through_module_alias(index):
-    use = index.modules["synthpkg.use"]
-    spin = use.functions["spin"]
-    call = next(n for n in ast.walk(spin.node)
-                if isinstance(n, ast.Call))
-    symbol, dotted = resolve_call_target(index, use, call.func)
-    assert isinstance(symbol, FunctionInfo)
-    assert symbol.qname == "synthpkg.core.tick"
-    assert dotted == "synthpkg.core.tick"
 
 
 def test_method_lookup_walks_base_classes(index):

@@ -1,7 +1,13 @@
 """Shared analysis plumbing: pragma debt accounting and the ratchet."""
 
-from repro.analysis.common import (count_debt, debt_regressions,
-                                   debt_to_json, load_debt_baseline)
+from repro.analysis.common import (debt_regressions, debt_to_json,
+                                   load_debt_baseline)
+from repro.analysis.flow import analyze_paths
+
+
+def count_debt(root):
+    """The debt of every file under ``root``, as one analysis counts it."""
+    return analyze_paths([root], rel_to=root).debt
 
 
 def _write(tmp_path, name, text):
@@ -16,7 +22,7 @@ def test_count_debt_tallies_pragmas_per_rule_and_file(tmp_path):
            "y = 2  # repro: allow[D002] -- two\n"
            "z = 3  # repro: allow[D003] -- three\n")
     _write(tmp_path, "b.py", "w = 4  # repro: allow[D002] -- four\n")
-    debt = count_debt([tmp_path], rel_to=tmp_path)
+    debt = count_debt(tmp_path)
     assert debt == {"D002": {"a.py": 2, "b.py": 1},
                     "D003": {"a.py": 1}}
 
@@ -24,14 +30,14 @@ def test_count_debt_tallies_pragmas_per_rule_and_file(tmp_path):
 def test_count_debt_ignores_pragmas_inside_string_literals(tmp_path):
     _write(tmp_path, "doc.py",
            'TEXT = "use # repro: allow[D002] -- like this"\n')
-    assert count_debt([tmp_path], rel_to=tmp_path) == {}
+    assert count_debt(tmp_path) == {}
 
 
 def test_debt_regressions_flags_only_increases(tmp_path):
     _write(tmp_path, "a.py",
            "x = 1  # repro: allow[D002] -- one\n"
            "y = 2  # repro: allow[D002] -- two\n")
-    debt = count_debt([tmp_path], rel_to=tmp_path)
+    debt = count_debt(tmp_path)
     baseline = load_debt_baseline(
         _write(tmp_path, "base.json", debt_to_json(debt)))
 

@@ -9,8 +9,7 @@ with no violations, sanitized results are bit-identical.
 
 import pytest
 
-from repro.analysis.sanitize import (SanitizerError, SimSanitizer,
-                                     sanitize_enabled)
+from repro.analysis.sanitize import SanitizerError, SimSanitizer
 from repro.cpu.power import PackageEnergy, PowerModel
 from repro.cpu.pstate import PStateTable
 from repro.sim.event import Event
@@ -18,16 +17,15 @@ from repro.sim.simulator import Simulator
 from repro.units import GHZ
 
 
-def test_sanitize_enabled_env(monkeypatch):
+def test_repro_sanitize_env_arms_the_simulator(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    assert not sanitize_enabled()
     assert Simulator().sanitizer is None
     for value in ("1", "true", "ON", "yes"):
         monkeypatch.setenv("REPRO_SANITIZE", value)
-        assert sanitize_enabled()
-    assert isinstance(Simulator().sanitizer, SimSanitizer)
-    monkeypatch.setenv("REPRO_SANITIZE", "0")
-    assert not sanitize_enabled()
+        assert isinstance(Simulator().sanitizer, SimSanitizer)
+    for value in ("0", "", "off"):
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        assert Simulator().sanitizer is None
     # Explicit flag beats the environment, both ways.
     assert Simulator(sanitize=True).sanitizer is not None
     monkeypatch.setenv("REPRO_SANITIZE", "1")

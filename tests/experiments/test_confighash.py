@@ -7,10 +7,17 @@ import pytest
 
 import repro.experiments.confighash as confighash
 from repro.cluster.fleet import FleetConfig
-from repro.experiments.confighash import (HASHED_FIELDS, MODEL_VERSION,
-                                          canonicalize, config_digest,
-                                          run_key)
+from repro.cluster.health import HealthPolicy
+from repro.experiments.confighash import (MODEL_VERSION, canonicalize,
+                                          config_digest, run_key)
+from repro.faults.plan import KIND_THROTTLE, FaultPlan, FaultWindow
+from repro.netstack.stack import StackConfig
+from repro.obs.monitors import KIND_SLO_BURN, MonitorSpec
+from repro.obs.timeline import TimelineConfig
+from repro.p4.program import (FIELD_SESSION, PipelineProgram, TableEntry,
+                              TableStage)
 from repro.system import ServerConfig
+from repro.workload.retry import RetryPolicy
 from repro.units import MS
 
 
@@ -68,7 +75,7 @@ def test_plain_objects_canonicalize_by_class_and_state():
 
 
 # --------------------------------------------------------------------- #
-# The HASHED_FIELDS registry (audited by the H001/H002 flow rules)
+# Every dataclass field is part of the key
 # --------------------------------------------------------------------- #
 
 def test_registry_digests_are_pinned():
@@ -90,39 +97,33 @@ def test_registry_digests_are_pinned():
         "8934e83593641d47ecad290ef2f44ae43a0fc2a8324b2bcffd242237de9ffeed")
 
 
-@pytest.mark.parametrize("cls", [ServerConfig, FleetConfig])
-def test_registry_matches_dataclass_definition(cls):
-    """Every declared field is listed, in definition order.
+#: One instance of each config class a run key covers.
+CONFIGS = {
+    "ServerConfig": lambda: ServerConfig(),
+    "FleetConfig": lambda: FleetConfig(),
+    "TimelineConfig": lambda: TimelineConfig(),
+    "MonitorSpec": lambda: MonitorSpec(kind=KIND_SLO_BURN),
+    "FaultPlan": lambda: FaultPlan(),
+    "FaultWindow": lambda: FaultWindow(kind=KIND_THROTTLE, start_ns=0,
+                                       end_ns=MS),
+    "StackConfig": lambda: StackConfig(),
+    "PipelineProgram": lambda: PipelineProgram(),
+    "TableStage": lambda: TableStage(name="steer"),
+    "TableEntry": lambda: TableEntry(field=FIELD_SESSION, value=1,
+                                     queue=0),
+    "RetryPolicy": lambda: RetryPolicy(),
+    "HealthPolicy": lambda: HealthPolicy(),
+}
 
-    Order matters: the registry feeds canonicalize positionally, so a
-    reordered entry would change digests even with the same field set.
-    """
-    declared = tuple(f.name for f in dataclasses.fields(cls))
-    assert HASHED_FIELDS[cls.__name__] == declared
 
-
-def test_stale_registry_entry_fails_loudly(monkeypatch):
-    """A registry naming a nonexistent field must never hash silently."""
-    patched = dict(HASHED_FIELDS)
-    patched["ServerConfig"] = HASHED_FIELDS["ServerConfig"] + ("ghost",)
-    monkeypatch.setattr(confighash, "HASHED_FIELDS", patched)
-    with pytest.raises(AttributeError):
-        config_digest(ServerConfig())
-
-
-def test_registry_omission_excludes_field_from_digest(monkeypatch):
-    """Dropping a field from the registry changes what the hash sees.
-
-    This is exactly the hazard rule H001 exists to catch statically:
-    two configs differing only in the dropped field collide.
-    """
-    fields = HASHED_FIELDS["ServerConfig"]
-    patched = dict(HASHED_FIELDS)
-    patched["ServerConfig"] = tuple(f for f in fields if f != "seed")
-    monkeypatch.setattr(confighash, "HASHED_FIELDS", patched)
-    a = config_digest(ServerConfig(seed=1))
-    b = config_digest(ServerConfig(seed=2))
-    assert a == b
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_config_class_hashes_every_field_in_definition_order(name):
+    config = CONFIGS[name]()
+    assert type(config).__name__ == name
+    cls_name, fields = canonicalize(config)
+    assert cls_name == name
+    assert tuple(f for f, _ in fields) == tuple(
+        f.name for f in dataclasses.fields(config))
 
 
 def test_unregistered_dataclasses_hash_generically():
@@ -130,6 +131,5 @@ def test_unregistered_dataclasses_hash_generically():
     class Local:
         x: int = 1
 
-    assert Local.__name__ not in HASHED_FIELDS
     assert config_digest(Local(x=1)) == config_digest(Local(x=1))
     assert config_digest(Local(x=1)) != config_digest(Local(x=2))
