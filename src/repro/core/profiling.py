@@ -102,7 +102,7 @@ def profile_thresholds(app: str = "memcached", level: str = "high",
                           freq_governor="performance", idle_governor="menu",
                           seed=seed)
     system = ServerSystem(config)
-    profilers = [ThresholdProfiler(napi) for napi in system.stack.napis]
+    profilers = [ThresholdProfiler(napi) for napi in system.stack.rx.napis]
     system.run(duration_ns=n_periods * load_level.period_ns)
 
     ni_values = [p.ni_threshold() for p in profilers]

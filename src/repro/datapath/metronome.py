@@ -279,12 +279,6 @@ class NmapHybridBackend(MetronomeBackend):
     name = "nmap-hybrid"
 
     def bind_governors(self, governors) -> None:
-        engines = [getattr(gov, "engine", None) for gov in governors]
-        if len(engines) != len(self.threads) or any(e is None
-                                                    for e in engines):
-            raise ValueError(
-                "datapath='nmap-hybrid' couples the sleep interval to "
-                "the NMAP mode signal; it requires an NMAP-family "
-                "frequency governor (nmap / nmap-adaptive)")
-        for thread, engine in zip(self.threads, engines):
-            thread.engine = engine
+        # validate_server_config admits only NMAP-family governors here.
+        for thread, gov in zip(self.threads, governors):
+            thread.engine = gov.engine

@@ -3,10 +3,9 @@
 This is the pre-refactor wiring moved behind the backend seam, kept
 construction-for-construction identical: one ksoftirqd thread and one
 :class:`~repro.netstack.napi.NapiContext` per core, the NAPI bound as
-the queue's interrupt handler. The parity tests in
-``tests/datapath/test_parity.py`` hold this path bit-identical —
-latencies, float energy, trace channels, event counts — to the
-pre-seam results.
+the queue's interrupt handler. The NAPI rows of the golden table
+(``tests/goldens.json``) hold this path bit-identical — latencies,
+float energy, trace channels, event counts — to the pre-seam results.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ class NapiRxBackend(RxBackend):
             stack.nic.bind(qid, napi.on_interrupt)
             self.ksoftirqds.append(ksoftirqd)
             self.napis.append(napi)
-        # Legacy aliases: governors, threshold profiling, and the
-        # netstack tests reach the NAPI machinery through the stack.
-        stack.napis = self.napis
-        stack.ksoftirqds = self.ksoftirqds
 
     # -- wiring introspection ------------------------------------------- #
 

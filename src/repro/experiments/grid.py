@@ -13,15 +13,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.experiments import parallel
 from repro.experiments.base import ExperimentScale
-from repro.experiments.runner import run_cached
 from repro.system import ServerConfig
 
 if TYPE_CHECKING:
-    from repro.faults.plan import FaultPlan
-    from repro.obs.timeline import TimelineConfig
-    from repro.p4.program import PipelineProgram
     from repro.system import RunResult
-    from repro.workload.retry import RetryPolicy
 
 FIG12_GOVERNORS = ("intel_powersave", "ondemand", "performance",
                    "nmap-simpl", "nmap")
@@ -34,79 +29,39 @@ GridKey = Tuple[str, str, str, str]  # (app, level, governor, sleep)
 
 
 def cell_config(app: str, level: str, governor: str, sleep: str,
-                scale: ExperimentScale,
-                fault_plan: Optional[FaultPlan] = None,
-                retry: Optional[RetryPolicy] = None,
-                timeline: Optional[TimelineConfig] = None,
-                datapath: str = "napi",
-                datapath_params: Optional[dict] = None,
-                pipeline: Optional[PipelineProgram] = None) -> ServerConfig:
+                scale: ExperimentScale, **overrides) -> ServerConfig:
     """The configuration of one grid cell.
 
-    ``fault_plan``/``retry``/``timeline`` overlay a fault scenario
-    (``repro.faults``), a client retry policy, and windowed timeline
-    sampling (``repro.obs.timeline``) on the cell; ``datapath`` selects
-    the RX backend (``repro.datapath``) and ``pipeline`` installs a
-    match-action RX program (``repro.p4``). All default to off / the
-    kernel NAPI path, which keeps the classic grid's configurations
-    (and cache keys) unchanged.
+    ``overrides`` are further ``ServerConfig`` fields laid over the
+    cell, e.g. ``datapath`` (the RX backend, ``repro.datapath``) or
+    ``pipeline`` (a match-action RX program, ``repro.p4``). Without
+    them the cell keeps the classic grid's configuration (and cache
+    key).
     """
     return ServerConfig(app=app, load_level=level, freq_governor=governor,
                         idle_governor=sleep, n_cores=scale.n_cores,
-                        seed=scale.seed, fault_plan=fault_plan,
-                        retry=retry, timeline=timeline,
-                        datapath=datapath,
-                        datapath_params=datapath_params or {},
-                        pipeline=pipeline)
-
-
-def run_cell(app: str, level: str, governor: str, sleep: str,
-             scale: ExperimentScale,
-             fault_plan: Optional[FaultPlan] = None,
-             retry: Optional[RetryPolicy] = None,
-             timeline: Optional[TimelineConfig] = None,
-             datapath: str = "napi",
-             datapath_params: Optional[dict] = None,
-             pipeline: Optional[PipelineProgram] = None) -> RunResult:
-    """Run (or fetch) one grid cell."""
-    config = cell_config(app, level, governor, sleep, scale,
-                         fault_plan=fault_plan, retry=retry,
-                         timeline=timeline, datapath=datapath,
-                         datapath_params=datapath_params,
-                         pipeline=pipeline)
-    return run_cached(config, scale.duration_ns)
+                        seed=scale.seed, **overrides)
 
 
 def run_grid(governors, sleeps, scale: ExperimentScale,
              apps=APPS, levels=LOAD_LEVELS,
              workers: Optional[int] = None,
-             fault_plan: Optional[FaultPlan] = None,
-             retry: Optional[RetryPolicy] = None,
-             timeline: Optional[TimelineConfig] = None,
-             datapath: str = "napi",
-             datapath_params: Optional[dict] = None,
-             pipeline: Optional[PipelineProgram] = None
-             ) -> Dict[GridKey, RunResult]:
+             **overrides) -> Dict[GridKey, RunResult]:
     """Run every (app, level, governor, sleep) combination.
 
     Cells are independent seeded systems, so with ``workers`` > 1 (or an
     ambient/environment worker count — see
     :func:`repro.experiments.parallel.resolve_workers`) they fan out over
     a process pool; per-cell results are identical to a serial run.
-    ``fault_plan``/``retry``/``timeline`` apply one fault scenario,
-    retry policy, and timeline request uniformly across the grid
-    (``fault_resilience`` sweeps the first two).
+    ``overrides`` apply uniformly to every cell (see :func:`cell_config`).
     """
     keys: List[GridKey] = [(app, level, governor, sleep)
                            for app in apps
                            for level in levels
                            for governor in governors
                            for sleep in sleeps]
-    jobs = [(cell_config(*key, scale, fault_plan=fault_plan, retry=retry,
-                         timeline=timeline, datapath=datapath,
-                         datapath_params=datapath_params,
-                         pipeline=pipeline),
-             scale.duration_ns) for key in keys]
+    jobs = [(cell_config(*key, scale, **overrides), scale.duration_ns)
+            for key in keys]
     results = parallel.run_many(jobs, workers=workers)
     return dict(zip(keys, results))
 

@@ -101,8 +101,8 @@ def run(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
             rate_pps=METER_PPS_PER_CORE * scale.n_cores, burst_pkts=64))),
     )
     jobs = [(cell_config(APP, LEVEL, "nmap", "menu", scale,
-                         pipeline=program).with_overrides(
-                             n_flows=n_flows, flow_weights=weights),
+                         pipeline=program, n_flows=n_flows,
+                         flow_weights=weights),
              scale.duration_ns) for _, program in brackets]
     results = dict(zip([label for label, _ in brackets],
                        parallel.run_many(jobs)))

@@ -10,18 +10,15 @@ queue per core, RSS steering flows evenly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.cpu.topology import Processor
-from repro.netstack.napi import NapiConfig, NapiContext
+from repro.netstack.napi import NapiConfig
 from repro.netstack.socket import SocketQueue
 from repro.nic.nic import MultiQueueNic
 from repro.nic.packet import Packet
 from repro.osched.scheduler import CoreScheduler
 from repro.units import MS
-
-if TYPE_CHECKING:
-    from repro.netstack.ksoftirqd import KsoftirqdThread
 
 
 @dataclass(frozen=True)
@@ -74,10 +71,6 @@ class NetworkStack:
 
         self.schedulers: List[CoreScheduler] = []
         self.sockets: List[SocketQueue] = []
-        #: NAPI machinery, populated by the "napi" backend's build();
-        #: empty under kernel-bypass backends.
-        self.ksoftirqds: List[KsoftirqdThread] = []
-        self.napis: List[NapiContext] = []
         for core in processor.cores:
             sched = CoreScheduler(sim, core,
                                   timeslice_ns=self.config.timeslice_ns)

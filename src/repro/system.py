@@ -181,11 +181,16 @@ def validate_server_config(config: ServerConfig) -> None:
     if name == "nmap-simpl" and config.datapath != "napi":
         raise ValueError("freq_governor='nmap-simpl' reads ksoftirqd wake "
                          "signals; it requires datapath='napi'")
-    if (config.idle_governor == "nmap-sleep"
-            and name not in ("nmap", "nmap-adaptive")):
-        raise ValueError("idle_governor='nmap-sleep' requires an "
-                         "NMAP-family frequency governor "
-                         "(nmap / nmap-adaptive)")
+    if name not in ("nmap", "nmap-adaptive"):
+        if config.idle_governor == "nmap-sleep":
+            raise ValueError("idle_governor='nmap-sleep' requires an "
+                             "NMAP-family frequency governor "
+                             "(nmap / nmap-adaptive)")
+        if config.datapath == "nmap-hybrid":
+            raise ValueError("datapath='nmap-hybrid' couples the sleep "
+                             "interval to the NMAP mode signal; it "
+                             "requires an NMAP-family frequency governor "
+                             "(nmap / nmap-adaptive)")
 
 
 @dataclass
@@ -440,8 +445,8 @@ class ServerSystem:
             from repro.core.nmap_simpl import NmapSimplGovernor
             for cid in range(cfg.n_cores):
                 self.freq_governors.append(NmapSimplGovernor(
-                    self.sim, self.processor, cid, self.stack.ksoftirqds[cid],
-                    **params))
+                    self.sim, self.processor, cid,
+                    self.datapath.ksoftirqds[cid], **params))
         elif name in ("ncap", "ncap-menu"):
             from repro.baselines.ncap import NcapManager
             from repro.governors.ondemand import OndemandGovernor

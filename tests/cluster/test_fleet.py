@@ -8,6 +8,7 @@ import pytest
 from repro.cluster import FleetConfig, FleetSystem, run_fleet
 from repro.system import ServerConfig
 from repro.units import MS
+from tests.goldens import assert_same
 
 
 def _node(**kwargs):
@@ -48,11 +49,7 @@ def test_fleet_latencies_concatenate_node_major(fleet_result):
 
 
 def test_rerun_is_bit_identical(fleet_result):
-    again = run_fleet(fleet_result.config, 50 * MS)
-    assert again.sent == fleet_result.sent
-    assert again.dispatched == fleet_result.dispatched
-    assert np.array_equal(again.latencies_ns, fleet_result.latencies_ns)
-    assert again.energy.package_j == fleet_result.energy.package_j
+    assert_same(run_fleet(fleet_result.config, 50 * MS), fleet_result)
 
 
 def test_telemetry_carries_node_labels_and_fleet_instruments(fleet_result):

@@ -18,6 +18,7 @@ from repro.experiments import runner
 from repro.experiments.parallel import run_many
 from repro.system import ServerConfig, ServerSystem
 from repro.units import MS
+from tests.goldens import assert_same
 
 DURATION = 40 * MS
 
@@ -86,7 +87,4 @@ def test_serial_and_parallel_fleets_bit_identical(tmp_path, monkeypatch):
     runner.clear_cache()
     for a, b, (config, _) in zip(serial, parallel, jobs):
         assert a.config == config and b.config == config
-        assert a.sent == b.sent
-        assert a.dispatched == b.dispatched
-        assert np.array_equal(a.latencies_ns, b.latencies_ns)
-        assert a.energy.package_j == b.energy.package_j
+        assert_same(a, b)

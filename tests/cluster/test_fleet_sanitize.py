@@ -7,7 +7,6 @@ checks on a healthy run while staying bit-identical, and (b) catch each
 invariant when a violation is planted.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.sanitize import SanitizerError
@@ -15,6 +14,7 @@ from repro.cluster import FleetConfig, run_fleet
 from repro.cluster.fleet import FleetSystem
 from repro.system import ServerConfig
 from repro.units import MS
+from tests.goldens import assert_same
 
 DURATION = 20 * MS
 
@@ -35,11 +35,7 @@ def test_sanitized_fleet_is_bit_identical(monkeypatch, policy):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     checked = run_fleet(_fleet_config(policy=policy), DURATION)
 
-    assert np.array_equal(base.latencies_ns, checked.latencies_ns)
-    assert base.energy.package_j == checked.energy.package_j
-    assert base.energy.cores_j == checked.energy.cores_j
-    assert base.dispatched == checked.dispatched
-    assert base.lockstep_windows == checked.lockstep_windows
+    assert_same(base, checked)
 
 
 def test_sanitized_fleet_arms_every_node(monkeypatch):
@@ -109,8 +105,7 @@ def test_energy_window_checks_run_when_armed(monkeypatch, policy):
     for node in fleet.nodes:
         assert (node.sim.sanitizer.energy_window_checks
                 == checked.lockstep_windows)
-    assert np.array_equal(base.latencies_ns, checked.latencies_ns)
-    assert base.energy.package_j == checked.energy.package_j
+    assert_same(base, checked)
 
 
 def test_energy_window_violations_raise(monkeypatch):

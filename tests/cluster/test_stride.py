@@ -2,14 +2,14 @@
 
 ``FleetConfig.max_stride_windows=1`` runs the literal window-by-window
 lockstep loop; larger values let the driver coalesce provably-idle
-windows into one ``run_until`` span. Every observable — dispatch counts,
-latencies, float energy, telemetry — must be bit-identical across stride
-settings, including under faults (a fault-driven health episode
-mid-schedule must split strides, not be skipped by one) and power
-budgeting (strides must never cross a budget-period barrier).
+windows into one ``run_until`` span. Every observable — every field of
+the golden capture: dispatch counts, latencies, float energy,
+telemetry — must be bit-identical across stride settings, including
+under faults (a fault-driven health episode mid-schedule must split
+strides, not be skipped by one) and power budgeting (strides must never
+cross a budget-period barrier).
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster import FleetConfig, FleetSystem
@@ -18,6 +18,7 @@ from repro.faults.scenarios import make_plan
 from repro.system import ServerConfig
 from repro.units import MS, US
 from repro.workload.retry import RetryPolicy
+from tests.goldens import assert_same
 
 DURATION = 25 * MS
 
@@ -36,24 +37,12 @@ def _run(stride, **fleet_overrides):
     return FleetSystem(FleetConfig(**defaults)).run(DURATION)
 
 
-def _assert_identical(a, b):
-    assert a.sent == b.sent
-    assert a.completed == b.completed
-    assert a.dispatched == b.dispatched
-    assert np.array_equal(a.latencies_ns, b.latencies_ns)
-    assert a.energy.package_j == b.energy.package_j
-    assert a.lockstep_windows == b.lockstep_windows
-    for x, y in zip(a.node_results, b.node_results):
-        assert np.array_equal(x.completion_times_ns, y.completion_times_ns)
-        assert x.energy.package_j == y.energy.package_j
-
-
 @pytest.mark.parametrize("policy", ["round-robin", "least-outstanding",
                                     "power-aware"])
 def test_stride_settings_are_bit_identical(policy):
     base = _run(1, policy=policy)
     for stride in (4, 64):
-        _assert_identical(base, _run(stride, policy=policy))
+        assert_same(base, _run(stride, policy=policy))
 
 
 def test_strides_respect_budget_barriers():
@@ -61,8 +50,7 @@ def test_strides_respect_budget_barriers():
                   budget_period_ns=2 * MS)
     base = _run(1, **kwargs)
     coalesced = _run(64, **kwargs)
-    _assert_identical(base, coalesced)
-    assert base.rebalances == coalesced.rebalances
+    assert_same(base, coalesced)
     assert base.rebalances > 0  # the barrier logic was actually exercised
 
 
@@ -76,11 +64,7 @@ def test_fault_window_splits_the_stride(scenario):
                   node_fault_plans={1: make_plan(scenario, DURATION)})
     base = _run(1, **kwargs)
     coalesced = _run(64, **kwargs)
-    _assert_identical(base, coalesced)
-    for name in ("lb_marked_down_total", "lb_failovers_total",
-                 "lb_redispatched_total", "lb_probes_total"):
-        assert (base.telemetry.total(name)
-                == coalesced.telemetry.total(name)), name
+    assert_same(base, coalesced)
     if scenario == "node-kill":
         assert base.telemetry.total("lb_marked_down_total") > 0
 

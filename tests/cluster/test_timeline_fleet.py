@@ -19,6 +19,7 @@ from repro.obs.timeline import FLEET_SERIES, TimelineConfig, slo_burn
 from repro.system import ServerConfig
 from repro.units import MS
 from repro.workload.retry import RetryPolicy
+from tests.goldens import assert_same
 
 DURATION = 20 * MS
 INTERVAL = 2 * MS
@@ -62,13 +63,9 @@ def test_timeline_off_keeps_fleet_bit_identical():
     off = FleetSystem(_everything_config(timeline=False)).run(DURATION)
     on = FleetSystem(_everything_config()).run(DURATION)
     assert off.timeline is None and on.timeline is not None
-    assert off.completed == on.completed
-    assert off.dispatched == on.dispatched
-    assert np.array_equal(off.latencies_ns, on.latencies_ns)
-    assert off.energy.package_j == on.energy.package_j
-    for x, y in zip(off.node_results, on.node_results):
-        assert np.array_equal(x.latencies_ns, y.latencies_ns)
-        assert x.energy.package_j == y.energy.package_j
+    # Only the sampler's own output differs: its CSV and the fleet
+    # instruments it registers.
+    assert_same(off, on, drop=("timeline_sha256", "telemetry_sha256"))
 
 
 def test_sharded_timelines_are_bit_identical():
@@ -80,6 +77,7 @@ def test_sharded_timelines_are_bit_identical():
         sharded = FleetSystem(
             dataclasses.replace(config, shards=shards)).run(DURATION)
         _assert_timelines_identical(serial.timeline, sharded.timeline)
+        assert_same(serial, sharded)
         # Execution-detail telemetry rides along without breaking parity.
         assert sharded.perf.shards == shards
         assert len(sharded.perf.shard_span_wall_s) == shards
@@ -181,7 +179,7 @@ def test_monitor_abort_truncates_fleet_run():
     sharded = FleetSystem(
         dataclasses.replace(config, shards=2)).run(DURATION)
     _assert_timelines_identical(result.timeline, sharded.timeline)
-    assert np.array_equal(result.latencies_ns, sharded.latencies_ns)
+    assert_same(result, sharded)
 
 
 def test_interval_rounds_up_to_lockstep_windows():

@@ -45,7 +45,7 @@ def test_nmap_monitor_saw_both_modes(nmap_high_run):
 def test_nmap_stop_detaches(nmap_high_run):
     system, _ = nmap_high_run
     gov = system.freq_governors[0]
-    napi = system.stack.napis[0]
+    napi = system.stack.rx.napis[0]
     # run() already stopped the governors; listeners must be gone.
     assert gov.monitor._on_poll not in napi.poll_listeners
 

@@ -53,6 +53,13 @@ def test_hybrid_requires_nmap_family_governor():
                                   datapath="nmap-hybrid"))
 
 
+def test_sharded_fleet_rejects_hybrid_without_nmap_at_construction():
+    from repro.cluster import FleetConfig, FleetSystem
+    node = ServerConfig(datapath="nmap-hybrid", freq_governor="ondemand")
+    with pytest.raises(ValueError, match="NMAP-family"):
+        FleetSystem(FleetConfig(node=node, n_nodes=2, shards=2))
+
+
 def test_hybrid_accepts_nmap_adaptive():
     system = ServerSystem(ServerConfig(n_cores=2,
                                        freq_governor="nmap-adaptive",

@@ -6,11 +6,10 @@ same way it mixes governors — and sharded execution must stay
 bit-identical to the serial fleet regardless of the mix.
 """
 
-import numpy as np
-
 from repro.cluster import FleetConfig, FleetSystem
 from repro.system import ServerConfig
 from repro.units import MS
+from tests.goldens import assert_same
 
 DURATION = 20 * MS
 
@@ -57,14 +56,5 @@ def test_mixed_fleet_runs_every_backend():
 def test_mixed_fleet_sharding_is_bit_identical():
     serial = FleetSystem(_mixed_config()).run(DURATION)
     for shards in (2, 4):
-        sharded = FleetSystem(
-            _mixed_config(shards=shards)).run(DURATION)
-        assert sharded.completed == serial.completed
-        assert np.array_equal(sharded.latencies_ns, serial.latencies_ns)
-        assert sharded.energy.package_j == serial.energy.package_j
-        for x, y in zip(sharded.node_results, serial.node_results):
-            assert np.array_equal(x.latencies_ns, y.latencies_ns)
-            assert x.energy.package_j == y.energy.package_j
-            assert x.datapath_pkts == y.datapath_pkts
-            assert x.poll_loops == y.poll_loops
-            assert x.sleep_wakes == y.sleep_wakes
+        assert_same(FleetSystem(_mixed_config(shards=shards)).run(DURATION),
+                    serial)

@@ -1,6 +1,5 @@
 """Parallel grid execution: worker resolution and result determinism."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import runner
@@ -9,6 +8,7 @@ from repro.experiments.parallel import (resolve_workers, run_many,
 from repro.cluster import FleetConfig
 from repro.system import ServerConfig
 from repro.units import MS
+from tests.goldens import assert_same
 
 
 def test_resolve_workers_precedence(monkeypatch):
@@ -63,19 +63,7 @@ def test_serial_and_parallel_grids_bit_identical(tmp_path, monkeypatch):
     assert len(serial) == len(parallel) == 5
     for a, b in zip(serial, parallel):
         assert type(a) is type(b)
-        assert a.sent == b.sent
-        assert np.array_equal(a.latencies_ns, b.latencies_ns)
-        assert a.energy.package_j == b.energy.package_j
-        for x, y in zip(getattr(a, "node_results", [a]),
-                        getattr(b, "node_results", [b])):
-            assert x.completed == y.completed
-            assert x.dropped == y.dropped
-            assert np.array_equal(x.completion_times_ns,
-                                  y.completion_times_ns)
-            assert x.energy.package_j == y.energy.package_j
-            assert x.datapath_pkts == y.datapath_pkts
-            assert x.telemetry.sum_of("ksoftirqd_wakeups_total") == \
-                y.telemetry.sum_of("ksoftirqd_wakeups_total")
+        assert_same(a, b)
     runner.clear_cache()
 
 

@@ -1,6 +1,5 @@
 """The persistent (on-disk) run cache behind run_cached."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import FleetConfig
@@ -9,6 +8,7 @@ from repro.experiments import runner
 from repro.experiments.confighash import MODEL_VERSION
 from repro.system import ServerConfig
 from repro.units import MS
+from tests.goldens import assert_same
 
 CONFIG = ServerConfig(app="memcached", load_level="low",
                       freq_governor="performance", n_cores=1, seed=77)
@@ -42,9 +42,7 @@ def test_fresh_run_is_served_from_disk_in_a_fresh_process(disk_cache):
     assert stats.disk_hits == 1
     assert stats.fresh_runs == 0
     assert again is not result
-    assert again.completed == result.completed
-    assert np.array_equal(again.latencies_ns, result.latencies_ns)
-    assert again.energy.package_j == result.energy.package_j
+    assert_same(again, result)
 
 
 def test_clear_cache_drops_fleet_results(disk_cache):

@@ -1,12 +1,12 @@
 """Faulted runs are pure functions of (config, seed).
 
 Same plan + same seed must reproduce identical fault schedules, latency
-arrays, retry counts, and energy — in-process, across repeated runs,
-and across a worker pool (``parallel.run_many`` with workers=2), which
-is how the fault_resilience experiment fans out.
+arrays, retry counts, and energy — every field of the golden capture,
+whose telemetry digest carries the fault and retry counters —
+in-process, across repeated runs, and across a worker pool
+(``parallel.run_many`` with workers=2), which is how the
+fault_resilience experiment fans out.
 """
-
-import numpy as np
 
 from repro.experiments import runner
 from repro.experiments.parallel import run_many
@@ -14,6 +14,7 @@ from repro.faults.scenarios import make_plan
 from repro.system import ServerConfig, ServerSystem
 from repro.units import MS
 from repro.workload.retry import RetryPolicy
+from tests.goldens import assert_same
 
 DURATION = 40 * MS
 
@@ -25,28 +26,11 @@ def _config(scenario, seed=9):
                         retry=RetryPolicy())
 
 
-def _fault_signature(result):
-    reg = result.telemetry
-    names = ("fault_windows_total", "fault_rx_dropped_total",
-             "fault_rx_corrupted_total", "fault_crash_rx_dropped_total",
-             "fault_irq_storm_ticks_total", "requests_timed_out_total",
-             "requests_retried_total", "requests_abandoned_total")
-    out = {}
-    for name in names:
-        try:
-            out[name] = reg.total(name)
-        except KeyError:
-            out[name] = 0
-    return out
-
-
 def test_repeated_faulted_runs_are_identical():
     for scenario in ("loss-burst", "irq-storm", "node-kill"):
         a = ServerSystem(_config(scenario)).run(DURATION)
         b = ServerSystem(_config(scenario)).run(DURATION)
-        assert np.array_equal(a.latencies_ns, b.latencies_ns)
-        assert a.energy.package_j == b.energy.package_j
-        assert _fault_signature(a) == _fault_signature(b)
+        assert_same(a, b)
 
 
 def test_fault_noise_is_independent_of_the_arrival_stream():
@@ -69,10 +53,7 @@ def test_serial_and_worker_pool_runs_are_identical():
     pooled = run_many(jobs, workers=2)
     runner.clear_cache()
     for a, b in zip(serial, pooled):
-        assert np.array_equal(a.latencies_ns, b.latencies_ns)
-        assert np.array_equal(a.completion_times_ns, b.completion_times_ns)
-        assert a.energy.package_j == b.energy.package_j
-        assert _fault_signature(a) == _fault_signature(b)
+        assert_same(a, b)
 
 
 def test_fleet_node_kill_with_health_is_deterministic():
@@ -90,10 +71,4 @@ def test_fleet_node_kill_with_health_is_deterministic():
                              seed=3)
         return FleetSystem(config).run(DURATION)
 
-    a, b = run_once(), run_once()
-    assert np.array_equal(a.latencies_ns, b.latencies_ns)
-    assert a.energy.package_j == b.energy.package_j
-    assert a.dispatched == b.dispatched
-    for name in ("lb_marked_down_total", "lb_failovers_total",
-                 "lb_redispatched_total"):
-        assert a.telemetry.total(name) == b.telemetry.total(name)
+    assert_same(run_once(), run_once())

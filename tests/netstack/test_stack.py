@@ -25,10 +25,10 @@ def system(sim):
 
 def test_one_napi_socket_scheduler_per_core(system):
     _, _, stack, _ = system
-    assert len(stack.napis) == 2
+    assert len(stack.rx.napis) == 2
     assert len(stack.sockets) == 2
     assert len(stack.schedulers) == 2
-    assert len(stack.ksoftirqds) == 2
+    assert len(stack.rx.ksoftirqds) == 2
 
 
 def test_rx_packet_lands_in_matching_socket(sim, system):

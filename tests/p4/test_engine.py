@@ -10,6 +10,7 @@ from repro.p4 import (PipelineProgram, TableEntry, TableStage, chained,
 from repro.system import ServerConfig, ServerSystem
 from repro.units import MS
 from repro.workload.client import wrr_pattern
+from tests.goldens import assert_same, capture
 
 DURATION = 60 * MS
 
@@ -21,13 +22,6 @@ def _config(**overrides):
                 freq_governor="nmap", seed=7, n_flows=8, flow_weights=SKEW)
     base.update(overrides)
     return ServerConfig(**base)
-
-
-def _fingerprint(result):
-    return (result.sent, result.completed, result.dropped,
-            result.latencies_ns.tobytes(),
-            result.energy.package_j.hex(),
-            result.perf.events_fired)
 
 
 # -- client skew -------------------------------------------------------- #
@@ -178,9 +172,9 @@ def test_programmed_runs_are_seed_deterministic(datapath, governor):
                      freq_governor=governor)
     a = ServerSystem(config).run(DURATION)
     b = ServerSystem(config).run(DURATION)
-    assert _fingerprint(a) == _fingerprint(b)
+    assert_same(a, b)
     other = ServerSystem(config.with_overrides(seed=8)).run(DURATION)
-    assert _fingerprint(other) != _fingerprint(a)
+    assert capture(other) != capture(a)
 
 
 @pytest.mark.slow
@@ -191,7 +185,7 @@ def test_programmed_run_matches_under_sanitizer(monkeypatch):
     system = ServerSystem(config)
     assert system.sim.sanitizer is not None
     sanitized = system.run(DURATION)
-    assert _fingerprint(sanitized) == _fingerprint(plain)
+    assert_same(sanitized, plain)
 
 
 # -- timeline ----------------------------------------------------------- #

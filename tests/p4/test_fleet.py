@@ -6,13 +6,12 @@ and datapaths — and sharded execution must stay bit-identical to the
 serial fleet at every shard count that divides the node count.
 """
 
-import numpy as np
-
 from repro.cluster import FleetConfig, FleetSystem
 from repro.p4 import (drop_program, flow_affine_program, identity_program,
                       meter_program)
 from repro.system import ServerConfig
 from repro.units import MS
+from tests.goldens import assert_same
 
 DURATION = 20 * MS
 
@@ -66,13 +65,5 @@ def test_mixed_fleet_runs_programmed_and_plain_nodes():
 def test_mixed_fleet_sharding_is_bit_identical():
     serial = FleetSystem(_mixed_config()).run(DURATION)
     for shards in (1, 2, 3, 6):
-        sharded = FleetSystem(
-            _mixed_config(shards=shards)).run(DURATION)
-        assert sharded.completed == serial.completed
-        assert np.array_equal(sharded.latencies_ns, serial.latencies_ns)
-        assert sharded.energy.package_j == serial.energy.package_j
-        for x, y in zip(sharded.node_results, serial.node_results):
-            assert np.array_equal(x.latencies_ns, y.latencies_ns)
-            assert x.energy.package_j == y.energy.package_j
-            assert x.dropped == y.dropped
-            assert x.datapath_pkts == y.datapath_pkts
+        assert_same(FleetSystem(_mixed_config(shards=shards)).run(DURATION),
+                    serial)

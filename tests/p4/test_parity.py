@@ -3,64 +3,32 @@
 Installing the pipeline hook put a branch on the hottest path in the
 model (``MultiQueueNic.receive``), so this file pins three things:
 
-* no program (``pipeline=None``) still reproduces the pre-pipeline
-  golden exactly (same constants ``tests/datapath/test_parity.py``
-  pins; duplicated here so this suite stands alone);
+* no program (``pipeline=None``) still reproduces the golden table's
+  ``fig9_quick_memcached`` row;
 * an *empty* program builds no engine at all;
 * a truthy *identity* program — which builds the engine, parses every
   packet, and runs a real (empty) table — is still bit-identical on
   every RX backend, because it matches nothing, costs zero cycles, and
-  falls back to the same hash RSS the backends use.
+  falls back to the same hash RSS the backends use. Only the telemetry
+  digest may differ: the engine registers its own ``p4_*`` counters.
 """
-
-import hashlib
 
 import pytest
 
 from repro.p4 import PipelineProgram, identity_program
 from repro.system import ServerConfig, ServerSystem
 from repro.units import MS
+from tests import goldens
 
-#: The pre-pipeline NAPI golden (captured on the pre-datapath-seam tree;
-#: same values as tests/datapath/test_parity.py, duplicated so this
-#: suite is self-contained).
-FIG9_GOLDEN = {
-    "sent": 56531, "completed": 56531, "dropped": 0,
-    "package_j_hex": "0x1.1191eb7a24055p+2",
-    "latencies_sha256": "78faa8fc4a7b5ecd9bf07878c3b9a6"
-                        "495ba151e212356e4fbb8b290e44a09ee9",
-    "events_fired": 204202,
-}
+FIG9_CONFIG, FIG9_DURATION = goldens.CELLS["fig9_quick_memcached"]
 
-FIG9_CONFIG = ServerConfig(app="memcached", load_level="high",
-                           freq_governor="nmap", n_cores=2, seed=1,
-                           trace=True)
+#: The identity engine registers its own counters.
+ENGINE_COUNTERS = ("telemetry_sha256",)
 
 BACKENDS = [("napi", "nmap"), ("poll", "performance"),
             ("metronome", "ondemand"), ("nmap-hybrid", "nmap")]
 
 DURATION = 60 * MS
-
-
-def _fingerprint(result):
-    return (result.sent, result.completed, result.dropped,
-            result.latencies_ns.tobytes(),
-            result.energy.package_j.hex(),
-            result.energy.cores_j.hex(),
-            tuple(sorted(result.datapath_pkts.items())),
-            result.poll_loops, result.sleep_wakes,
-            result.perf.events_fired)
-
-
-def _golden_capture(result):
-    return {
-        "sent": result.sent, "completed": result.completed,
-        "dropped": result.dropped,
-        "package_j_hex": result.energy.package_j.hex(),
-        "latencies_sha256": hashlib.sha256(
-            result.latencies_ns.tobytes()).hexdigest(),
-        "events_fired": result.perf.events_fired,
-    }
 
 
 def test_empty_program_builds_no_engine():
@@ -81,8 +49,9 @@ def test_identity_program_builds_an_engine():
                          ids=["none", "empty", "identity"])
 def test_fig9_golden_with_and_without_program(program):
     config = FIG9_CONFIG.with_overrides(pipeline=program)
-    result = ServerSystem(config).run(300 * MS)
-    assert _golden_capture(result) == FIG9_GOLDEN
+    result = ServerSystem(config).run(FIG9_DURATION)
+    goldens.assert_same(result, goldens.ROWS["fig9_quick_memcached"],
+                        drop=ENGINE_COUNTERS if program else ())
 
 
 @pytest.mark.slow
@@ -94,7 +63,7 @@ def test_identity_program_is_bit_identical_on_every_backend(
     bare = ServerSystem(base).run(DURATION)
     programmed = ServerSystem(
         base.with_overrides(pipeline=identity_program())).run(DURATION)
-    assert _fingerprint(programmed) == _fingerprint(bare)
+    goldens.assert_same(programmed, bare, drop=ENGINE_COUNTERS)
 
 
 @pytest.mark.slow
@@ -103,8 +72,9 @@ def test_identity_parity_holds_under_sanitizer(monkeypatch):
     config = FIG9_CONFIG.with_overrides(pipeline=identity_program())
     system = ServerSystem(config)
     assert system.sim.sanitizer is not None
-    result = system.run(300 * MS)
-    assert _golden_capture(result) == FIG9_GOLDEN
+    goldens.assert_same(system.run(FIG9_DURATION),
+                        goldens.ROWS["fig9_quick_memcached"],
+                        drop=ENGINE_COUNTERS)
 
 
 @pytest.mark.slow

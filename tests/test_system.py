@@ -11,7 +11,7 @@ from repro.workload.shapes import ConstantLoad
 def test_default_config_builds():
     system = ServerSystem(ServerConfig())
     assert system.processor.n_cores == 2
-    assert len(system.stack.napis) == 2
+    assert len(system.stack.rx.napis) == 2
     assert len(system.workers) == 2
 
 
