@@ -8,10 +8,12 @@ moderation pattern) — and records the sustained events/sec into
 ``BENCH_eventloop.json`` so the perf trajectory is tracked across PRs.
 
 Figures come from one source of truth: the kernel's own
-:class:`~repro.sim.perf.PerfSnapshot`, exported through a
-:class:`~repro.obs.TelemetryRegistry` — the same gauges every
-``RunResult`` carries, so the benchmark record and run telemetry can
-never disagree on definitions.
+:class:`~repro.sim.perf.PerfSnapshot`. Its model counters are exported
+through :meth:`~repro.sim.perf.PerfSnapshot.register_into`, the same
+gauges every ``RunResult``'s telemetry carries, and its wall time and
+events/sec through :func:`~repro.sim.perf.host_registry`, the exporter
+``trace --prometheus`` uses too, so no two reports can disagree on
+definitions.
 
 A second pass re-runs the mix with one trace record site per burst
 event, taken the way an untraced run takes it: the site's recorder is
@@ -62,6 +64,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs import TelemetryRegistry  # noqa: E402
+from repro.sim.perf import host_registry  # noqa: E402
 from repro.sim.simulator import Simulator  # noqa: E402
 
 
@@ -107,10 +110,12 @@ def _run_mix(n_rounds: int, trace_site: bool = False,
     wall_s = time.perf_counter() - t_start
     timer.stop()
 
+    perf = sim.perf_snapshot(wall_s=wall_s)
     registry = TelemetryRegistry()
-    sim.perf_snapshot(wall_s=wall_s).register_into(registry)
+    perf.register_into(registry)
     return {name: instrument.value
-            for name, _labels, _kind, instrument in registry.items()}
+            for reg in (registry, host_registry(perf))
+            for name, _labels, _kind, instrument in reg.items()}
 
 
 def _time_server(timeline: bool, duration_ms: int = 100) -> float:

@@ -14,7 +14,7 @@ version uses a slightly longer period (5 ms default), as the paper notes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.governors.cpuidle import DisableIdleGovernor
 from repro.units import MS, S

@@ -323,7 +323,6 @@ def build_fleet_result(config: FleetConfig, duration_ns: int,
     telemetry.counter("budget_rebalances_total",
                       "Power-budget redistributions",
                       subsystem="fleet").inc(rebalances)
-    perf.register_into(telemetry)
     if monitor is not None:
         monitor.register_into(telemetry)
     if timeline is not None:

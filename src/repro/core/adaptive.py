@@ -17,7 +17,7 @@ from typing import Optional
 from repro.core.decision import MODE_CPU_UTIL
 from repro.core.nmap import NmapGovernor, NmapThresholds
 from repro.core.profiling import ThresholdProfiler
-from repro.units import MS, S
+from repro.units import S
 
 
 class AdaptiveNmapGovernor(NmapGovernor):

@@ -13,7 +13,7 @@ interrupts. It keeps:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.netstack.napi import MODE_POLLING, NapiContext
 

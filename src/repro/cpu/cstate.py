@@ -10,7 +10,7 @@ the private caches were flushed (Sec. 5.2 measures 7 µs on E5-2620v4 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.units import US
 

@@ -15,8 +15,7 @@ from typing import List
 from repro.datapath.base import RxBackend
 from repro.datapath.steering import spread_queues
 from repro.netstack.ksoftirqd import KsoftirqdThread
-from repro.netstack.napi import (MODE_INTERRUPT, MODE_POLLING, NapiConfig,
-                                 NapiContext)
+from repro.netstack.napi import MODE_INTERRUPT, MODE_POLLING, NapiContext
 
 
 class NapiRxBackend(RxBackend):
@@ -92,5 +91,4 @@ class NapiRxBackend(RxBackend):
                         read=lambda k=ksoftirqd: k.batches_run, **net)
 
 
-# Re-exported for backends sharing the NapiConfig cost model in tests.
-__all__ = ["NapiRxBackend", "NapiConfig"]
+__all__ = ["NapiRxBackend"]

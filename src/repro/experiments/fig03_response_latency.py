@@ -9,7 +9,6 @@ from __future__ import annotations
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
 from repro.experiments.runner import run_cached
 from repro.system import ServerConfig
-from repro.units import MS
 
 
 def run(scale: ExperimentScale = QUICK) -> ExperimentResult:

@@ -14,7 +14,6 @@ import numpy as np
 from repro.cpu.core import PRIORITY_TASK, Core, Work
 from repro.cpu.profiles import PROCESSOR_PROFILES
 from repro.experiments.base import QUICK, ExperimentResult, ExperimentScale
-from repro.governors.cpuidle import C6OnlyIdleGovernor
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator
 from repro.units import MS, US

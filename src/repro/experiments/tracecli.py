@@ -5,7 +5,8 @@ configuration of an experiment with span tracing enabled, writes a
 Perfetto-loadable JSON trace, and prints the per-stage latency breakdown.
 ``--telemetry`` also prints the run's telemetry registry and
 ``--prometheus PATH`` writes it in Prometheus text format, from the same
-run.
+run, followed by the run's host numbers (wall time, events/sec) from
+:func:`repro.sim.perf.host_registry`.
 
 The command runs the simulation directly (never through the run cache):
 a traced run carries a span log and is meant to be inspected, not reused
@@ -22,6 +23,7 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.metrics.report import format_table
 from repro.obs.perfetto import write_perfetto
 from repro.obs.prometheus import prometheus_text
+from repro.sim.perf import host_registry
 from repro.system import ServerConfig, ServerSystem
 
 #: Representative (app, governor, load_level) per experiment — the cell
@@ -131,5 +133,6 @@ def cmd_trace(argv) -> int:
     if args.prometheus:
         with open(args.prometheus, "w") as fh:
             fh.write(prometheus_text(result.telemetry))
+            fh.write(prometheus_text(host_registry(result.perf)))
         print(f"wrote {args.prometheus}")
     return 0 if err == 0 else 1

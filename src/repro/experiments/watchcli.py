@@ -23,7 +23,7 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.base import FULL, QUICK
 from repro.experiments.registry import EXPERIMENTS

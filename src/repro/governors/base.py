@@ -13,8 +13,6 @@ when falling back.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.units import MS
 
 

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.metrics.timeseries import mode_series
 from repro.units import MS

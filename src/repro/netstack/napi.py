@@ -30,7 +30,6 @@ from typing import Callable, List, Optional
 
 from repro.cpu.core import PRIORITY_HARDIRQ, PRIORITY_SOFTIRQ, PRIORITY_TASK, Work
 from repro.nic.queue import grab_burst
-from repro.units import MS
 
 MODE_INTERRUPT = "interrupt"
 MODE_POLLING = "polling"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 _packet_ids = itertools.count()
 

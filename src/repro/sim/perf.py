@@ -1,10 +1,9 @@
-"""Event-loop performance counters.
+"""Event-loop performance counters: model counters and host numbers.
 
 The simulator is the hot loop of every experiment, so speedups there must
 be measured, not asserted. :class:`PerfSnapshot` captures the kernel-level
 counters of one run (events scheduled/fired/cancelled, heap high-water
-mark) plus the wall-clock time the caller measured, and derives the two
-figures of merit: events/sec and the cancel ratio.
+mark) plus the wall-clock time the caller measured.
 
 Counter semantics:
 
@@ -13,12 +12,20 @@ Counter semantics:
 * ``events_cancelled`` — events cancelled before firing (lazy-deleted).
 * ``heap_peak`` — maximum heap length observed, cancelled entries
   included (lazy cancellation keeps them in the heap until popped).
+
+The counters are model outputs, a pure function of (config, seed):
+:meth:`PerfSnapshot.register_into` writes them into a result's
+telemetry. Wall time and the rates derived from it are host numbers:
+they live only on ``result.perf``, and :func:`host_registry` exports
+them for benchmarks and reports, apart from any result.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List
+
+from repro.obs.registry import TelemetryRegistry
 
 
 @dataclass
@@ -33,6 +40,7 @@ class PerfSnapshot:
     events_recycled: int = 0
     heap_peak: int = 0
     #: Wall-clock seconds the measured section took (0 when not timed).
+    #: A host number: never exported into a result's telemetry.
     wall_s: float = 0.0
 
     @property
@@ -49,20 +57,8 @@ class PerfSnapshot:
             return 0.0
         return self.events_cancelled / self.events_scheduled
 
-    def as_dict(self) -> dict:
-        """Counters plus derived rates, for JSON export / reports."""
-        d = asdict(self)
-        d["events_per_sec"] = round(self.events_per_sec, 1)
-        d["cancel_ratio"] = round(self.cancel_ratio, 4)
-        return d
-
     def register_into(self, registry, subsystem: str = "sim") -> None:
-        """Export the snapshot as gauges of a telemetry registry.
-
-        One source of truth for event-kernel figures: ``RunResult``
-        telemetry, ``benchmarks/perf_smoke.py``, and the CLI reports all
-        read these gauges rather than recomputing rates their own way.
-        """
+        """Export the model counters as gauges of a telemetry registry."""
         gauges = [
             ("sim_events_scheduled", "Events pushed into the queue",
              self.events_scheduled),
@@ -72,23 +68,28 @@ class PerfSnapshot:
              self.events_cancelled),
             ("sim_heap_peak", "Maximum event-heap length observed",
              self.heap_peak),
-            ("sim_wall_seconds", "Wall-clock seconds of the measured run",
-             self.wall_s),
-            ("sim_events_per_sec", "Fired events per wall-clock second",
-             self.events_per_sec),
             ("sim_cancel_ratio", "Fraction of scheduled events cancelled",
              self.cancel_ratio),
         ]
         for name, help_text, value in gauges:
             registry.gauge(name, help_text, subsystem=subsystem).set(value)
 
-    def describe(self) -> str:
-        """One-line human summary."""
-        rate = (f"{self.events_per_sec:,.0f} events/s"
-                if self.wall_s > 0 else "untimed")
-        return (f"{self.events_fired:,} events fired ({rate}), "
-                f"heap peak {self.heap_peak:,}, "
-                f"cancel ratio {self.cancel_ratio:.1%}")
+
+def host_registry(perf: PerfSnapshot) -> TelemetryRegistry:
+    """The host numbers of ``perf`` as a registry of their own.
+
+    The one exporter of wall time: ``benchmarks/perf_smoke.py`` and
+    ``trace --prometheus`` read it next to the model telemetry, so
+    results stay free of numbers that differ between identical runs.
+    """
+    registry = TelemetryRegistry()
+    registry.gauge("sim_wall_seconds",
+                   "Wall-clock seconds of the measured run",
+                   subsystem="sim").set(perf.wall_s)
+    registry.gauge("sim_events_per_sec",
+                   "Fired events per wall-clock second",
+                   subsystem="sim").set(perf.events_per_sec)
+    return registry
 
 
 @dataclass
@@ -101,7 +102,8 @@ class LockstepPerf:
     the actual barrier-to-barrier spans executed: equal to ``windows``
     with adaptive lookahead off, smaller when idle windows coalesce.
     ``shards``/``wall_s`` describe the execution, not the model — parity
-    tests must not compare them.
+    tests must not compare them. None of these fields is exported into
+    the fleet's telemetry; read them here.
     """
 
     #: Base lockstep windows the drive covered.
@@ -140,27 +142,3 @@ class LockstepPerf:
         if mean <= 0:
             return 1.0
         return max(walls) / mean
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["coalesce_ratio"] = round(self.coalesce_ratio, 3)
-        d["shard_imbalance"] = round(self.shard_imbalance, 3)
-        return d
-
-    def register_into(self, registry, subsystem: str = "fleet") -> None:
-        """Export the drive counters as gauges of a telemetry registry."""
-        gauges = [
-            ("lockstep_strides", "Barrier spans executed",
-             self.strides),
-            ("lockstep_max_stride_windows",
-             "Longest stride in base windows", self.max_stride),
-            ("lockstep_shards", "Worker processes the fleet ran across",
-             self.shards),
-            ("lockstep_coalesce_ratio", "Base windows per executed stride",
-             self.coalesce_ratio),
-            ("lockstep_shard_imbalance",
-             "Slowest shard's span wall over the mean (1.0 = balanced)",
-             self.shard_imbalance),
-        ]
-        for name, help_text, value in gauges:
-            registry.gauge(name, help_text, subsystem=subsystem).set(value)

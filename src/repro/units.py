@@ -23,21 +23,6 @@ MHZ = 1_000_000
 GHZ = 1_000_000_000
 
 
-def ns_to_us(t_ns: float) -> float:
-    """Convert nanoseconds to microseconds."""
-    return t_ns / US
-
-
-def ns_to_ms(t_ns: float) -> float:
-    """Convert nanoseconds to milliseconds."""
-    return t_ns / MS
-
-
-def ns_to_s(t_ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return t_ns / S
-
-
 def cycles_to_ns(cycles: float, freq_hz: float) -> int:
     """Time (ns) to execute ``cycles`` at ``freq_hz``, rounded up to ≥1 ns."""
     if freq_hz <= 0:

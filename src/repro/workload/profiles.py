@@ -15,7 +15,7 @@ NMAP's thresholds survive load changes without re-profiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.units import MS
 from repro.workload.shapes import BurstLoad

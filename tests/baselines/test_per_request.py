@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.per_request import (PerRequestDvfsManager,
                                          ideal_latency_model)
 from repro.system import ServerConfig, ServerSystem
-from repro.units import MS, US
+from repro.units import MS
 
 
 def run(governor, seed=4):

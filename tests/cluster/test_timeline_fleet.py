@@ -10,7 +10,6 @@ observes.
 import dataclasses
 
 import numpy as np
-import pytest
 
 from repro.cluster import FleetConfig, FleetSystem
 from repro.cluster.health import HealthPolicy

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.adaptive import AdaptiveNmapGovernor
 from repro.core.nmap import NmapThresholds
 from repro.system import ServerConfig, ServerSystem
 from repro.units import MS

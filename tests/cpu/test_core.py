@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpu.core import (PRIORITY_HARDIRQ, PRIORITY_SOFTIRQ,
                             PRIORITY_TASK, Work)
-from repro.units import GHZ, MS, US
+from repro.units import MS, US
 
 
 def run_work(sim, core, cycles, priority=PRIORITY_TASK):

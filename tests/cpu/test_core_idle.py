@@ -1,7 +1,5 @@
 """Core idle behaviour: C-state entry, wake latency, cache penalty."""
 
-import pytest
-
 from repro.cpu.core import PRIORITY_TASK, Work
 from repro.governors.cpuidle import C6OnlyIdleGovernor, DisableIdleGovernor
 from repro.units import MS, US

@@ -4,8 +4,7 @@ import pytest
 
 from repro.cpu.cstate import CStateTable
 from repro.cpu.power import EnergyMeter, PackageEnergy, PowerModel
-from repro.cpu.pstate import PStateTable
-from repro.units import GHZ, S
+from repro.units import S
 
 
 @pytest.fixture

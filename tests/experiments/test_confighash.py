@@ -81,20 +81,20 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for MODEL_VERSION 2026.10-no-freelist (the config
+    Re-pinned for MODEL_VERSION 2026.10-model-telemetry (the config
     schema is unchanged; the bump retires cached results whose
-    telemetry still carries the event-freelist gauges). Any further
-    drift without a schema change or a MODEL_VERSION bump silently
-    invalidates every cached run key.
+    telemetry still carries the host wall-time and lockstep gauges).
+    Any further drift without a schema change or a MODEL_VERSION bump
+    silently invalidates every cached run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "e626ed9dbef997f408553c760adbe080126e6a88ec65559083d988d65e35756d")
+        "c9bdbb348308f2d7a2abd63019c1a13a4c539127cdc991e49cb7781d56968b1d")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "45ab5c0ae9248f3407e55cbc08df55738c567520646b39a80b026ef3848fbed8")
+        "d630f0f751fb66c3d387c98ebcbfede516e1cc3865284b5cab1d6dd8c930edf8")
     assert run_key(server, 1_000_000) == (
-        "8934e83593641d47ecad290ef2f44ae43a0fc2a8324b2bcffd242237de9ffeed")
+        "a8ad91bc25fe8440d45bcef6c2483ef99e489c8a42f469d5e5ded73a6357c2bf")
 
 
 #: One instance of each config class a run key covers.

@@ -1,8 +1,5 @@
 """Trace helpers used by the figure harnesses."""
 
-import numpy as np
-import pytest
-
 from repro.experiments.traceutil import (boost_delays_ms,
                                          ksoftirqd_wake_times, pstate_series)
 from repro.metrics.timeseries import mode_series

@@ -4,9 +4,9 @@
 simulation result moved: request counts, per-mode datapath packets,
 ksoftirqd wakeups, poll loops, sleep wakes, package and core energy as
 ``float.hex()``, p99, fired events, and sha256 digests of the
-latencies, the completion times, every trace channel, the Prometheus
-text (minus the gauges of host wall time and of the lockstep drive) and
-the timeline CSV. A fleet
+latencies, the completion times, every trace channel, the whole
+Prometheus text of the result's telemetry (model outputs only: host
+wall time lives on ``result.perf``) and the timeline CSV. A fleet
 result captures its own counters plus one such capture per node.
 
 ``assert_same(a, b)`` compares two results (or captures) field by field.
@@ -46,14 +46,6 @@ from repro.workload.retry import RetryPolicy
 from repro.workload.shapes import diurnal
 from tests.callcount import EXTERNAL, CallCount
 
-#: Gauges that differ between identical runs: the two of host wall time
-#: and, in a fleet, those of the lockstep drive (``FleetResult.perf``:
-#: shard count, strides, shard wall imbalance).
-_UNPINNED_GAUGES = ("sim_wall_seconds", "sim_events_per_sec",
-                    "lockstep_strides", "lockstep_max_stride_windows",
-                    "lockstep_shards", "lockstep_coalesce_ratio",
-                    "lockstep_shard_imbalance")
-
 _TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "goldens.json")
 
@@ -64,14 +56,6 @@ with open(_TABLE) as f:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _telemetry_sha256(registry):
-    if registry is None:
-        return None
-    return _sha256("".join(
-        line for line in prometheus_text(registry).splitlines(keepends=True)
-        if not line.startswith(_UNPINNED_GAUGES)).encode())
 
 
 def _trace_sha256(trace):
@@ -95,7 +79,8 @@ def capture(result) -> dict:
         "cores_j_hex": result.energy.cores_j.hex(),
         "p99_ns": result.p99_ns,
         "latencies_sha256": _sha256(result.latencies_ns.tobytes()),
-        "telemetry_sha256": _telemetry_sha256(result.telemetry),
+        "telemetry_sha256": _sha256(
+            prometheus_text(result.telemetry).encode()),
         "timeline_sha256": (None if result.timeline is None else _sha256(
             timeline_csv(result.timeline).encode())),
     }

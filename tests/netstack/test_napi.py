@@ -3,8 +3,7 @@
 import pytest
 
 from repro.netstack.napi import (MODE_INTERRUPT, MODE_POLLING, NapiConfig,
-                                 NapiContext, STATE_IRQ, STATE_KSOFTIRQD,
-                                 STATE_SOFTIRQ)
+                                 NapiContext, STATE_IRQ, STATE_SOFTIRQ)
 from repro.nic.nic import MultiQueueNic
 from repro.nic.packet import Packet
 from repro.nic.rss import RssDistributor

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu.topology import Processor
-from repro.netstack.stack import NetworkStack, StackConfig
+from repro.netstack.stack import NetworkStack
 from repro.nic.nic import MultiQueueNic
 from repro.nic.packet import Packet
 from repro.nic.rss import RssDistributor

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpu.core import PRIORITY_SOFTIRQ, PRIORITY_TASK, Work
 from repro.osched.scheduler import CoreScheduler
-from repro.osched.thread import RUNNABLE, RUNNING, SLEEPING, CallbackThread
+from repro.osched.thread import RUNNING, SLEEPING, CallbackThread
 from repro.units import MS, US
 
 

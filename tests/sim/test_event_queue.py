@@ -1,6 +1,5 @@
 """EventQueue ordering, cancellation, and FIFO tie-breaking."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.event import EventQueue

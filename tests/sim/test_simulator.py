@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.sim.simulator import Simulator
-
 
 def test_schedule_and_run_until_advances_clock(sim):
     fired = []

@@ -79,7 +79,10 @@ def test_trace_subcommand_telemetry_and_prometheus(capsys, tmp_path):
     printed = capsys.readouterr().out
     assert code == 0
     assert "requests_completed_total" in printed
-    assert "# TYPE requests_completed_total counter" in prom.read_text()
+    text = prom.read_text()
+    assert "# TYPE requests_completed_total counter" in text
+    # The host block follows the model telemetry.
+    assert "# TYPE sim_wall_seconds gauge" in text
 
 
 def test_list_subcommand_names_every_experiment(capsys):

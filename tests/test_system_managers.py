@@ -1,7 +1,5 @@
 """System builder paths for the manager-style governors."""
 
-import pytest
-
 from repro.baselines.ncap import NcapManager
 from repro.baselines.parties import PartiesManager
 from repro.system import ServerConfig, ServerSystem

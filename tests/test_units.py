@@ -13,12 +13,6 @@ def test_constants():
     assert units.GHZ == 10 ** 9
 
 
-def test_conversions():
-    assert units.ns_to_us(1_500) == 1.5
-    assert units.ns_to_ms(2_500_000) == 2.5
-    assert units.ns_to_s(units.S) == 1.0
-
-
 def test_cycles_to_ns_basic():
     # 3200 cycles at 3.2 GHz = 1 µs.
     assert units.cycles_to_ns(3200, 3.2 * units.GHZ) == 1000

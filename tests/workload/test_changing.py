@@ -1,6 +1,5 @@
 """Changing-load generator (Fig. 16)."""
 
-import numpy as np
 import pytest
 
 from repro.sim.rng import RandomStreams
