@@ -29,7 +29,7 @@ import json
 import os
 from typing import Dict
 
-from repro.cluster import FleetConfig, run_fleet
+from repro.cluster import FleetConfig, FleetSystem, run_fleet
 from repro.cluster.health import HealthPolicy
 from repro.faults.scenarios import loss_burst_plan, make_plan
 from repro.obs.prometheus import prometheus_text
@@ -154,10 +154,13 @@ def run(name: str, **overrides):
 def calls_per_request(name: str) -> Dict[str, float]:
     """Python calls per completed request of cell ``name``: in total and
     per ``repro`` layer, counted over ``run()`` after one warm-up run so
-    lazy imports and first-call caches do not show."""
+    lazy imports and first-call caches do not show. A fleet cell counts
+    ``FleetSystem.run`` per request completed on all its nodes."""
     config, duration_ns = CELLS[name]
-    ServerSystem(config).run(duration_ns)
-    system = ServerSystem(config)
+    build = (FleetSystem if isinstance(config, FleetConfig)
+             else ServerSystem)
+    build(config).run(duration_ns)
+    system = build(config)
     gc.collect()
     with CallCount() as calls:
         result = system.run(duration_ns)
@@ -281,7 +284,25 @@ CELLS = {
         node=_server(retry=RetryPolicy()), n_nodes=2, seed=11,
         health=HealthPolicy(),
         node_fault_plans={1: make_plan("irq-storm", 20 * MS)}), 20 * MS),
+    # Least-outstanding under health checking with a node kill: mark
+    # down, redispatch, probes and failover redirects. Also checked at
+    # two shards.
+    "fleet_least_outstanding_health": (FleetConfig(
+        node=_server(retry=RetryPolicy()), n_nodes=3,
+        policy="least-outstanding", seed=5, health=HealthPolicy(),
+        node_fault_plans={1: make_plan("node-kill", 20 * MS)}), 20 * MS),
+    # Power-of-two-choices over skewed sessions: the LB's seeded
+    # candidate stream. Also checked at two shards.
+    "fleet_p2c": (FleetConfig(
+        node=_server(), n_nodes=4, policy="p2c", n_sessions=16,
+        session_skew=1.0, seed=9), 20 * MS),
     # The cells whose calls per request are ratcheted (Python 3.11).
+    # The fleet cell is small: power-aware dispatch with health
+    # checking and a node kill, in-process.
+    "calls_fleet_power_kill": (FleetConfig(
+        node=_server(retry=RetryPolicy()), n_nodes=4, policy="power-aware",
+        seed=13, health=HealthPolicy(),
+        node_fault_plans={2: make_plan("node-kill", 30 * MS)}), 30 * MS),
     "calls_memcached_medium": (_server(), 50 * MS),
     "calls_memcached_low": (_server(load_level="low"), 50 * MS),
     "calls_nginx_medium": (_server(app="nginx"), 50 * MS),
