@@ -61,6 +61,20 @@ def check_dispatch_bounds(node_id: int, created_ns: int,
             f"state it could not yet have observed")
 
 
+def check_dispatch_snapshot(node_id: int, snapshot_key, live_key) -> None:
+    """A feedback dispatch must decide on what the node shows now.
+
+    The balancer reads node state once per window; that snapshot stays
+    exact only if nothing changes a node while the window dispatches
+    and every dispatch updates the routed node's key.
+    """
+    if snapshot_key != live_key:
+        raise SanitizerError(
+            f"stale dispatch snapshot: node {node_id} was dispatched "
+            f"against key {snapshot_key!r}, but a live read gives "
+            f"{live_key!r}")
+
+
 def check_stride_plan(stride_start: int, stride_end: int, window_ns: int,
                       next_arrival_ns: Optional[int],
                       budget_barrier_ns: Optional[int],

@@ -19,7 +19,11 @@ Two dispatch paths:
 * **Feedback policies** (least-outstanding, p2c, power-aware): each
   window's arrivals are dispatched with the node states observed at the
   window start (stale by at most one wire latency, as for a real
-  balancer), then fed before the window runs.
+  balancer), then fed before the window runs. Those states cannot
+  change while the window dispatches, so the policy reads them once, at
+  the barrier (``DispatchPolicy.refresh``), and each request costs one
+  ``min`` over the snapshot plus an O(1) update of the routed node's
+  key. Sanitized runs check every dispatched key against a live read.
 
 :class:`FleetSystem` is the one fleet class. Its single ``run`` body
 makes every fleet-level decision — dispatch, health, budget, strides,
@@ -53,6 +57,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.sanitize import (SanitizerError, check_dispatch_bounds,
+                                     check_dispatch_snapshot,
                                      check_stride_plan)
 from repro.cluster.config import FleetConfig
 from repro.cluster.health import HealthMonitor
@@ -201,6 +206,9 @@ def drive_lockstep(config: FleetConfig, duration_ns: int,
 
     want_state = not prefed
     want_speed = want_state and policy.uses_speed
+    feedback = not policy.feedback_free
+    choose = policy.choose
+    session_ids = sessions.tolist() if not prefed else None
     idx = 0
     t = 0
     while t < duration_ns:
@@ -220,9 +228,12 @@ def drive_lockstep(config: FleetConfig, duration_ns: int,
                         views[target].dispatched += 1
                         monitor.on_dispatch(target)
                         batches[target].append(t)
+            if feedback and idx < n_times and times[idx] < window_end:
+                # Node state is frozen until this window runs: one read.
+                policy.refresh()
             while idx < n_times and times[idx] < window_end:
                 created = times[idx]
-                nid = policy.choose(created, int(sessions[idx]))
+                nid = choose(created, session_ids[idx])
                 if monitor is not None:
                     nid = monitor.route(nid)
                 if sanitizing:
@@ -231,7 +242,13 @@ def drive_lockstep(config: FleetConfig, duration_ns: int,
                     # skipped a window, anything later means it read
                     # state it could not have.
                     check_dispatch_bounds(nid, created, t, window_end)
+                    if feedback:
+                        check_dispatch_snapshot(
+                            nid, policy.snapshot_key(nid),
+                            policy.window_keys()[nid])
                 views[nid].dispatched += 1
+                if feedback:
+                    policy.on_dispatch(nid)
                 if monitor is not None:
                     monitor.on_dispatch(nid)
                 batches[nid].append(created)

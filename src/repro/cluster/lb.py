@@ -6,6 +6,14 @@ side is read at lockstep-window granularity, so it is stale by at most
 one LB wire latency — exactly what a real L4/L7 balancer observes), and
 the node's current DVFS operating point for the power-aware policy.
 
+Node state is frozen while a window dispatches, so a feedback policy
+reads it once per window: :meth:`DispatchPolicy.refresh` builds one
+sort key per node at the window barrier, each :meth:`~DispatchPolicy.
+choose` is one C-level ``min`` over those keys, and
+:meth:`~DispatchPolicy.on_dispatch` bumps the routed node's key. That
+makes every decision the per-request full scan would make, at O(nodes)
+per window instead of per request.
+
 Policies are deterministic: any randomness (power-of-two-choices
 candidate sampling) draws from a dedicated stream derived from the
 fleet seed, so reruns and worker processes dispatch identically.
@@ -18,28 +26,35 @@ from __future__ import annotations
 # every policy draws from is built by FleetSystem, seeded via
 # repro.sim.rng.derive_stream(config.seed, "fleet", "lb").
 import random
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
+
+#: Every node's outstanding count, and its relative speed when asked.
+WindowState = Tuple[List[int], Optional[List[float]]]
 
 
 class NodeView:
     """What the load balancer knows about one node."""
+
+    __slots__ = ("node_id", "system", "dispatched", "_client", "_processor")
 
     def __init__(self, node_id: int, system):
         self.node_id = node_id
         self.system = system
         #: Requests this balancer has sent to the node so far.
         self.dispatched = 0
+        self._client = system.client
+        self._processor = system.processor
 
     @property
     def n_cores(self) -> int:
-        return self.system.processor.n_cores
+        return self._processor.n_cores
 
     def completed(self) -> int:
         """Completions the node has reported (window-granular, like a
         real balancer's response accounting)."""
-        return self.system.client.completed
+        return self._client.completed
 
     def outstanding(self) -> int:
         """Dispatched requests not yet answered (as the LB observes it).
@@ -50,28 +65,22 @@ class NodeView:
         node's apparent load forever. ``gave_up`` is 0 whenever no retry
         policy is configured, so non-fault fleets are unaffected.
         """
-        client = self.system.client
+        client = self._client
         return self.dispatched - client.completed - client.gave_up
 
-    def relative_speed(self) -> float:
-        """Mean core frequency as a fraction of the maximum (P0) clock.
-
-        The "telemetry" a power-aware balancer reads: a node already
-        running fast serves immediately, while a slow node must ramp
-        through DVFS transitions first.
+    @staticmethod
+    def read_window(views: List["NodeView"], want_speed: bool
+                    ) -> WindowState:
+        """Every node's :meth:`outstanding` count and, when asked, its
+        relative speed (mean core clock over P0, which the processor
+        keeps current on each P-state change), in plain attribute reads.
         """
-        return node_relative_speed(self.system.processor)
-
-
-def node_relative_speed(processor) -> float:
-    """:meth:`NodeView.relative_speed` as a free function, so a sharded
-    worker computes the identical float from its local processor and
-    reports it to the master's :class:`RemoteNodeView`."""
-    pstates = processor.pstates
-    f0 = pstates.p0.freq_hz
-    total = sum(pstates.freq_of(core.pstate_index)
-                for core in processor.cores)
-    return total / (len(processor.cores) * f0)
+        outstanding = [view.dispatched - view._client.completed
+                       - view._client.gave_up for view in views]
+        if not want_speed:
+            return outstanding, None
+        return outstanding, [view._processor.relative_speed
+                             for view in views]
 
 
 class RemoteNodeView:
@@ -108,8 +117,16 @@ class RemoteNodeView:
         return (self.dispatched - int(self._completed[self.node_id])
                 - int(self._gave_up[self.node_id]))
 
-    def relative_speed(self) -> float:
-        return float(self._speed[self.node_id])
+    @staticmethod
+    def read_window(views: List["RemoteNodeView"], want_speed: bool
+                    ) -> WindowState:
+        """:meth:`NodeView.read_window` over the reported arrays (all
+        views of one fleet, in node order), vectorized."""
+        first = views[0]
+        outstanding = (np.array([view.dispatched for view in views],
+                                dtype=np.int64)
+                       - first._completed - first._gave_up).tolist()
+        return outstanding, (first._speed.tolist() if want_speed else None)
 
 
 class DispatchPolicy:
@@ -121,17 +138,38 @@ class DispatchPolicy:
     #: fed to the nodes up front, which is what makes a 1-node fleet
     #: bit-identical to a standalone run.
     feedback_free = False
-    #: True when :meth:`choose` reads :meth:`NodeView.relative_speed` —
-    #: the sharded driver only ships per-node DVFS telemetry across the
-    #: process boundary for policies that consume it.
+    #: True when the window keys read node speeds — the sharded driver
+    #: only ships per-node DVFS telemetry across the process boundary
+    #: for policies that consume it.
     uses_speed = False
 
     def bind(self, views: List[NodeView], rng: random.Random) -> None:
         self.views = views
         self.rng = rng
+        if not self.feedback_free:
+            self._read = type(views[0]).read_window
+            self.refresh()
+
+    def window_keys(self) -> list:
+        """One sort key per node, read from the views now (feedback
+        policies only)."""
+        raise NotImplementedError
+
+    def refresh(self) -> None:
+        """Snapshot node state at a window barrier, before the window's
+        first :meth:`choose` (and after any health redispatch)."""
+        self._keys = self.window_keys()
+
+    def snapshot_key(self, node_id: int):
+        """The key ``node_id`` is dispatched against this window."""
+        return self._keys[node_id]
 
     def choose(self, created_ns: int, session_id: int) -> int:
         raise NotImplementedError
+
+    def on_dispatch(self, node_id: int) -> None:
+        """One request was routed to ``node_id`` (after health routing):
+        keep its snapshot key equal to a fresh read."""
 
     def choose_batch(self, times_ns: np.ndarray,
                      sessions: np.ndarray) -> np.ndarray:
@@ -191,23 +229,38 @@ class RoundRobinPolicy(DispatchPolicy):
 
 
 class LeastOutstandingPolicy(DispatchPolicy):
-    """Per-request, full-scan least-outstanding (an L7 balancer)."""
+    """Least-outstanding over every node (an L7 balancer).
+
+    Keys are ``(outstanding, node_id)``: ties go to the lowest node id.
+    """
 
     name = "least-outstanding"
 
+    def window_keys(self) -> list:
+        outstanding, _ = self._read(self.views, False)
+        return list(zip(outstanding, range(len(outstanding))))
+
     def choose(self, created_ns: int, session_id: int) -> int:
-        return min(self.views,
-                   key=lambda v: (v.outstanding(), v.node_id)).node_id
+        return min(self._keys)[1]
+
+    def on_dispatch(self, node_id: int) -> None:
+        keys = self._keys
+        outstanding, nid = keys[node_id]
+        keys[node_id] = (outstanding + 1, nid)
 
 
 class PowerOfTwoPolicy(DispatchPolicy):
     """Power-of-two-choices: sample two nodes, pick the less loaded.
 
     O(1) per request with most of full-scan's balancing power — the
-    classic result. Ties keep the first sample.
+    classic result. Ties keep the first sample. Keys are the
+    outstanding counts.
     """
 
     name = "p2c"
+
+    def window_keys(self) -> list:
+        return self._read(self.views, False)[0]
 
     def choose(self, created_ns: int, session_id: int) -> int:
         n = len(self.views)
@@ -217,9 +270,13 @@ class PowerOfTwoPolicy(DispatchPolicy):
         b = self.rng.randrange(n - 1)
         if b >= a:
             b += 1
-        if self.views[b].outstanding() < self.views[a].outstanding():
+        keys = self._keys
+        if keys[b] < keys[a]:
             return b
         return a
+
+    def on_dispatch(self, node_id: int) -> None:
+        self._keys[node_id] += 1
 
 
 class PowerAwarePolicy(DispatchPolicy):
@@ -229,7 +286,8 @@ class PowerAwarePolicy(DispatchPolicy):
     fastest: it serves without waiting out DVFS ramp-up, and the slow
     nodes stay slow (low uncore power) instead of everyone oscillating.
     ``speed_bands`` quantizes the speed signal so the tie-break is
-    robust to tiny frequency jitter.
+    robust to tiny frequency jitter. Keys are ``(outstanding, -band,
+    node_id)``.
     """
 
     name = "power-aware"
@@ -240,14 +298,19 @@ class PowerAwarePolicy(DispatchPolicy):
             raise ValueError("speed_bands must be >= 1")
         self.speed_bands = speed_bands
 
-    def choose(self, created_ns: int, session_id: int) -> int:
+    def window_keys(self) -> list:
+        outstanding, speed = self._read(self.views, True)
         bands = self.speed_bands
+        return list(zip(outstanding, [-int(s * bands) for s in speed],
+                        range(len(outstanding))))
 
-        def score(view: NodeView):
-            band = int(view.relative_speed() * bands)
-            return (view.outstanding(), -band, view.node_id)
+    def choose(self, created_ns: int, session_id: int) -> int:
+        return min(self._keys)[2]
 
-        return min(self.views, key=score).node_id
+    def on_dispatch(self, node_id: int) -> None:
+        keys = self._keys
+        outstanding, band, nid = keys[node_id]
+        keys[node_id] = (outstanding + 1, band, nid)
 
 
 POLICIES: Dict[str, Type[DispatchPolicy]] = {

@@ -58,7 +58,7 @@ from repro.cluster.fleet import _LocalBackend
 # Unused here: simbench/ patches ``sharded.drive_lockstep`` by name. Drop
 # this import when simbench/ next changes.
 from repro.cluster.fleet import drive_lockstep  # noqa: F401
-from repro.cluster.lb import RemoteNodeView, node_relative_speed
+from repro.cluster.lb import RemoteNodeView
 from repro.system import ServerSystem
 
 
@@ -80,7 +80,7 @@ def _snapshot(nodes: List[ServerSystem], want_speed: bool) -> dict:
         "gave_up": [node.client.gave_up for node in nodes],
     }
     if want_speed:
-        payload["speed"] = [node_relative_speed(node.processor)
+        payload["speed"] = [node.processor.relative_speed
                             for node in nodes]
     return payload
 

@@ -27,9 +27,11 @@ def _fleet_config(**kwargs):
     return FleetConfig(node=node, seed=3, **kwargs)
 
 
-@pytest.mark.parametrize("policy", ["round-robin", "least-outstanding"])
+@pytest.mark.parametrize("policy", ["round-robin", "least-outstanding",
+                                    "p2c", "power-aware"])
 def test_sanitized_fleet_is_bit_identical(monkeypatch, policy):
-    """Both dispatch paths (feedback-free and per-window) under checks."""
+    """Both dispatch paths (feedback-free and per-window) under checks,
+    every feedback dispatch checked against a live read."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     base = run_fleet(_fleet_config(policy=policy), DURATION)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
@@ -72,6 +74,26 @@ def test_dispatch_outside_window_caught(monkeypatch):
     sanitizer.check_dispatch(0, window // 2, 0, window)
     with pytest.raises(SanitizerError, match="could not yet have observed"):
         sanitizer.check_dispatch(0, window + 1, 0, window)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_stale_dispatch_snapshot_caught(monkeypatch, shards):
+    """A balancer that skips its window read dispatches against keys a
+    live read of the node contradicts."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    fleet = FleetSystem(_fleet_config(policy="power-aware", shards=shards))
+    refresh = fleet.policy.refresh
+    reads = []
+
+    def read_once():
+        # Keep the snapshot the policy takes when bound, for the whole run.
+        if not reads:
+            reads.append(True)
+            refresh()
+
+    fleet.policy.refresh = read_once
+    with pytest.raises(SanitizerError, match="stale dispatch snapshot"):
+        fleet.run(DURATION)
 
 
 def test_unsanitized_fleet_has_no_sanitizer(monkeypatch):
