@@ -142,14 +142,15 @@ class SimSanitizer:
 
     def _step(self) -> bool:
         sim = self.sim
-        ev = sim.queue.pop()
-        if ev is None:
+        entry = sim.queue.pop()
+        if entry is None:
             return False
-        if ev.time < sim.now:
+        time, ev = entry
+        if time < sim.now:
             raise SanitizerError(
-                f"causality violation: event {ev!r} fires at {ev.time} "
+                f"causality violation: event {ev!r} fires at {time} "
                 f"behind the clock (now={sim.now})")
-        sim.now = ev.time
+        sim.now = time
         sim._events_processed += 1
         ev.fn(*ev.args)
         self.events_checked += 1
@@ -169,29 +170,29 @@ class SimSanitizer:
         queue = sim.queue
         heap = queue._heap
         heappop = _heappop
-        processed = 0
+        processed = dropped = 0
         now = sim.now
-        while heap:
-            ev = heap[0][2]
-            if ev.cancelled:
+        try:
+            while heap:
+                time, _, ev = heap[0]
+                if ev.cancelled:
+                    heappop(heap)
+                    dropped += 1
+                    continue
+                if time > t_end:
+                    break
+                if time < now:
+                    raise SanitizerError(
+                        f"causality violation: event {ev!r} fires at "
+                        f"{time} behind the clock (now={now})")
                 heappop(heap)
-                ev._queue = None
-                continue
-            time = ev.time
-            if time > t_end:
-                break
-            if time < now:
-                raise SanitizerError(
-                    f"causality violation: event {ev!r} fires at "
-                    f"{time} behind the clock (now={now})")
-            heappop(heap)
-            queue._live -= 1
-            ev._queue = None
-            sim.now = now = time
-            processed += 1
-            ev.fn(*ev.args)
-        self.events_checked += processed
-        sim._events_processed += processed
+                sim.now = now = time
+                processed += 1
+                ev.fn(*ev.args)
+        finally:
+            self.events_checked += processed
+            sim._events_processed += processed
+            queue.cancelled_popped += dropped
         if t_end > sim.now:
             sim.now = t_end
 

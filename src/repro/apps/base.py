@@ -66,10 +66,9 @@ class AppWorkerThread(SimThread):
         self._serving: Optional[Request] = None
 
     def next_work(self) -> Optional[Work]:
-        packet = self.socket.pop()
-        if packet is None:
+        request = self.socket.pop()
+        if request is None:
             return None
-        request = packet.request
         now = self.scheduler.sim.now
         if request.delivered_ns is None:
             request.delivered_ns = now

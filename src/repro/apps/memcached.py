@@ -52,6 +52,6 @@ class MemcachedApp(ServerApplication):
         else:
             cycles = math.exp(rng.gauss(
                 math.log(mean) - sigma * sigma / 2.0, sigma))
-        return Request(flow_id, created_ns, kind=kind, size_bytes=size,
-                       service_cycles=cycles, response_bytes=256,
-                       acked_response=False)
+        # Positional: (flow, created, kind, size, cycles, response bytes,
+        # acked) — one call per request, no keyword matching.
+        return Request(flow_id, created_ns, kind, size, cycles, 256, False)

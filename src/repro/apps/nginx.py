@@ -44,6 +44,5 @@ class NginxApp(ServerApplication):
                   + self.cycles_per_byte * size)
         # The multi-segment TCP response draws one ACK per MSS segment —
         # the inbound packet flood that makes nginx's softirq load heavy.
-        return Request(flow_id, created_ns, kind="http_get", size_bytes=220,
-                       service_cycles=cycles, response_bytes=int(size),
-                       acked_response=True)
+        return Request(flow_id, created_ns, "http_get", 220, cycles,
+                       int(size), True)

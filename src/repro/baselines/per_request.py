@@ -98,8 +98,7 @@ class PerRequestDvfsManager:
         backlog = max(1, len(socket))
         # Cycles needed: approximate with the newest request's cost times
         # the backlog (the scheme's own simplification).
-        newest_packet = socket.peek_newest()
-        newest = newest_packet.request if newest_packet is not None else None
+        newest = socket.peek_newest()
         per_request = (newest.service_cycles if newest is not None
                        else 5_000.0)
         needed_hz = per_request * backlog / (self.budget_ns / 1e9)

@@ -43,16 +43,16 @@ def stamp_poll_grab(sim_now: int, rx_packets: list,
                     deferred: bool = False) -> None:
     """Record the rx-queue -> poll-batch boundary on sampled requests.
 
-    Shared by every RX backend; ``deferred`` marks a batch pulled by
-    ksoftirqd rather than the softirq (bypass backends never defer).
+    ``rx_packets`` holds the batch's requests (:func:`grab_burst`
+    consumes the ACKs). Shared by every RX backend; ``deferred`` marks a
+    batch pulled by ksoftirqd rather than the softirq (bypass backends
+    never defer).
     """
-    for pkt in rx_packets:
-        request = pkt.request
-        if request is not None:
-            ctx = request.trace
-            if ctx is not None:
-                ctx.poll_ns = sim_now
-                ctx.via_ksoftirqd = deferred
+    for request in rx_packets:
+        ctx = request.trace
+        if ctx is not None:
+            ctx.poll_ns = sim_now
+            ctx.via_ksoftirqd = deferred
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class NapiContext:
         self.nic = nic
         self.queue_id = queue_id
         self.config = config or NapiConfig()
-        #: Called as ``deliver(packet, core_id)`` for each Rx packet.
+        #: Called as ``deliver(request, core_id)`` for each Rx request.
         self.deliver = deliver
         #: Set by the stack wiring; woken on deferral.
         self.ksoftirqd = None

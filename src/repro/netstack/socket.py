@@ -9,9 +9,10 @@ Delivery wakes the worker if it is sleeping.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.nic.packet import Packet
+if TYPE_CHECKING:
+    from repro.workload.request import Request
 
 
 class SocketQueue:
@@ -22,7 +23,7 @@ class SocketQueue:
             raise ValueError("capacity must be positive")
         self.core_id = core_id
         self.capacity = capacity
-        self._queue: Deque[Packet] = deque()
+        self._queue: Deque[Request] = deque()
         #: The application thread to wake on delivery (set by the app).
         self.consumer = None
         self.delivered = 0
@@ -32,14 +33,14 @@ class SocketQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def deliver(self, packet: Packet) -> bool:
+    def deliver(self, request: Request) -> bool:
         """Softirq-side enqueue; wakes the consumer. False if dropped."""
         queue = self._queue
         depth = len(queue)
         if depth >= self.capacity:
             self.dropped += 1
             return False
-        queue.append(packet)
+        queue.append(request)
         self.delivered += 1
         if depth >= self.max_depth:
             self.max_depth = depth + 1
@@ -48,10 +49,10 @@ class SocketQueue:
             consumer.wake()
         return True
 
-    def pop(self) -> Optional[Packet]:
+    def pop(self) -> Optional[Request]:
         """Application-side dequeue, or None when empty."""
         return self._queue.popleft() if self._queue else None
 
-    def peek_newest(self) -> Optional[Packet]:
-        """The most recently delivered packet, without dequeueing."""
+    def peek_newest(self) -> Optional[Request]:
+        """The most recently delivered request, without dequeueing."""
         return self._queue[-1] if self._queue else None

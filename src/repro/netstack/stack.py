@@ -10,7 +10,7 @@ queue per core, RSS steering flows evenly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.cpu.topology import Processor
 from repro.netstack.napi import NapiConfig
@@ -19,6 +19,9 @@ from repro.nic.nic import MultiQueueNic
 from repro.nic.packet import Packet
 from repro.osched.scheduler import CoreScheduler
 from repro.units import MS
+
+if TYPE_CHECKING:
+    from repro.workload.request import Request
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,12 @@ class StackConfig:
     #: Gap between consecutive ACKs of one response arriving back
     #: (serialization on the wire plus client-side processing).
     ack_spacing_ns: int = 8_000
+
+    def __post_init__(self) -> None:
+        # An int: ACK trains push it onto the integer clock directly.
+        if not isinstance(self.ack_spacing_ns, int) \
+                or self.ack_spacing_ns < 0:
+            raise ValueError("ack_spacing_ns must be a non-negative int")
 
 
 class NetworkStack:
@@ -61,13 +70,13 @@ class NetworkStack:
         #: Span tracing enabled (``sim.spans`` set); guards the
         #: per-packet boundary stamps.
         self.tracing = sim.spans is not None
-        self._response_sink: Optional[Callable[[Packet], None]] = None
-        #: Optional synchronous variant ``response_sink_at(packet, t_ns)``
+        self._response_sink: Optional[Callable[[Request], None]] = None
+        #: Optional synchronous variant ``response_sink_at(request, t_ns)``
         #: for passive receivers (pure recorders): the NIC then notifies
         #: at transmit time with the delivery timestamp instead of
         #: scheduling one wire-delay event per response. Paired with
         #: ``response_sink`` — rebinding the sink clears it (see setter).
-        self.response_sink_at: Optional[Callable[[Packet, int], None]] = None
+        self.response_sink_at: Optional[Callable[[Request, int], None]] = None
 
         self.schedulers: List[CoreScheduler] = []
         self.sockets: List[SocketQueue] = []
@@ -85,24 +94,25 @@ class NetworkStack:
             self.rx.wire_trace_probes(sim.trace)
 
     @property
-    def response_sink(self) -> Optional[Callable[[Packet], None]]:
-        """Called as ``response_sink(packet)`` when a response reaches the
-        client side of the wire; set by the system builder."""
+    def response_sink(self) -> Optional[Callable[[Request], None]]:
+        """Called as ``response_sink(request)`` when the response to
+        ``request`` reaches the client side of the wire; set by the
+        system builder."""
         return self._response_sink
 
     @response_sink.setter
-    def response_sink(self, sink: Optional[Callable[[Packet], None]]) -> None:
+    def response_sink(self, sink: Optional[Callable[[Request], None]]) -> None:
         # A new receiver invalidates any synchronous fast-path variant
         # wired for the previous one (tests swap in their own clients).
         self._response_sink = sink
         self.response_sink_at = None
 
-    def _deliver(self, packet: Packet, core_id: int) -> None:
+    def _deliver(self, request: Request, core_id: int) -> None:
         if self.tracing:
-            request = packet.request
-            if request is not None and request.trace is not None:
-                request.trace.sock_ns = self.sim.now
-        self.sockets[core_id].deliver(packet)
+            ctx = request.trace
+            if ctx is not None:
+                ctx.sock_ns = self.sim.now
+        self.sockets[core_id].deliver(request)
 
     def send_response(self, request, core_id: int) -> None:
         """Transmit a response for ``request`` from ``core_id``.
@@ -118,20 +128,15 @@ class NetworkStack:
         now = self.sim.now
         if self.tracing and request.trace is not None:
             request.trace.tx_ns = now
-        response_bytes = int(request.response_bytes)
-        mss = self.config.mss_bytes
-        n_segments = -(-response_bytes // mss)
+        n_segments = -(-int(request.response_bytes) // self.config.mss_bytes)
         if n_segments < 1:
             n_segments = 1
-        last_size = response_bytes - (n_segments - 1) * mss
-        packet = Packet(flow_id=request.flow_id,
-                        size_bytes=last_size if last_size > 64 else 64,
-                        created_ns=now, request=request)
         nic = self.nic
-        # Extra segments: Tx completions only (payload carried by `packet`).
+        # Extra segments: Tx completions only; the last one carries the
+        # response (the request itself) to the sink.
         if n_segments > 1:
             nic.queues[core_id].push_txc(n_segments - 1)
-        nic.transmit(packet, core_id, sink, sink_at=self.response_sink_at)
+        nic.transmit(request, core_id, sink, sink_at=self.response_sink_at)
         if request.acked_response:
             # The whole train steers to one queue; hash the flow once.
             qid = nic.rss.queue_for(request.flow_id)
@@ -147,18 +152,17 @@ class NetworkStack:
         """
         self._ack_arrives(flow_id, qid)
         if n_left > 1:
-            self.sim.schedule(self.config.ack_spacing_ns, self._ack_train,
-                              flow_id, n_left - 1, qid)
+            sim = self.sim
+            sim.queue.push(sim.now + self.config.ack_spacing_ns,
+                           self._ack_train, (flow_id, n_left - 1, qid))
 
     def _ack_arrives(self, flow_id: int, qid: int) -> None:
         free = self.nic.free_acks
         if free:
             ack = free.pop()
             ack.flow_id = flow_id
-            ack.created_ns = self.sim.now
         else:
-            ack = Packet(flow_id=flow_id, size_bytes=64,
-                         created_ns=self.sim.now, kind=Packet.KIND_ACK)
+            ack = Packet(flow_id, 64)
         self.nic.receive(ack, qid)
 
     def register_into(self, reg) -> None:

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.nic.interrupt import InterruptModerator
 from repro.nic.packet import Packet
-from repro.nic.queue import NicQueue
+from repro.nic.queue import NicQueue, RxItem
 from repro.nic.rss import RssDistributor
 from repro.units import US
 
-_KIND_DATA = Packet.KIND_DATA
+if TYPE_CHECKING:
+    from repro.workload.request import Request
 
 
 class MultiQueueNic:
@@ -50,8 +51,8 @@ class MultiQueueNic:
         #: arms one, so the interrupt-driven path pays nothing.
         self._rx_doorbells: Optional[List[Optional[Callable[[int], None]]]] = None
         self.rx_packets = 0
-        #: Rx packets that carry a request payload (what NCAP's NIC-level
-        #: latency-critical-request filter counts).
+        #: Rx packets that are requests, not bare ACKs (what NCAP's
+        #: NIC-level latency-critical-request filter counts).
         self.rx_data_packets = 0
         self.tx_packets = 0
         #: Span tracing enabled (the run samples requests, ``sim.spans``);
@@ -95,8 +96,9 @@ class MultiQueueNic:
     # Rx path
     # ------------------------------------------------------------------ #
 
-    def receive(self, packet: Packet, qid: Optional[int] = None) -> bool:
-        """A packet arrives from the wire; returns False if dropped.
+    def receive(self, packet: RxItem, qid: Optional[int] = None) -> bool:
+        """A packet (a request, or a bare ACK) arrives from the wire;
+        returns False if dropped.
 
         ``qid`` short-circuits RSS steering when the caller already knows
         the queue (an ACK train hashes the same flow every segment).
@@ -110,7 +112,7 @@ class MultiQueueNic:
             qid = self.rss.queue_for(packet.flow_id)
         return self.enqueue_rx(packet, qid)
 
-    def enqueue_rx(self, packet: Packet, qid: int) -> bool:
+    def enqueue_rx(self, packet: RxItem, qid: int) -> bool:
         """Land a packet on RX queue ``qid``; returns False on tail drop.
 
         The post-classification half of :meth:`receive` — the pipeline
@@ -126,11 +128,10 @@ class MultiQueueNic:
         rx.append(packet)
         queue.rx_enqueued += 1
         self.rx_packets += 1
-        request = packet.request
-        if request is not None and packet.kind == _KIND_DATA:
+        if not packet.is_ack:
             self.rx_data_packets += 1
             if self.tracing:
-                ctx = request.trace
+                ctx = packet.trace
                 if ctx is not None:
                     ctx.nic_rx_ns = self.sim.now
         # Under load the interrupt is masked or already pending for
@@ -193,10 +194,14 @@ class MultiQueueNic:
     # Tx path
     # ------------------------------------------------------------------ #
 
-    def transmit(self, packet: Packet, qid: int,
-                 sink: Callable[[Packet], None],
-                 sink_at: Optional[Callable[[Packet, int], None]] = None) -> None:
-        """Send a packet: wire delay to ``sink``, completion to the queue.
+    def transmit(self, request: Request, qid: int,
+                 sink: Callable[[Request], None],
+                 sink_at: Optional[Callable[[Request, int], None]] = None
+                 ) -> None:
+        """Send a response: wire delay to ``sink``, completion to the queue.
+
+        The response travels as the request it answers (one object per
+        request, both directions).
 
         When the receiver is purely passive (the open-loop client only
         records the delivery), ``sink_at`` lets it be notified
@@ -212,9 +217,9 @@ class MultiQueueNic:
         if self._irq_enabled[qid] and self._irq_pending_ev[qid] is None:
             self._raise_irq(qid)
         if sink_at is not None:
-            sink_at(packet, self.sim.now + self.wire_latency_ns)
+            sink_at(request, self.sim.now + self.wire_latency_ns)
         else:
-            self.sim.schedule(self.wire_latency_ns, sink, packet)
+            self.sim.schedule(self.wire_latency_ns, sink, request)
 
     def register_into(self, reg) -> None:
         """Register the wire-side packet counters."""

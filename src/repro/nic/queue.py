@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Optional, Tuple, Union
 
-from repro.nic.packet import Packet
+if TYPE_CHECKING:
+    from repro.nic.packet import Packet
+    from repro.workload.request import Request
+
+#: What an Rx ring holds: a request (data) or a bare ACK packet.
+RxItem = Union["Request", "Packet"]
 
 #: Freelist cap for consumed bare-ACK husks.
 ACK_FREELIST_CAP = 512
@@ -26,7 +31,7 @@ class NicQueue:
             raise ValueError("rx capacity must be positive")
         self.queue_id = queue_id
         self.rx_capacity = rx_capacity
-        self.rx: Deque[Packet] = deque()
+        self.rx: Deque[RxItem] = deque()
         self.txc_pending = 0
         self.rx_enqueued = 0
         self.rx_dropped = 0
@@ -41,7 +46,7 @@ class NicQueue:
     def rx_depth(self) -> int:
         return len(self.rx)
 
-    def push_rx(self, packet: Packet) -> bool:
+    def push_rx(self, packet: RxItem) -> bool:
         """Enqueue an Rx packet; returns False (and drops) when full."""
         if len(self.rx) >= self.rx_capacity:
             self.rx_dropped += 1
@@ -50,7 +55,7 @@ class NicQueue:
         self.rx_enqueued += 1
         return True
 
-    def pop_rx(self) -> Optional[Packet]:
+    def pop_rx(self) -> Optional[RxItem]:
         """Dequeue the oldest Rx packet, or None."""
         return self.rx.popleft() if self.rx else None
 
@@ -75,9 +80,9 @@ def grab_burst(queue: NicQueue, free_acks: list, budget: int,
     backends' bursts): returns ``(data_packets, n_rx, n_items, cycles)``
     where ``n_rx`` counts every Rx item (the mode-accounting unit),
     ``n_items`` additionally counts cleaned Tx completions (the budget
-    unit), and ``data_packets`` holds only the deliverable ones — bare
-    ACKs cost less per packet, are consumed here, and their husks go
-    back to the NIC's freelist. ``cycles`` excludes any fixed per-poll
+    unit), and ``data_packets`` holds only the deliverable requests —
+    bare ACKs cost less per packet, are consumed here, and their husks
+    go back to the NIC's freelist. ``cycles`` excludes any fixed per-poll
     overhead (the caller adds it).
     """
     # take_txc and pop_rx, inlined: this runs once per poll batch.
@@ -95,7 +100,7 @@ def grab_burst(queue: NicQueue, free_acks: list, budget: int,
         pkt = popleft()
         n += 1
         n_rx += 1
-        if pkt.kind == "ack":
+        if pkt.is_ack:
             cycles += ack_cycles
             if len(free_acks) < ACK_FREELIST_CAP:
                 free_acks.append(pkt)

@@ -23,7 +23,9 @@ rely on (and tests enforce).
 
 Sampling is deterministic: whether request *i* of a run is traced is a
 pure function of ``(sample_rate, seed, i)``, so serial and parallel
-executions of the same configuration trace the same requests.
+executions of the same configuration trace the same requests. The
+span id of a record is that same *i* — the client's 1-based send
+sequence — so it too depends on nothing but the run.
 """
 
 from __future__ import annotations
@@ -48,10 +50,13 @@ class TraceContext:
     tail-dropped request), and such contexts are silently discarded.
     """
 
-    __slots__ = ("nic_rx_ns", "poll_ns", "sock_ns", "tx_ns",
+    __slots__ = ("request_id", "nic_rx_ns", "poll_ns", "sock_ns", "tx_ns",
                  "via_ksoftirqd")
 
-    def __init__(self) -> None:
+    def __init__(self, request_id: int) -> None:
+        #: The span id: the request's 1-based send sequence at its
+        #: client (the index :meth:`SpanLog.want` sampled).
+        self.request_id = request_id
         self.nic_rx_ns: Optional[int] = None
         self.poll_ns: Optional[int] = None
         self.sock_ns: Optional[int] = None
@@ -165,7 +170,7 @@ class SpanLog:
         if any(b is None for b in bounds):
             return
         self.records.append(RequestTrace(
-            request_id=request.request_id, kind=request.kind,
+            request_id=ctx.request_id, kind=request.kind,
             flow_id=request.flow_id, core_id=request.core_id,
             via_ksoftirqd=ctx.via_ksoftirqd, bounds=bounds))
 

@@ -22,8 +22,9 @@ class CoreScheduler:
     """Round-robin scheduler owning the task-priority work of one core."""
 
     def __init__(self, sim, core, timeslice_ns: int = 1 * MS):
-        if timeslice_ns <= 0:
-            raise ValueError("timeslice must be positive")
+        if not isinstance(timeslice_ns, int) or timeslice_ns <= 0:
+            # An int: the slice timer is pushed onto the integer clock.
+            raise ValueError("timeslice must be a positive int")
         self.sim = sim
         self.core = core
         self.timeslice_ns = timeslice_ns
@@ -61,9 +62,12 @@ class CoreScheduler:
             # kills the per-work schedule/cancel churn of the common
             # uncontended case while preserving the exact preemption
             # instants of an always-armed timer.
+            sim = self.sim
             ts = self.timeslice_ns
-            delay = ts - (self.sim.now - self._slice_start) % ts
-            self._slice_ev = self.sim.schedule(delay, self._slice_expired)
+            now = sim.now
+            self._slice_ev = sim.queue.push(
+                now + ts - (now - self._slice_start) % ts,
+                self._slice_expired, ())
 
     def _dispatch(self) -> None:
         while self.runnable:
@@ -78,10 +82,11 @@ class CoreScheduler:
             self.current = thread
             self._current_work = work
             thread.state = RUNNING
-            self._slice_start = self.sim.now
+            sim = self.sim
+            now = self._slice_start = sim.now
             if self.runnable:
-                self._slice_ev = self.sim.schedule(self.timeslice_ns,
-                                                   self._slice_expired)
+                self._slice_ev = sim.queue.push(now + self.timeslice_ns,
+                                                self._slice_expired, ())
             self.core.submit(work)
             return
         self.current = None

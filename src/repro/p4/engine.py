@@ -39,11 +39,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cpu.core import PRIORITY_SOFTIRQ, Work
-from repro.nic.packet import Packet
+from repro.nic.queue import RxItem
 from repro.nic.rss import _mix
 from repro.p4.program import (ACTION_DROP, ACTION_METER, ACTION_MIRROR,
-                              ACTION_STEER, FIELD_FLOW_HASH, FIELD_KIND,
-                              FIELD_PRIORITY, FIELD_SESSION,
+                              ACTION_STEER, FIELD_FLOW_HASH, FIELD_SESSION,
                               FIELD_SIZE_CLASS, FIELDS, PipelineProgram,
                               size_class_of)
 from repro.units import S
@@ -149,7 +148,7 @@ class PipelineEngine:
 
     # ------------------------------------------------------------------ #
 
-    def _meta(self, packet: Packet) -> Dict[str, int]:
+    def _meta(self, packet: RxItem) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for field in self._need:
             if field == FIELD_SESSION:
@@ -158,14 +157,11 @@ class PipelineEngine:
                 out[field] = _mix(packet.flow_id)
             elif field == FIELD_SIZE_CLASS:
                 out[field] = size_class_of(packet.size_bytes)
-            elif field == FIELD_KIND:
-                out[field] = 0 if packet.kind == Packet.KIND_DATA else 1
-            elif field == FIELD_PRIORITY:
-                out[field] = (0 if (packet.kind == Packet.KIND_DATA
-                                    and packet.request is not None) else 1)
+            else:  # kind and priority: requests 0, bare ACKs 1
+                out[field] = 1 if packet.is_ack else 0
         return out
 
-    def rx(self, packet: Packet) -> bool:
+    def rx(self, packet: RxItem) -> bool:
         """The NIC receive path under a program; False = dropped here."""
         self.parsed += 1
         cycles = self._parser_cycles
@@ -251,7 +247,7 @@ class PipelineEngine:
             self.trace.record("fault.p4.drop", self.sim.now, 1)
         return False
 
-    def _arrive(self, packet: Packet, qid: int) -> None:
+    def _arrive(self, packet: RxItem, qid: int) -> None:
         """Delayed ("nic" cost model) ring enqueue."""
         if not self.nic.enqueue_rx(packet, qid):
             self.ring_dropped += 1

@@ -23,10 +23,12 @@ program adds no randomness anywhere:
 ``size_class``
     ``ceil(log2(size_bytes))`` — frame-size bucketing.
 ``kind``
-    0 for data frames, 1 for bare ACKs.
+    0 for data frames (requests), 1 for bare ACKs.
 ``priority``
     0 for latency-critical request payloads (what NCAP's NIC filter
-    counts), 1 for everything else.
+    counts), 1 for everything else. Every data frame is a request, so
+    this equals ``kind``; it stays a field of its own so programs can
+    name the intent.
 
 Action model (kind-specific knobs live on the entry):
 

@@ -10,6 +10,8 @@ Fast-path design (the simulator is the hot loop of every experiment):
 * Heap entries are plain ``(time, seq, event)`` tuples, so heap sift
   compares run entirely in C — no Python-level ``__lt__`` calls.
   ``seq`` is unique, so comparison never reaches the event object.
+  The entry is the only place time and seq live: an :class:`Event`
+  holds just what fires it (callback, arguments, cancelled flag).
 * The run loop (``Simulator.run_until``) drains cancelled heads and
   pops the next due event in a single heap scan, inlined rather than
   paid as a ``peek_time()`` + ``pop()`` double scan.
@@ -17,12 +19,14 @@ Fast-path design (the simulator is the hot loop of every experiment):
   direct slot stores, so scheduling pays no ``__init__`` frame. Events
   are never reused: a fired one is freed once nothing references it, so
   a handle a caller keeps always refers to its own event.
+* Push, cancel and the run loop keep no live count: pops tally the
+  cancelled heads they drop, and ``len(queue)`` and
+  :attr:`EventQueue.cancelled_total` add one heap scan to that tally.
 """
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.perf import PerfSnapshot
@@ -34,36 +38,23 @@ class Event:
     """A scheduled callback, built only by :meth:`EventQueue.push`.
 
     Attributes:
-        time: absolute simulation time (ns) the event fires at.
-        seq: tie-breaker; preserves FIFO order among same-time events.
         fn: the callback; called with ``*args`` when the event fires.
+        args: the callback's positional arguments.
         cancelled: set by :meth:`cancel`; cancelled events never fire.
-        _queue: the owning queue while the event is pending; None once
-            popped.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_queue")
+    __slots__ = ("fn", "args", "cancelled")
 
     def cancel(self) -> None:
-        """Prevent the event from firing. Safe to call more than once.
-
-        This is the single cancellation implementation:
-        :meth:`EventQueue.cancel` delegates here, so live-event accounting
-        (``len(queue)``) stays correct no matter which handle callers use.
-        An event that already fired (popped) is no longer owned by the
-        queue and cancelling it does not disturb the live count.
-        """
-        if not self.cancelled:
-            self.cancelled = True
-            queue = self._queue
-            if queue is not None:
-                queue._live -= 1
-                queue.cancelled_total += 1
+        """Prevent the event from firing. Safe to call more than once,
+        and a no-op on an event that already fired: counts are derived
+        from the heap, which no longer holds a fired event."""
+        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<Event t={self.time} seq={self.seq} {name} {state}>"
+        return f"<Event {name} {state}>"
 
 
 class EventQueue:
@@ -72,33 +63,34 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
-        self._live = 0
-        # Lifetime perf counters (see repro.sim.perf). scheduled_total is
-        # the seq counter itself (every push consumes exactly one seq).
-        self.cancelled_total = 0
+        #: Cancelled entries discarded off the heap head so far (the run
+        #: loop adds its own tally when it returns).
+        self.cancelled_popped = 0
         self.heap_peak = 0
 
     @property
     def scheduled_total(self) -> int:
-        """Lifetime number of events pushed."""
+        """Lifetime number of events pushed (every push consumes one seq)."""
         return self._seq
+
+    @property
+    def cancelled_total(self) -> int:
+        """Lifetime number of events cancelled before they fired."""
+        return self.cancelled_popped + sum(
+            1 for entry in self._heap if entry[2].cancelled)
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) events."""
-        return self._live
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def push(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> Event:
         """Schedule ``fn(*args)`` at absolute time ``time`` and return the event."""
         seq = self._seq
         self._seq = seq + 1
         ev = _new(Event)
-        ev.time = time
-        ev.seq = seq
         ev.fn = fn
         ev.args = args
         ev.cancelled = False
-        ev._queue = self
-        self._live += 1
         heap = self._heap
         _heappush(heap, (time, seq, ev))
         n = len(heap)
@@ -116,15 +108,13 @@ class EventQueue:
         heap = self._heap
         return heap[0][0] if heap else None
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None if empty."""
+    def pop(self) -> Optional[Tuple[int, Event]]:
+        """Remove the next live event; ``(time, event)``, or None if empty."""
         self._drop_cancelled()
         if not self._heap:
             return None
-        self._live -= 1
-        ev = heapq.heappop(self._heap)[2]
-        ev._queue = None
-        return ev
+        time, _, ev = _heappop(self._heap)
+        return time, ev
 
     def perf_snapshot(self, events_fired: int = 0,
                       wall_s: float = 0.0) -> PerfSnapshot:
@@ -139,5 +129,5 @@ class EventQueue:
     def _drop_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            ev = heapq.heappop(heap)[2]
-            ev._queue = None
+            _heappop(heap)
+            self.cancelled_popped += 1

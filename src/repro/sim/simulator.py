@@ -83,10 +83,10 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event. Returns False when the queue is empty."""
-        ev = self.queue.pop()
-        if ev is None:
+        entry = self.queue.pop()
+        if entry is None:
             return False
-        self.now = ev.time
+        self.now, ev = entry
         self._events_processed += 1
         ev.fn(*ev.args)
         return True
@@ -97,28 +97,29 @@ class Simulator:
         This IS the simulation: every fired event passes through this
         loop, so the queue's pop step is inlined here (heap access and
         cancelled-head dropping) rather than paid as extra call frames
-        per event.
+        per event. Fired and dropped events are tallied in locals and
+        credited once when the loop returns.
         """
         queue = self.queue
         heap = queue._heap
         heappop = _heappop
-        processed = 0
-        while heap:
-            ev = heap[0][2]
-            if ev.cancelled:
+        processed = dropped = 0
+        try:
+            while heap:
+                time, _, ev = heap[0]
+                if ev.cancelled:
+                    heappop(heap)
+                    dropped += 1
+                    continue
+                if time > t_end:
+                    break
                 heappop(heap)
-                ev._queue = None
-                continue
-            time = ev.time
-            if time > t_end:
-                break
-            heappop(heap)
-            queue._live -= 1
-            ev._queue = None
-            self.now = time
-            processed += 1
-            ev.fn(*ev.args)
-        self._events_processed += processed
+                self.now = time
+                processed += 1
+                ev.fn(*ev.args)
+        finally:
+            self._events_processed += processed
+            queue.cancelled_popped += dropped
         if t_end > self.now:
             self.now = t_end
 

@@ -1,4 +1,4 @@
-"""Open-loop client: generates request packets, records response latencies.
+"""Open-loop client: generates requests, records response latencies.
 
 Open-loop means arrivals never wait for responses — exactly how tail
 latency must be measured for latency-critical services (a closed-loop
@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nic.packet import Packet
 from repro.workload.request import Request
 from repro.workload.shapes import LoadShape, generate_arrivals
 
@@ -82,9 +81,10 @@ class OpenLoopClient:
         #: concentrates flows, producing per-core load imbalance.
         self.n_flows = n_flows
         #: End-to-end span tracing (``sim.spans``): when set, the client
-        #: attaches a TraceContext to each sampled request and folds it
-        #: back into the log on response. None = tracing off (no
-        #: per-request cost).
+        #: attaches a TraceContext to each sampled request — carrying
+        #: the request's 1-based send sequence as its span id — and
+        #: folds it back into the log on response. None = tracing off
+        #: (no per-request cost).
         self.span_log: Optional[SpanLog] = sim.spans
         #: The TraceContext class, imported only when spans are on so a
         #: spans-off run never loads ``repro.obs.span``.
@@ -194,12 +194,10 @@ class OpenLoopClient:
                 flow_id = counter if n_flows is None else counter % n_flows
             request = make_request(flow_id, t)
             if span_log is not None and span_log.want(counter):
-                request.trace = self._trace_context()
-            packet = Packet(flow_id=request.flow_id,
-                            size_bytes=request.size_bytes,
-                            created_ns=t, request=request)
-            # Looked up per packet: fault windows shadow nic.receive.
-            if not self.nic.receive(packet):
+                request.trace = self._trace_context(counter)
+            # The request is its own data packet. Looked up per packet:
+            # fault windows shadow nic.receive.
+            if not self.nic.receive(request):
                 self.dropped += 1
             if retry is not None:
                 # Armed regardless of NIC acceptance: a dropped packet
@@ -208,17 +206,18 @@ class OpenLoopClient:
         self._next_idx = i
         self._ring_next()
 
-    def _arrive(self, packet: Packet) -> None:
-        if not self.nic.receive(packet):
+    def _arrive(self, request: Request) -> None:
+        if not self.nic.receive(request):
             self.dropped += 1
         if self.retry is not None:
-            self._arm_timeout(packet.request)
+            self._arm_timeout(request)
 
     # -- timeouts and retransmissions (retry is not None) --------------- #
 
-    def _arm_timeout(self, request) -> None:
-        request.timeout_ev = self.sim.schedule(
-            self.retry.timeout_ns, self._on_timeout, request)
+    def _arm_timeout(self, request: Request) -> None:
+        sim = self.sim
+        request.timeout_ev = sim.queue.push(
+            sim.now + self.retry.timeout_ns, self._on_timeout, (request,))
 
     def _on_timeout(self, request) -> None:
         request.timeout_ev = None
@@ -234,25 +233,28 @@ class OpenLoopClient:
         self.retries += 1
         self.sim.schedule(retry.backoff_ns(attempt), self._resend, request)
 
-    def _resend(self, request) -> None:
+    def _resend(self, request: Request) -> None:
         if request.completed_ns is not None:
             return  # the original's response arrived during backoff
-        packet = Packet(flow_id=request.flow_id,
-                        size_bytes=request.size_bytes,
-                        created_ns=self.sim.now, request=request)
-        # Latency stays anchored at the request's original created_ns:
-        # a retried request pays for its failed attempts, as a client
-        # measuring end-to-end response time would observe.
-        self.sim.schedule(self.wire_latency_ns, self._arrive, packet)
+        # The same request object goes back on the wire. Latency stays
+        # anchored at its original created_ns: a retried request pays
+        # for its failed attempts, as a client measuring end-to-end
+        # response time would observe.
+        sim = self.sim
+        sim.queue.push(sim.now + self.wire_latency_ns, self._arrive,
+                       (request,))
 
     # ------------------------------------------------------------------ #
 
-    def on_response(self, packet: Packet) -> None:
-        """Wire this as the stack's response sink."""
-        self.on_response_at(packet, self.sim.now)
+    def on_response(self, packet) -> None:
+        """Wire this as the stack's response sink. A response is the
+        request it answers; a bare ACK carries none and is ignored."""
+        if not packet.is_ack:
+            self.on_response_at(packet, self.sim.now)
 
-    def on_response_at(self, packet: Packet, deliver_ns: int) -> None:
-        """Record a response that reaches the client at ``deliver_ns``.
+    def on_response_at(self, request: Request, deliver_ns: int) -> None:
+        """Record the response to ``request``, reaching the client at
+        ``deliver_ns``.
 
         Recording is the open-loop client's only reaction to a response,
         so the NIC can call this synchronously at transmit time with the
@@ -261,9 +263,6 @@ class OpenLoopClient:
         records whose delivery falls past the simulated horizon — exactly
         the events that would never have fired.
         """
-        request = packet.request
-        if request is None:
-            return
         if self.retry is not None:
             if request.completed_ns is not None:
                 self.duplicates += 1

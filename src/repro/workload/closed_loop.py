@@ -15,7 +15,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.nic.packet import Packet
 from repro.workload.request import Request
 from repro.workload.retry import RetryPolicy
 
@@ -64,21 +63,18 @@ class ClosedLoopClient:
             return
         self._flow_counter += 1
         request = self.request_factory(self._flow_counter, self.sim.now)
-        packet = Packet(flow_id=request.flow_id,
-                        size_bytes=request.size_bytes,
-                        created_ns=self.sim.now, request=request)
+        # The request is its own data packet.
         if self.retry is None:
             # Legacy fire-and-forget path: exact historical event shape.
             self.sim.schedule(self.wire_latency_ns, self.nic.receive,
-                              packet)
+                              request)
         else:
-            self.sim.schedule(self.wire_latency_ns, self._arrive, packet)
+            self.sim.schedule(self.wire_latency_ns, self._arrive, request)
         self.sent += 1
 
-    def _arrive(self, packet: Packet) -> None:
-        if not self.nic.receive(packet):
+    def _arrive(self, request: Request) -> None:
+        if not self.nic.receive(request):
             self.dropped += 1
-        request = packet.request
         request.timeout_ev = self.sim.schedule(
             self.retry.timeout_ns, self._on_timeout, request)
 
@@ -102,15 +98,12 @@ class ClosedLoopClient:
     def _resend(self, request: Request) -> None:
         if request.completed_ns is not None:
             return
-        packet = Packet(flow_id=request.flow_id,
-                        size_bytes=request.size_bytes,
-                        created_ns=self.sim.now, request=request)
-        self.sim.schedule(self.wire_latency_ns, self._arrive, packet)
+        self.sim.schedule(self.wire_latency_ns, self._arrive, request)
 
-    def on_response(self, packet: Packet) -> None:
-        """Wire as the stack's response sink."""
-        request = packet.request
-        if request is None:
+    def on_response(self, request) -> None:
+        """Wire as the stack's response sink. A response is the request
+        it answers; a bare ACK carries none and is ignored."""
+        if request.is_ack:
             return
         if self.retry is not None:
             if request.completed_ns is not None:

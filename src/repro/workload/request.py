@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
-
-_request_ids = itertools.count()
 
 
 class Request:
-    """One client request and its life-cycle timestamps (all ns).
+    """One client request: its own data packet and its life-cycle
+    timestamps (all ns).
+
+    The client hands the request to the NIC, and the ring, socket,
+    application and response path pass this same object; only bare ACKs
+    travel as :class:`~repro.nic.packet.Packet`.
 
     End-to-end response latency (what the paper's SLOs constrain) is
     ``completed_ns - created_ns``: generation at the client through NIC,
     softirq, scheduling, service, and the response's wire trip back.
     """
 
-    __slots__ = ("request_id", "flow_id", "kind", "created_ns", "size_bytes",
+    #: A request is a data packet, never a bare ACK.
+    is_ack = False
+
+    __slots__ = ("flow_id", "created_ns", "kind", "size_bytes",
                  "service_cycles", "response_bytes", "acked_response",
                  "delivered_ns", "started_ns", "completed_ns", "core_id",
                  "trace", "retries", "timeout_ev")
@@ -24,10 +29,10 @@ class Request:
     def __init__(self, flow_id: int, created_ns: int, kind: str = "get",
                  size_bytes: int = 128, service_cycles: float = 0.0,
                  response_bytes: int = 128, acked_response: bool = False):
-        self.request_id = next(_request_ids)
         self.flow_id = flow_id
-        self.kind = kind
         self.created_ns = created_ns
+        self.kind = kind
+        #: On-wire size of the request packet.
         self.size_bytes = size_bytes
         self.service_cycles = service_cycles
         #: Response payload size; large responses span several MSS-sized
@@ -56,4 +61,4 @@ class Request:
         return self.completed_ns - self.created_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Request {self.request_id} {self.kind} flow={self.flow_id}>"
+        return f"<Request {self.kind} flow={self.flow_id} at {self.created_ns}>"

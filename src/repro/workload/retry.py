@@ -38,8 +38,9 @@ class RetryPolicy:
     backoff_cap_ns: int = 4 * MS
 
     def __post_init__(self):
-        if self.timeout_ns <= 0:
-            raise ValueError("timeout_ns must be positive")
+        # An int: the client pushes the deadline onto the integer clock.
+        if not isinstance(self.timeout_ns, int) or self.timeout_ns <= 0:
+            raise ValueError("timeout_ns must be a positive int")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_base_ns < 0:

@@ -37,7 +37,8 @@ def test_sanitized_schedule_returns_working_handles():
     fired = []
     handle = sim.schedule(10, fired.append, 1)
     assert isinstance(handle, Event)
-    assert (handle.time, handle.seq) == (10, 0)
+    # Time and seq live in the heap entry, not on the event.
+    assert sim.queue._heap[0] == (10, 0, handle)
     victim = sim.schedule_at(20, fired.append, 2)
     victim.cancel()
     assert victim.cancelled

@@ -29,8 +29,7 @@ def setup(sim):
 
 def inject(nic, count):
     for i in range(count):
-        nic.receive(Packet(flow_id=i, size_bytes=100, created_ns=0,
-                           request=Request(flow_id=i, created_ns=0)))
+        nic.receive(Request(flow_id=i, created_ns=0, size_bytes=100))
 
 
 def test_boost_on_excessive_rate(sim, setup):
@@ -66,8 +65,7 @@ def test_ncap_menu_variant_keeps_idle_governor(sim):
                           disable_sleep_in_boost=False)
     manager.start()
     for i in range(500):
-        nic.receive(Packet(flow_id=0, size_bytes=64, created_ns=0,
-                           request=Request(flow_id=0, created_ns=0)))
+        nic.receive(Request(flow_id=0, created_ns=0, size_bytes=64))
     sim.run_until(1 * MS + 500_000)
     assert manager.state == STATE_BOOST
     assert proc.cores[0].idle_governor is sentinel
@@ -104,8 +102,7 @@ def test_acks_do_not_count_toward_threshold(sim, setup):
     proc, nic, manager = setup
     manager.start()
     for _ in range(500):
-        nic.receive(Packet(flow_id=0, size_bytes=64, created_ns=0,
-                           kind="ack"))
+        nic.receive(Packet(flow_id=0, size_bytes=64))
     sim.run_until(3 * MS)
     assert manager.state == STATE_NORMAL
 

@@ -154,7 +154,9 @@ def test_metronome_timer_never_fires_early(sim, make_core):
 
     thread = MetronomeThread(_Backend(), sched, 0, _Rng())
     thread.arm_timer()
-    fire_at = thread._timer_ev.time
+    # An event's fire time lives in its heap entry.
+    fire_at = next(time for time, _, ev in sim.queue._heap
+                   if ev is thread._timer_ev)
     requested = 7_300
     quantized = 8_000  # ceil to the 1 µs grid
     assert fire_at >= sim.now + requested + 2_000

@@ -81,20 +81,20 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for MODEL_VERSION 2026.10-model-telemetry (the config
-    schema is unchanged; the bump retires cached results whose
-    telemetry still carries the host wall-time and lockstep gauges).
+    Re-pinned for MODEL_VERSION 2026.10-span-ids (the config schema is
+    unchanged; the bump retires cached results whose span records carry
+    process-global request ids instead of per-client send sequences).
     Any further drift without a schema change or a MODEL_VERSION bump
     silently invalidates every cached run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "c9bdbb348308f2d7a2abd63019c1a13a4c539127cdc991e49cb7781d56968b1d")
+        "b63c3122b7609ac924c7a8948c3fd34b2fa050f2d3e85a5b53f2729c9bc751ef")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "d630f0f751fb66c3d387c98ebcbfede516e1cc3865284b5cab1d6dd8c930edf8")
+        "ab44882ca9736ff204c7ceb7e1747d419afe07bb0e8fb519816ae6a3a1c95372")
     assert run_key(server, 1_000_000) == (
-        "a8ad91bc25fe8440d45bcef6c2483ef99e489c8a42f469d5e5ded73a6357c2bf")
+        "0c7a7a9682e66b7061276a2da37ee2aa3c7d35a5b57e5c20e74d349641c12631")
 
 
 #: One instance of each config class a run key covers.

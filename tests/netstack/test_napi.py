@@ -10,6 +10,7 @@ from repro.nic.rss import RssDistributor
 from repro.osched.scheduler import CoreScheduler
 from repro.netstack.ksoftirqd import KsoftirqdThread
 from repro.units import MS, US
+from repro.workload.request import Request
 
 
 def build(sim, core, config=None, with_ksoftirqd=False):
@@ -29,7 +30,10 @@ def build(sim, core, config=None, with_ksoftirqd=False):
 
 
 def pkt(flow=0, kind="data"):
-    return Packet(flow_id=flow, size_bytes=128, created_ns=0, kind=kind)
+    """A request (the data packet), or a bare ACK for ``kind="ack"``."""
+    if kind == "ack":
+        return Packet(flow_id=flow, size_bytes=128)
+    return Request(flow, 0, size_bytes=128)
 
 
 def test_single_packet_processed_in_interrupt_mode(sim, core):
@@ -106,7 +110,7 @@ def test_ack_packets_not_delivered_to_socket(sim, core):
     nic.receive(pkt(kind="data"))
     sim.run_until(1 * MS)
     assert len(delivered) == 1
-    assert delivered[0].kind == "data"
+    assert not delivered[0].is_ack
 
 
 def test_poll_listeners_observe_counts_and_modes(sim, core):

@@ -7,11 +7,11 @@ from repro.cpu.pstate import PStateTable
 from repro.netstack.ksoftirqd import KsoftirqdThread
 from repro.netstack.napi import NapiConfig, NapiContext
 from repro.nic.nic import MultiQueueNic
-from repro.nic.packet import Packet
 from repro.nic.rss import RssDistributor
 from repro.osched.scheduler import CoreScheduler
 from repro.sim.simulator import Simulator
 from repro.units import GHZ, S
+from repro.workload.request import Request
 
 # Batches of (arrival_time_ns, n_packets).
 batch_strategy = st.lists(
@@ -49,13 +49,12 @@ def test_every_data_packet_is_delivered_exactly_once(batches):
 
         def send(n=n):
             for _ in range(n):
-                nic.receive(Packet(flow_id=0, size_bytes=100,
-                                   created_ns=sim.now))
+                nic.receive(Request(0, sim.now, size_bytes=100))
 
         sim.schedule_at(t, send)
     sim.run_until(1 * S)
     assert len(delivered) == total
-    assert len(set(p.packet_id for p in delivered)) == total
+    assert len(set(map(id, delivered))) == total
     # Mode attribution partitions the same packets.
     assert napi.pkts_interrupt_mode + napi.pkts_polling_mode == total
     # All sessions closed; interrupts re-enabled.
@@ -74,8 +73,7 @@ def test_conservation_holds_at_any_frequency(batches, pstate):
 
         def send(n=n):
             for _ in range(n):
-                nic.receive(Packet(flow_id=0, size_bytes=100,
-                                   created_ns=sim.now))
+                nic.receive(Request(0, sim.now, size_bytes=100))
 
         sim.schedule_at(t, send)
     sim.run_until(2 * S)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netstack.socket import SocketQueue
-from repro.nic.packet import Packet
+from repro.workload.request import Request
 
 
 class FakeThread:
@@ -15,7 +15,7 @@ class FakeThread:
 
 
 def pkt():
-    return Packet(flow_id=0, size_bytes=64, created_ns=0)
+    return Request(0, 0)
 
 
 def test_deliver_and_pop_fifo():

@@ -5,7 +5,6 @@ import pytest
 from repro.cpu.topology import Processor
 from repro.netstack.stack import NetworkStack
 from repro.nic.nic import MultiQueueNic
-from repro.nic.packet import Packet
 from repro.nic.rss import RssDistributor
 from repro.obs.registry import TelemetryRegistry
 from repro.units import MS
@@ -33,9 +32,7 @@ def test_one_napi_socket_scheduler_per_core(system):
 
 def test_rx_packet_lands_in_matching_socket(sim, system):
     _, nic, stack, _ = system
-    request = Request(flow_id=1, created_ns=0)
-    nic.receive(Packet(flow_id=1, size_bytes=128, created_ns=0,
-                       request=request))
+    nic.receive(Request(flow_id=1, created_ns=0))
     sim.run_until(1 * MS)
     assert len(stack.sockets[1]) == 1
     assert len(stack.sockets[0]) == 0
@@ -89,9 +86,7 @@ def test_queue_core_count_mismatch_rejected(sim):
 
 def test_aggregate_counters(sim, system):
     _, nic, stack, _ = system
-    request = Request(flow_id=0, created_ns=0)
-    nic.receive(Packet(flow_id=0, size_bytes=128, created_ns=0,
-                       request=request))
+    nic.receive(Request(flow_id=0, created_ns=0))
     sim.run_until(1 * MS)
     reg = TelemetryRegistry()
     stack.rx.register_into(reg)

@@ -6,6 +6,7 @@ from repro.nic.nic import MultiQueueNic
 from repro.nic.packet import Packet
 from repro.nic.rss import RssDistributor
 from repro.units import MS, US
+from repro.workload.request import Request
 
 
 def make_nic(sim, n_queues=2, **kwargs):
@@ -13,9 +14,9 @@ def make_nic(sim, n_queues=2, **kwargs):
     return MultiQueueNic(sim, n_queues=n_queues, **kwargs)
 
 
-def pkt(flow=0, request=None):
-    return Packet(flow_id=flow, size_bytes=128, created_ns=0,
-                  request=request)
+def pkt(flow=0):
+    """A data packet: the request itself."""
+    return Request(flow, 0, size_bytes=128)
 
 
 def test_receive_steers_by_rss(sim):
@@ -82,9 +83,10 @@ def test_data_packet_counter_excludes_acks_and_raw(sim):
     nic = make_nic(sim)
     nic.bind(0, lambda q: None)
     nic.bind(1, lambda q: None)
-    nic.receive(pkt(flow=0, request=object()))
-    nic.receive(Packet(flow_id=0, size_bytes=64, created_ns=0, kind="ack"))
-    nic.receive(pkt(flow=0, request=None))
+    nic.receive(pkt(flow=0))
+    nic.receive(Packet(flow_id=0, size_bytes=64))
+    # Every frame that is not a request is a bare ACK.
+    nic.receive(Packet(flow_id=0, size_bytes=64))
     assert nic.rx_packets == 3
     assert nic.rx_data_packets == 1
 

@@ -1,30 +1,21 @@
-"""Packet objects."""
+"""Packets: a request is the data packet, a Packet is a bare ACK."""
 
 import pytest
 
 from repro.nic.packet import Packet
-
-
-def test_unique_ids():
-    a = Packet(flow_id=1, size_bytes=64, created_ns=0)
-    b = Packet(flow_id=1, size_bytes=64, created_ns=0)
-    assert a.packet_id != b.packet_id
+from repro.workload.request import Request
 
 
 def test_default_kind_is_data():
-    assert Packet(flow_id=0, size_bytes=64, created_ns=0).kind == "data"
+    # A data packet is the request itself.
+    assert Request(0, 0).is_ack is False
 
 
 def test_ack_kind():
-    pkt = Packet(flow_id=0, size_bytes=64, created_ns=0, kind="ack")
-    assert pkt.kind == Packet.KIND_ACK
+    pkt = Packet(flow_id=0, size_bytes=64)
+    assert pkt.is_ack is True
 
 
 def test_invalid_size_rejected():
     with pytest.raises(ValueError):
-        Packet(flow_id=0, size_bytes=0, created_ns=0)
-
-
-def test_invalid_kind_rejected():
-    with pytest.raises(ValueError):
-        Packet(flow_id=0, size_bytes=64, created_ns=0, kind="rst")
+        Packet(flow_id=0, size_bytes=0)

@@ -7,7 +7,7 @@ from repro.nic.queue import NicQueue
 
 
 def pkt(flow=0):
-    return Packet(flow_id=flow, size_bytes=100, created_ns=0)
+    return Packet(flow_id=flow, size_bytes=100)
 
 
 def test_rx_fifo_order():

@@ -15,8 +15,7 @@ def _record(bounds, request_id=1, core_id=0):
 
 
 class _FakeRequest:
-    def __init__(self, created_ns, started_ns, request_id=1):
-        self.request_id = request_id
+    def __init__(self, created_ns, started_ns):
         self.kind = "GET"
         self.flow_id = 0
         self.core_id = 0
@@ -79,13 +78,15 @@ def test_want_is_deterministic_and_rate_accurate():
 
 def test_complete_drops_partial_contexts():
     log = SpanLog(1.0)
-    ctx = TraceContext()  # nothing stamped: packet skipped the path
+    ctx = TraceContext(7)  # nothing stamped: packet skipped the path
     log.complete(_FakeRequest(0, 10), ctx, 20)
     assert len(log) == 0
     ctx.nic_rx_ns, ctx.poll_ns, ctx.sock_ns, ctx.tx_ns = 2, 4, 6, 15
     log.complete(_FakeRequest(0, 10), ctx, 20)
     assert len(log) == 1
     assert log.records[0].bounds == (0, 2, 4, 6, 10, 15, 20)
+    # The span id is the context's, not anything on the request.
+    assert log.records[0].request_id == 7
 
 
 def test_trim_drops_late_completions():

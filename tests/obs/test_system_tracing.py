@@ -29,9 +29,10 @@ def _config(**overrides):
 
 
 def _span_identity(record):
-    # request_id comes from a process-global counter, so run-local
-    # identity is (flow, core, boundary timestamps).
-    return (record.flow_id, record.core_id, record.bounds)
+    # The span id is the request's send sequence at its client, so it
+    # is part of a run-local identity like every other field.
+    return (record.request_id, record.kind, record.flow_id, record.core_id,
+            record.via_ksoftirqd, record.bounds)
 
 
 def test_full_sampling_tiles_every_latency():
@@ -84,6 +85,20 @@ def test_partial_sampling_is_deterministic_and_proportional():
     lat = sorted(a.latencies_ns.tolist())
     for total in a.spans.totals_ns():
         assert total in lat
+
+
+def test_identical_runs_in_one_process_give_equal_span_records():
+    """Span ids depend on the run alone, not on what ran before it."""
+    config = _config(trace_sample_rate=0.2)
+    first = ServerSystem(config).run(DURATION)
+    second = ServerSystem(config).run(DURATION)
+    ids = [_span_identity(r) for r in first.spans.records]
+    assert ids and ids == [_span_identity(r) for r in second.spans.records]
+    # The id is the client's 1-based send sequence of a sampled request.
+    request_ids = [r.request_id for r in first.spans.records]
+    assert min(request_ids) >= 1
+    assert max(request_ids) <= first.sent
+    assert len(set(request_ids)) == len(request_ids)
 
 
 def test_sampling_invalid_rate_rejected():

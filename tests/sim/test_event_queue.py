@@ -6,12 +6,17 @@ from repro.sim.event import EventQueue
 
 
 def drain(queue):
+    """Every ``(time, event)`` pair the queue pops, in order."""
     out = []
     while True:
-        ev = queue.pop()
-        if ev is None:
+        entry = queue.pop()
+        if entry is None:
             return out
-        out.append(ev)
+        out.append(entry)
+
+
+def popped_events(queue):
+    return [ev for _, ev in drain(queue)]
 
 
 def test_pop_orders_by_time():
@@ -19,15 +24,14 @@ def test_pop_orders_by_time():
     q.push(30, lambda: None)
     q.push(10, lambda: None)
     q.push(20, lambda: None)
-    assert [ev.time for ev in drain(q)] == [10, 20, 30]
+    assert [time for time, _ in drain(q)] == [10, 20, 30]
 
 
 def test_same_time_events_preserve_fifo_order():
     q = EventQueue()
     first = q.push(5, lambda: None)
     second = q.push(5, lambda: None)
-    popped = drain(q)
-    assert popped == [first, second]
+    assert popped_events(q) == [first, second]
 
 
 def test_cancel_prevents_pop():
@@ -35,7 +39,7 @@ def test_cancel_prevents_pop():
     keep = q.push(1, lambda: None)
     drop = q.push(2, lambda: None)
     q.cancel(drop)
-    assert drain(q) == [keep]
+    assert popped_events(q) == [keep]
 
 
 def test_cancel_is_idempotent_for_len():
@@ -72,7 +76,7 @@ def test_pop_sequence_is_sorted(times):
     q = EventQueue()
     for t in times:
         q.push(t, lambda: None)
-    popped = [ev.time for ev in drain(q)]
+    popped = [time for time, _ in drain(q)]
     assert popped == sorted(times)
 
 
@@ -86,6 +90,6 @@ def test_cancelled_subset_never_pops(times, data):
         st.integers(min_value=0, max_value=len(events) - 1)))
     for idx in to_cancel:
         q.cancel(events[idx])
-    popped = set(id(ev) for ev in drain(q))
+    popped = set(id(ev) for ev in popped_events(q))
     for idx, ev in enumerate(events):
         assert (id(ev) in popped) == (idx not in to_cancel)

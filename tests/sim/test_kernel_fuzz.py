@@ -76,3 +76,122 @@ def test_queue_lifetime_invariant_holds_under_fuzz(ops):
     queue = sim.queue
     assert (queue.scheduled_total
             == sim.events_processed + queue.cancelled_total + len(queue))
+
+
+# -- derived kernel counters against a naive reference ------------------- #
+
+_COUNTER_OP = st.one_of(
+    st.tuples(st.just("push"),
+              st.integers(min_value=0, max_value=300),    # delay
+              st.integers(min_value=0, max_value=40)),    # child delay
+    st.tuples(st.just("cancel"),
+              st.integers(min_value=0, max_value=10_000)),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("run"),
+              st.integers(min_value=0, max_value=200)),
+)
+
+
+class _ReferenceQueue:
+    """The kernel's counters, kept the obvious way: a plain list of
+    pending entries scanned for its minimum, and a count bumped on every
+    state change."""
+
+    def __init__(self):
+        self.now = 0
+        self.entries = []      # [time, seq, cancelled, child_delay]
+        self.scheduled = self.fired = self.cancelled = self.peak = 0
+
+    def push(self, delay, child_delay):
+        entry = [self.now + delay, self.scheduled, False, child_delay]
+        self.scheduled += 1
+        self.entries.append(entry)
+        self.peak = max(self.peak, len(self.entries))
+        return entry
+
+    def cancel(self, entry):
+        # Only a pending event is counted: a fired one left the heap,
+        # and a second cancel changes nothing.
+        if any(e is entry for e in self.entries) and not entry[2]:
+            entry[2] = True
+            self.cancelled += 1
+
+    def _head(self):
+        return min(self.entries, key=lambda e: (e[0], e[1]))
+
+    def _fire(self, entry, handles):
+        self.entries.remove(entry)
+        self.now = entry[0]
+        self.fired += 1
+        if entry[3]:
+            handles.append(self.push(entry[3], 0))
+
+    def pop(self, handles):
+        while self.entries:
+            head = self._head()
+            if head[2]:
+                self.entries.remove(head)
+                continue
+            self._fire(head, handles)
+            return
+
+    def run_until(self, t_end, handles):
+        while self.entries:
+            head = self._head()
+            if head[2]:
+                self.entries.remove(head)
+                continue
+            if head[0] > t_end:
+                break
+            self._fire(head, handles)
+        self.now = max(self.now, t_end)
+
+    def counters(self):
+        return (self.scheduled, self.fired, self.cancelled, self.peak,
+                sum(1 for e in self.entries if not e[2]), self.now)
+
+
+def _kernel_counters(sim):
+    perf = sim.perf_snapshot()
+    return (perf.events_scheduled, perf.events_fired, perf.events_cancelled,
+            perf.heap_peak, len(sim.queue), sim.now)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_COUNTER_OP, max_size=80), st.booleans())
+def test_derived_counters_match_a_naive_reference(ops, sanitize):
+    """Push / cancel (pending, fired, twice) / pop / run_until in any
+    order: the kernel's derived counters equal the reference's after
+    every step, unsanitized and sanitized."""
+    sim = Simulator(sanitize=sanitize)
+    ref = _ReferenceQueue()
+    handles, ref_handles = [], []
+
+    def fire(child_delay):
+        if child_delay:
+            handles.append(sim.schedule(child_delay, fire, 0))
+
+    horizon = 0
+    for op in ops:
+        kind = op[0]
+        if kind == "push":
+            _, delay, child_delay = op
+            handles.append(sim.schedule(delay, fire, child_delay))
+            ref_handles.append(ref.push(delay, child_delay))
+        elif kind == "cancel":
+            if handles:
+                i = op[1] % len(handles)
+                handles[i].cancel()
+                ref.cancel(ref_handles[i])
+        elif kind == "pop":
+            sim.step()
+            ref.pop(ref_handles)
+        else:  # run
+            horizon = max(horizon, sim.now) + op[1]
+            sim.run_until(horizon)
+            ref.run_until(horizon, ref_handles)
+        assert len(handles) == len(ref_handles)
+        assert _kernel_counters(sim) == ref.counters()
+    sim.run_until(horizon + 10_000)
+    ref.run_until(horizon + 10_000, ref_handles)
+    assert _kernel_counters(sim) == ref.counters()

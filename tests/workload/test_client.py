@@ -8,6 +8,7 @@ from repro.nic.rss import RssDistributor
 from repro.sim.rng import RandomStreams
 from repro.units import MS, US
 from repro.workload.client import OpenLoopClient
+from repro.workload.request import Request
 from repro.workload.shapes import ConstantLoad
 
 
@@ -41,9 +42,11 @@ def test_packets_carry_requests_with_creation_times(sim, nic):
     client.start(50 * MS)
     sim.run_until(100 * MS)
     pkt = nic.queues[0].pop_rx()
-    assert pkt.request is not None
-    # The packet reached the NIC one wire latency after creation.
-    assert pkt.request.created_ns == pkt.created_ns
+    # The request is its own data packet, stamped at creation: the
+    # first scheduled arrival, which reached the NIC one wire latency
+    # later.
+    assert isinstance(pkt, Request)
+    assert pkt.created_ns == client._arrivals[0]
 
 
 def test_on_response_records_latency(sim, nic):
@@ -52,17 +55,17 @@ def test_on_response_records_latency(sim, nic):
     sim.run_until(100 * MS)
     pkt = nic.queues[0].pop_rx()
     sim.run_until(sim.now + 1 * MS)
-    client.on_response(Packet(flow_id=pkt.flow_id, size_bytes=64,
-                              created_ns=sim.now, request=pkt.request))
+    client.on_response(pkt)  # the response is the request it answers
     latencies = client.latencies_ns()
     assert latencies.size == 1
-    assert latencies[0] == sim.now - pkt.request.created_ns
+    assert latencies[0] == sim.now - pkt.created_ns
     assert client.completed == 1
 
 
 def test_response_without_request_is_ignored(sim, nic):
     client = make_client(sim, nic)
-    client.on_response(Packet(flow_id=0, size_bytes=64, created_ns=0))
+    # A bare ACK is the only packet that is not a request.
+    client.on_response(Packet(flow_id=0, size_bytes=64))
     assert client.completed == 0
 
 
@@ -80,9 +83,7 @@ def test_completion_times_align_with_latencies(sim, nic):
     client.start(20 * MS)
     sim.run_until(50 * MS)
     for _ in range(3):
-        pkt = nic.queues[0].pop_rx()
-        client.on_response(Packet(flow_id=0, size_bytes=64,
-                                  created_ns=sim.now, request=pkt.request))
+        client.on_response(nic.queues[0].pop_rx())
     assert client.completion_times_ns().size == client.latencies_ns().size
 
 

@@ -123,7 +123,7 @@ def test_response_without_request_is_ignored():
     client = attach_closed_loop(system, 1)
     client.start(10 * MS)
     before = client.completed
-    client.on_response(Packet(flow_id=1, size_bytes=64, created_ns=0))
+    client.on_response(Packet(flow_id=1, size_bytes=64))
     assert client.completed == before
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.nic.nic import MultiQueueNic
-from repro.nic.packet import Packet
 from repro.nic.rss import RssDistributor
 from repro.sim.rng import RandomStreams
 from repro.units import MS, US
@@ -69,9 +68,8 @@ def test_response_before_timeout_cancels_the_timer(sim, nic):
     client = _make_client(sim, nic, retry)
     client.feed_arrivals([0])
     sim.run_until(1 * MS)
-    pkt = nic.queues[0].pop_rx()
-    client.on_response(Packet(flow_id=pkt.flow_id, size_bytes=64,
-                              created_ns=sim.now, request=pkt.request))
+    request = nic.queues[0].pop_rx()
+    client.on_response(request)  # the response is the request it answers
     sim.run_until(50 * MS)
     assert client.completed == 1
     assert client.timed_out == 0
@@ -83,9 +81,7 @@ def test_duplicate_responses_are_discarded(sim, nic):
     client = _make_client(sim, nic, retry)
     client.feed_arrivals([0])
     sim.run_until(1 * MS)
-    pkt = nic.queues[0].pop_rx()
-    response = Packet(flow_id=pkt.flow_id, size_bytes=64,
-                      created_ns=sim.now, request=pkt.request)
+    response = nic.queues[0].pop_rx()
     client.on_response(response)
     client.on_response(response)  # a retransmission's answer, late
     assert client.completed == 1
@@ -100,12 +96,10 @@ def test_retried_latency_is_anchored_at_original_creation(sim, nic):
     sim.run_until(3 * MS)  # first attempt timed out, retransmitted
     assert client.retries >= 1
     # Answer the retransmitted copy.
-    pkt = nic.queues[0].pop_rx()  # original attempt
+    original = nic.queues[0].pop_rx()  # original attempt
     retransmit = nic.queues[0].pop_rx()
-    assert retransmit.request is pkt.request
-    client.on_response(Packet(flow_id=retransmit.flow_id, size_bytes=64,
-                              created_ns=sim.now,
-                              request=retransmit.request))
+    assert retransmit is original  # the same request goes back out
+    client.on_response(retransmit)
     # Latency covers the failed attempt too: anchored at creation (t=0).
     assert client.latencies_ns()[0] == sim.now
 
@@ -140,9 +134,7 @@ def test_closed_loop_duplicate_responses_are_discarded(sim, nic):
                               wire_latency_ns=5 * US, retry=retry)
     client.start(10 * MS)
     sim.run_until(1 * MS)
-    pkt = nic.queues[0].pop_rx()
-    response = Packet(flow_id=pkt.flow_id, size_bytes=64,
-                      created_ns=sim.now, request=pkt.request)
+    response = nic.queues[0].pop_rx()
     client.on_response(response)
     client.on_response(response)
     assert client.completed == 1
