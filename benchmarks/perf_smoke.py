@@ -34,9 +34,11 @@ A fourth measurement leaves the microbenchmark and times one small
 ``--assert-timeline-overhead PCT`` gates it (CI budget: 15).
 
 ``--backend NAME`` adds a fifth measurement: one small server run on
-that RX datapath (``repro.datapath``), recording wall seconds and
-simulated events/sec under ``datapath_backends`` — the spin-chunked
-busy-poll loop is the event-rate stress case worth tracking across PRs.
+that RX datapath (``repro.datapath``), recording wall seconds,
+simulated events/sec, the event heap's peak length and the cancelled
+events under ``datapath_backends`` — the spin-chunked busy-poll loop is
+the event-rate stress case, and nmap-hybrid's slice and retrieval
+timers the cancelled-timer one, worth tracking across PRs.
 
 ``--assert-analysis-time SECONDS`` adds a sixth: one cold run of the
 interprocedural flow engine (:mod:`repro.analysis.flow`) over all of
@@ -135,7 +137,8 @@ def _time_server(timeline: bool, duration_ms: int = 100) -> float:
 
 
 def _time_backend(datapath: str, duration_ms: int = 100) -> dict:
-    """Wall seconds + kernel event rate of one run on ``datapath``."""
+    """Wall seconds, kernel event rate, heap peak and cancelled events
+    of one run on ``datapath``."""
     from repro.system import ServerConfig, ServerSystem
     from repro.units import MS
 
@@ -152,6 +155,8 @@ def _time_backend(datapath: str, duration_ms: int = 100) -> dict:
             "events_fired": result.perf.events_fired,
             "events_per_sec": round(result.perf.events_fired / wall_s)
             if wall_s > 0 else 0,
+            "heap_peak": result.perf.heap_peak,
+            "events_cancelled": result.perf.events_cancelled,
             "completed": result.completed}
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Set
+from typing import Dict, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,10 @@ class HealthMonitor:
         #: old per-window probed-flag reset), mirrored in a heap.
         self._next_probe = [0] * n
         self._probe_heap: List[tuple] = []
+        #: Hooked mode: this window's ``(outstanding, node_id)`` key per
+        #: healthy node, built on the window's first failover (None
+        #: until then).
+        self._fallback_keys: Optional[Dict[int, tuple]] = None
         # Telemetry.
         self.marks_down = 0
         self.marks_up = 0
@@ -134,6 +138,10 @@ class HealthMonitor:
         if node_id not in self._active:
             self._active.add(node_id)
             self._last_completed[node_id] = self.views[node_id].completed()
+        keys = self._fallback_keys
+        if keys is not None and node_id in keys:
+            outstanding, nid = keys[node_id]
+            keys[node_id] = (outstanding + 1, nid)
 
     def fast_forward(self, n_windows: int) -> None:
         """Advance the observation clock over provably-idle windows.
@@ -150,6 +158,7 @@ class HealthMonitor:
             raise RuntimeError(
                 "fast_forward with active nodes would skip observations")
         self._window_index += n_windows
+        self._fallback_keys = None
 
     def observe_window(self) -> List[int]:
         """Digest one window of completions; returns newly-down nodes.
@@ -158,6 +167,7 @@ class HealthMonitor:
         window's arrivals.
         """
         self._window_index += 1
+        self._fallback_keys = None
         if self.hooked:
             if not self._active:
                 return []
@@ -240,16 +250,24 @@ class HealthMonitor:
         return self.fallback(node_id)
 
     def fallback(self, node_id: int) -> int:
-        """Least-outstanding healthy node (or ``node_id`` if none)."""
-        best = None
-        best_key = None
-        for i, view in enumerate(self.views):
-            if self.down[i]:
-                continue
-            key = (view.outstanding(), view.node_id)
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        return node_id if best is None else best
+        """Least-outstanding healthy node (or ``node_id`` if none).
+
+        Nodes compare by ``(outstanding, node_id)``. In hooked mode node
+        state is frozen within a window and ``down`` changes only in
+        :meth:`observe_window`, so the keys are built once per window,
+        on its first failover, and :meth:`on_dispatch` bumps the routed
+        node's key: every choice equals a full scan's.
+        """
+        keys = self._fallback_keys
+        if keys is None:
+            down = self.down
+            keys = {i: (view.outstanding(), view.node_id)
+                    for i, view in enumerate(self.views) if not down[i]}
+            if self.hooked:
+                self._fallback_keys = keys
+        if not keys:
+            return node_id
+        return min(keys, key=keys.__getitem__)
 
     def take_redispatch(self, node_id: int) -> int:
         """Redispatch allowance for a freshly-down node (consumes budget)."""

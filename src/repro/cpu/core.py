@@ -127,6 +127,10 @@ class Core:
         self._pending_n = 0
         self._waking = False
         self._wake_ev = None
+        #: True while a completion callback runs: work it submits waits
+        #: until ``_complete`` picks the highest-priority item, rather
+        #: than starting at once only to be preempted in the same instant.
+        self._completing = False
         self._idle_start_ns: Optional[int] = sim.now
 
         # Cumulative residency accounting (governors sample deltas).
@@ -216,16 +220,20 @@ class Core:
     # ------------------------------------------------------------------ #
 
     def submit(self, work: Work) -> None:
-        """Enqueue work; preempts lower-priority work and wakes idle cores."""
+        """Enqueue work; preempts lower-priority work and wakes idle cores.
+
+        Work submitted from a completion callback starts when the
+        callback returns (the highest-priority pending item first)."""
         current = self._current
         if current is not None and work.priority < current.priority:
             self._preempt_current()
             current = None
         self._pending[work.priority].append(work)
         self._pending_n += 1
-        if current is None and not self._waking:
+        if current is None and not self._waking and not self._completing:
             # No idle accounting open: the core is between two items in
-            # CC0 (a completion callback submitting), so it starts at once.
+            # CC0 (the owner of a paused item submitting), so it starts
+            # at once.
             if self._idle_start_ns is None:
                 self._start_next()
             else:
@@ -359,7 +367,9 @@ class Core:
         self.works_completed += 1
         on_complete = work.on_complete
         if on_complete is not None:
+            self._completing = True
             on_complete(work)
+            self._completing = False
         if self._current is None and not self._waking:
             if self._idle_start_ns is None:
                 self._start_next()

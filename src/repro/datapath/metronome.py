@@ -108,8 +108,9 @@ class MetronomeThread(SimThread):
         actual_ns = -(-requested_ns // grid_ns) * grid_ns + be.overshoot_ns
         if be.overshoot_jitter_ns > 0:
             actual_ns += int(self._rng.random() * be.overshoot_jitter_ns)
-        self._timer_ev = self.backend.stack.sim.schedule(
-            actual_ns, self._timer_fire)
+        sim = be.stack.sim
+        self._timer_ev = sim.queue.push(sim.now + actual_ns,
+                                        self._timer_fire, ())
 
     def _timer_fire(self) -> None:
         self._timer_ev = None
@@ -205,6 +206,14 @@ class MetronomeBackend(RxBackend):
                              "[min_sleep_ns, max_sleep_ns]")
         if sleep_multiplier <= 1.0:
             raise ValueError("sleep_multiplier must be > 1")
+        for name, value in (("min_sleep_ns", min_sleep_ns),
+                            ("timer_resolution_ns", timer_resolution_ns),
+                            ("overshoot_ns", overshoot_ns),
+                            ("overshoot_jitter_ns", overshoot_jitter_ns)):
+            if not isinstance(value, int):
+                # An int: the retrieval timer is pushed onto the
+                # integer clock.
+                raise ValueError(f"{name} must be an int")
         if timer_resolution_ns <= 0:
             raise ValueError("timer_resolution_ns must be positive")
         if overshoot_ns < 0 or overshoot_jitter_ns < 0:

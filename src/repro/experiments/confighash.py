@@ -30,7 +30,7 @@ import numpy as np
 
 #: Version of the simulation model semantics. Part of every cache key and
 #: the on-disk cache namespace; bump on any change that alters RunResults.
-MODEL_VERSION = "2026.10-span-ids"
+MODEL_VERSION = "2026.10-heap-compaction"
 
 
 def canonicalize(value: Any) -> Any:

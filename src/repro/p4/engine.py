@@ -238,7 +238,8 @@ class PipelineEngine:
         delay_ns = int(cycles * self._ns_per_cycle)
         if delay_ns <= 0:
             return self.nic.enqueue_rx(packet, qid)
-        self.sim.schedule(delay_ns, self._arrive, packet, qid)
+        sim = self.sim
+        sim.queue.push(sim.now + delay_ns, self._arrive, (packet, qid))
         return True
 
     def _count_drop(self) -> bool:

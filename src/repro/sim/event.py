@@ -2,8 +2,9 @@
 
 Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
 increasing tie-breaker, so same-timestamp events fire in scheduling order
-(deterministic replay). Cancellation is lazy: a cancelled event stays in the
-heap and is discarded on pop, which keeps cancel O(1).
+(deterministic replay). Cancellation is lazy, which keeps cancel O(1): a
+cancelled event stays in the heap until it is discarded on pop or purged
+by a compaction.
 
 Fast-path design (the simulator is the hot loop of every experiment):
 
@@ -19,19 +20,31 @@ Fast-path design (the simulator is the hot loop of every experiment):
   direct slot stores, so scheduling pays no ``__init__`` frame. Events
   are never reused: a fired one is freed once nothing references it, so
   a handle a caller keeps always refers to its own event.
-* Push, cancel and the run loop keep no live count: pops tally the
-  cancelled heads they drop, and ``len(queue)`` and
-  :attr:`EventQueue.cancelled_total` add one heap scan to that tally.
+* Push, cancel and the run loop keep no live count: pops and
+  compactions tally the cancelled entries they drop, and ``len(queue)``
+  and :attr:`EventQueue.cancelled_total` add one heap scan to that tally.
+* Most pushed timers are cancelled long before their deadline (idle
+  re-selection, slice timers), so :meth:`EventQueue.push` compacts: once
+  the heap grows past twice the live count the last compaction left
+  (floor :data:`COMPACT_FLOOR`), it removes the cancelled entries in
+  place and re-heapifies. No live entry's ``(time, seq)`` changes, so
+  what fires and when is unchanged; every push and pop sifts through a
+  heap of about the live size. The list is never rebound: the run loops
+  hold it as a local.
 """
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import (heapify as _heapify, heappop as _heappop,
+                   heappush as _heappush)
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.perf import PerfSnapshot
 
 _new = object.__new__
+
+#: Heap length below which :meth:`EventQueue.push` never compacts.
+COMPACT_FLOOR = 64
 
 
 class Event:
@@ -63,10 +76,17 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
-        #: Cancelled entries discarded off the heap head so far (the run
-        #: loop adds its own tally when it returns).
+        #: Cancelled entries discarded off the heap head or purged by a
+        #: compaction so far (the run loop adds its own tally when it
+        #: returns).
         self.cancelled_popped = 0
+        #: Longest the heap has been after a push (and its compaction).
         self.heap_peak = 0
+        #: Heap length past which a push compacts.
+        self._compact_at = COMPACT_FLOOR
+        #: ``min(heap_peak, _compact_at)``: a push that leaves the heap
+        #: no longer than this has nothing to record or compact.
+        self._high = 0
 
     @property
     def scheduled_total(self) -> int:
@@ -94,8 +114,22 @@ class EventQueue:
         heap = self._heap
         _heappush(heap, (time, seq, ev))
         n = len(heap)
-        if n > self.heap_peak:
-            self.heap_peak = n
+        if n > self._high:
+            if n > self._compact_at:
+                # Inline, not a helper: this adds no Python frame.
+                j = 0
+                for entry in heap:
+                    if not entry[2].cancelled:
+                        heap[j] = entry
+                        j += 1
+                del heap[j:]
+                _heapify(heap)
+                self.cancelled_popped += n - j
+                n = j
+                self._compact_at = max(COMPACT_FLOOR, 2 * j)
+            if n > self.heap_peak:
+                self.heap_peak = n
+            self._high = min(self.heap_peak, self._compact_at)
         return ev
 
     def cancel(self, ev: Event) -> None:

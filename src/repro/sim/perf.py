@@ -10,8 +10,11 @@ Counter semantics:
 * ``events_scheduled`` — pushes into the queue (``schedule``/``push``).
 * ``events_fired`` — callbacks actually executed.
 * ``events_cancelled`` — events cancelled before firing (lazy-deleted).
-* ``heap_peak`` — maximum heap length observed, cancelled entries
-  included (lazy cancellation keeps them in the heap until popped).
+* ``heap_peak`` — longest the compacted heap has been after a push.
+  Cancelled entries count until they are popped or purged: a push
+  compacts the heap once it grows past twice the live count the last
+  compaction left (floor 64), so the peak tracks the live events, not
+  every timer ever cancelled.
 
 The counters are model outputs, a pure function of (config, seed):
 :meth:`PerfSnapshot.register_into` writes them into a result's

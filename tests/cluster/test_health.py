@@ -1,6 +1,7 @@
 """HealthMonitor unit tests against fake node views."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.health import HealthMonitor, HealthPolicy
 from repro.obs.registry import TelemetryRegistry
@@ -136,3 +137,51 @@ def test_register_into_exposes_counters():
     monitor.register_into(reg)
     assert reg.value("lb_marked_down_total", subsystem="fleet") == 1
     assert reg.value("lb_failovers_total", subsystem="fleet") == 0
+
+
+# -- hooked failover against the full scan ------------------------------ #
+
+_HEALTH_OP = st.one_of(
+    # A window barrier: some nodes complete requests, then observation.
+    st.tuples(st.just("window"),
+              st.lists(st.integers(min_value=0, max_value=3),
+                       min_size=5, max_size=5)),
+    st.tuples(st.just("dispatch"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("failover"), st.integers(min_value=0, max_value=4)),
+)
+
+
+def _full_scan(monitor, views, node_id):
+    healthy = [(view.outstanding(), view.node_id, i)
+               for i, view in enumerate(views) if not monitor.down[i]]
+    return min(healthy)[2] if healthy else node_id
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_HEALTH_OP, max_size=120))
+def test_hooked_fallback_matches_a_full_scan(ops):
+    """Dispatch-hooked failover reads the window's keys, built on its
+    first failover and bumped on each dispatch; every choice equals a
+    full scan of the live views, as nodes go down and come back."""
+    views = [FakeView(i) for i in range(5)]
+    monitor = HealthMonitor(views, HealthPolicy(
+        down_after_windows=1, up_after_windows=1, min_outstanding=2),
+        hooked=True)
+
+    def dispatch(nid):
+        views[nid]._outstanding += 1
+        monitor.on_dispatch(nid)
+
+    for op in ops:
+        if op[0] == "window":
+            for view, done in zip(views, op[1]):
+                done = min(done, view._outstanding)
+                view._outstanding -= done
+                view._completed += done
+            monitor.observe_window()
+        elif op[0] == "dispatch":
+            dispatch(op[1])
+        else:
+            target = monitor.fallback(op[1])
+            assert target == _full_scan(monitor, views, op[1])
+            dispatch(target)

@@ -53,6 +53,28 @@ def test_higher_priority_preempts(sim, core):
     assert order[1] == ("task", 11 * US)
 
 
+def test_completion_callback_submissions_start_after_it_returns(sim, core):
+    """Work a completion callback submits waits for the callback to
+    return; the core then starts the highest-priority item, so a task
+    submitted before a softirq is never started and preempted in the
+    same instant."""
+    order = []
+
+    def on_complete(work):
+        core.submit(Work(3200, PRIORITY_TASK,
+                         on_complete=lambda w: order.append("task")))
+        assert core.current_work is None
+        core.submit(Work(3200, PRIORITY_SOFTIRQ,
+                         on_complete=lambda w: order.append("softirq")))
+
+    core.submit(Work(3200, PRIORITY_TASK, on_complete=on_complete))
+    sim.run_until(1 * MS)
+    assert order == ["softirq", "task"]
+    perf = sim.perf_snapshot()
+    assert perf.events_cancelled == 0
+    assert perf.events_scheduled == perf.events_fired == 3
+
+
 def test_equal_priority_does_not_preempt(sim, core):
     order = []
     core.submit(Work(3200, PRIORITY_SOFTIRQ,

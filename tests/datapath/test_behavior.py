@@ -45,6 +45,18 @@ def test_bad_backend_params_raise():
                                   datapath_params={"initial_sleep_ns": 1}))
 
 
+@pytest.mark.parametrize("name", ["min_sleep_ns", "timer_resolution_ns",
+                                  "overshoot_ns", "overshoot_jitter_ns"])
+def test_non_int_metronome_timer_params_raise(name):
+    """The retrieval timer is pushed straight onto the integer clock."""
+    for datapath, governor in (("metronome", "ondemand"),
+                               ("nmap-hybrid", "nmap")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            ServerSystem(ServerConfig(n_cores=2, datapath=datapath,
+                                      freq_governor=governor,
+                                      datapath_params={name: 2_000.0}))
+
+
 # -- governor coupling -------------------------------------------------- #
 
 def test_hybrid_requires_nmap_family_governor():

@@ -81,20 +81,22 @@ def test_plain_objects_canonicalize_by_class_and_state():
 def test_registry_digests_are_pinned():
     """Digests only move when the config schema does.
 
-    Re-pinned for MODEL_VERSION 2026.10-span-ids (the config schema is
-    unchanged; the bump retires cached results whose span records carry
-    process-global request ids instead of per-client send sequences).
+    Re-pinned for MODEL_VERSION 2026.10-heap-compaction (the config
+    schema is unchanged; the bump retires cached results whose
+    telemetry carries the uncompacted heap peak and the events
+    scheduled and cancelled before completion-time starts were
+    deferred).
     Any further drift without a schema change or a MODEL_VERSION bump
     silently invalidates every cached run key.
     """
     server = ServerConfig(app="memcached", seed=7)
     assert config_digest(server) == (
-        "b63c3122b7609ac924c7a8948c3fd34b2fa050f2d3e85a5b53f2729c9bc751ef")
+        "19fc40a01c90059f0c7de8b27f859e33c34192241d5593ed1f85cdc8cdd694ff")
     fleet = FleetConfig(node=server, n_nodes=3, seed=11)
     assert config_digest(fleet) == (
-        "ab44882ca9736ff204c7ceb7e1747d419afe07bb0e8fb519816ae6a3a1c95372")
+        "6626c007b6472e841fd3c63194b53ea2e04ada29582d03aa1469df3a54107fdf")
     assert run_key(server, 1_000_000) == (
-        "0c7a7a9682e66b7061276a2da37ee2aa3c7d35a5b57e5c20e74d349641c12631")
+        "21a2173354f3dd8450a13cf3b83352ccc80e0b81e8032236fb5660176c5277c1")
 
 
 #: One instance of each config class a run key covers.

@@ -10,6 +10,7 @@ keeps CI runs reproducible: failures shrink to a deterministic program.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.sim.event import COMPACT_FLOOR
 from repro.sim.simulator import Simulator
 
 _OP = st.one_of(
@@ -95,17 +96,27 @@ _COUNTER_OP = st.one_of(
 class _ReferenceQueue:
     """The kernel's counters, kept the obvious way: a plain list of
     pending entries scanned for its minimum, and a count bumped on every
-    state change."""
+    state change. ``entries`` models the heap: a cancelled entry stays
+    until it reaches the head or a push compacts the list (whenever it
+    grows past twice the live count the last compaction left, floor
+    ``COMPACT_FLOOR``); ``peak`` is its longest length after a push."""
 
     def __init__(self):
         self.now = 0
-        self.entries = []      # [time, seq, cancelled, child_delay]
+        # [time, seq, cancelled, child_delay, child_cancel]
+        self.entries = []
         self.scheduled = self.fired = self.cancelled = self.peak = 0
+        self.compact_at = COMPACT_FLOOR
+        self.log = []          # fired (time, seq), in order
 
-    def push(self, delay, child_delay):
-        entry = [self.now + delay, self.scheduled, False, child_delay]
+    def push(self, delay, child_delay, child_cancel=None):
+        entry = [self.now + delay, self.scheduled, False, child_delay,
+                 child_cancel]
         self.scheduled += 1
         self.entries.append(entry)
+        if len(self.entries) > self.compact_at:
+            self.entries = [e for e in self.entries if not e[2]]
+            self.compact_at = max(COMPACT_FLOOR, 2 * len(self.entries))
         self.peak = max(self.peak, len(self.entries))
         return entry
 
@@ -123,8 +134,11 @@ class _ReferenceQueue:
         self.entries.remove(entry)
         self.now = entry[0]
         self.fired += 1
+        self.log.append((entry[0], entry[1]))
         if entry[3]:
             handles.append(self.push(entry[3], 0))
+        if entry[4] is not None:
+            self.cancel(handles[entry[4] % len(handles)])
 
     def pop(self, handles):
         while self.entries:
@@ -194,4 +208,98 @@ def test_derived_counters_match_a_naive_reference(ops, sanitize):
         assert _kernel_counters(sim) == ref.counters()
     sim.run_until(horizon + 10_000)
     ref.run_until(horizon + 10_000, ref_handles)
+    assert _kernel_counters(sim) == ref.counters()
+
+
+# -- compaction of cancelled timers -------------------------------------- #
+
+#: Timers far beyond any run step, so most are cancelled long before
+#: they could fire (the idle re-selection and slice timers of a model
+#: run), plus short ones that fire and spawn children from callbacks.
+_TIMER_OP = st.one_of(
+    st.tuples(st.just("timer"),
+              st.integers(min_value=1_000, max_value=1_000_000)),
+    st.tuples(st.just("short"),
+              st.integers(min_value=0, max_value=400),       # delay
+              st.integers(min_value=1_000, max_value=500_000),  # child
+              st.one_of(st.none(),
+                        st.integers(min_value=0, max_value=10_000))),
+    st.tuples(st.just("cancel"),
+              st.integers(min_value=0, max_value=10_000)),
+    st.tuples(st.just("run"),
+              st.integers(min_value=0, max_value=500)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_TIMER_OP, min_size=100, max_size=400), st.booleans())
+def test_compaction_keeps_fired_order_and_counters(ops, sanitize):
+    """Hundreds of long-horizon timers pushed and cancelled, from the
+    test and from callbacks inside ``run_until``: compaction keeps the
+    heap list object, bounds its length after every push, and leaves
+    the fired ``(time, seq)`` order and every counter equal to the
+    naive reference, unsanitized and sanitized."""
+    sim = Simulator(sanitize=sanitize)
+    queue = sim.queue
+    heap = queue._heap
+    ref = _ReferenceQueue()
+    handles, ref_handles, log = [], [], []
+    left = [0]          # live entries the last compaction left
+    compactions = [0]
+
+    def push(delay, child_delay=0, child_cancel=None):
+        before = len(heap)
+        seq = queue.scheduled_total
+        handles.append(sim.schedule(delay, fire, seq, child_delay,
+                                    child_cancel))
+        assert queue._heap is heap
+        n = len(heap)
+        if before + 1 > max(COMPACT_FLOOR, 2 * left[0]):
+            # Compacted: only live entries are left, the new one too.
+            assert n <= before + 1
+            assert not any(entry[2].cancelled for entry in heap)
+            left[0] = n
+            compactions[0] += 1
+        else:
+            assert n == before + 1
+        assert n <= max(COMPACT_FLOOR, 2 * left[0])
+
+    def fire(seq, child_delay, child_cancel):
+        log.append((sim.now, seq))
+        if child_delay:
+            push(child_delay)
+        if child_cancel is not None:
+            handles[child_cancel % len(handles)].cancel()
+
+    # Past the floor at once: every other timer of the first 100 is
+    # cancelled before the random program starts.
+    ops = [("timer", 1_000_000 + i) for i in range(100)] + [
+        ("cancel", i) for i in range(0, 100, 2)] + ops
+    horizon = 0
+    for op in ops:
+        kind = op[0]
+        if kind == "timer":
+            push(op[1])
+            ref_handles.append(ref.push(op[1], 0))
+        elif kind == "short":
+            _, delay, child_delay, child_cancel = op
+            push(delay, child_delay, child_cancel)
+            ref_handles.append(ref.push(delay, child_delay, child_cancel))
+        elif kind == "cancel":
+            if handles:
+                i = op[1] % len(handles)
+                handles[i].cancel()
+                ref.cancel(ref_handles[i])
+        else:  # run
+            horizon = max(horizon, sim.now) + op[1]
+            sim.run_until(horizon)
+            ref.run_until(horizon, ref_handles)
+        assert queue._heap is heap
+        assert len(heap) == len(ref.entries)
+        assert _kernel_counters(sim) == ref.counters()
+    assert compactions[0] >= 1
+    sim.run_until(horizon + 2_000_000)
+    ref.run_until(horizon + 2_000_000, ref_handles)
+    assert queue._heap is heap
+    assert log == ref.log
     assert _kernel_counters(sim) == ref.counters()
