@@ -593,11 +593,11 @@ class FleetSystem:
                 derive_stream(config.seed, "fleet", "lb")))
             # LB health checker (``repro.cluster.health``); None keeps
             # both dispatch paths exactly as they were without health
-            # support. Hooked mode: the driver notifies every dispatch,
-            # so idle windows observe in O(1).
+            # support. The driver notifies every dispatch, so idle
+            # windows observe in O(1).
             monitor: Optional[HealthMonitor] = None
             if config.health is not None:
-                monitor = HealthMonitor(views, config.health, hooked=True)
+                monitor = HealthMonitor(views, config.health)
             arbiter: Optional[BudgetArbiter] = None
             if config.fleet_budget_w is not None:
                 arbiter = BudgetArbiter(

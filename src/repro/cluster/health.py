@@ -18,19 +18,14 @@ Everything here is a deterministic function of window-boundary node
 state, so fleet runs with health checking remain pure functions of
 (config, seed).
 
-Two observation modes share one decision procedure:
-
-* **Full-scan** (default): :meth:`observe_window` reads every view.
-  The standalone contract — what the unit tests pin down.
-* **Dispatch-hooked** (``hooked=True``, used by the fleet drivers): the
-  embedder promises to call :meth:`on_dispatch` for *every* dispatch,
-  which lets the monitor keep an *active set* — a node can only become
-  stall-suspect (``outstanding >= min_outstanding``) through dispatches,
-  so nodes outside the set provably scan to "healthy, not stalled" and
-  are skipped. An idle fleet's observation is O(1) instead of O(nodes),
-  and a fully idle span of windows collapses to
-  :meth:`fast_forward` — the hook that makes adaptive-lookahead strides
-  exact. Both modes make bit-identical decisions (enforced by test).
+Observation is dispatch-hooked: the embedder calls :meth:`on_dispatch`
+for *every* dispatch, which lets the monitor keep an *active set* — a
+node can only become stall-suspect (``outstanding >= min_outstanding``)
+through dispatches, so nodes outside the set provably scan to "healthy,
+not stalled" and are skipped. An idle fleet's observation is O(1)
+instead of O(nodes), and a fully idle span of windows collapses to
+:meth:`fast_forward` — the hook that makes adaptive-lookahead strides
+exact. Its decisions equal a scan of every view (enforced by test).
 
 Probe scheduling keeps no per-window state at all: instead of resetting
 a per-node "probed this window" flag every observation, each down node
@@ -87,7 +82,7 @@ class HealthPolicy:
 class HealthMonitor:
     """Window-cadence health inference over the balancer's NodeViews."""
 
-    def __init__(self, views, policy: HealthPolicy, hooked: bool = False):
+    def __init__(self, views, policy: HealthPolicy):
         self.views = views
         self.policy = policy
         n = len(views)
@@ -97,11 +92,8 @@ class HealthMonitor:
         self._last_completed = [view.completed() for view in views]
         self._window_index = 0
         self.redispatch_remaining = policy.redispatch_budget
-        #: Dispatch-hooked mode: the embedder calls :meth:`on_dispatch`
-        #: for every dispatch, so observation may skip inactive nodes.
-        self.hooked = hooked
-        #: Nodes that could possibly be stalled or are down. Invariants
-        #: (hooked mode): inactive => not down, _stalled == 0, and
+        #: Nodes that could possibly be stalled or are down. Invariants:
+        #: inactive => not down, _stalled == 0, and
         #: outstanding < min_outstanding (outstanding only grows through
         #: a dispatch, which activates).
         self._active: Set[int] = set()
@@ -109,9 +101,8 @@ class HealthMonitor:
         #: old per-window probed-flag reset), mirrored in a heap.
         self._next_probe = [0] * n
         self._probe_heap: List[tuple] = []
-        #: Hooked mode: this window's ``(outstanding, node_id)`` key per
-        #: healthy node, built on the window's first failover (None
-        #: until then).
+        #: This window's ``(outstanding, node_id)`` key per healthy
+        #: node, built on the window's first failover (None until then).
         self._fallback_keys: Optional[Dict[int, tuple]] = None
         # Telemetry.
         self.marks_down = 0
@@ -122,13 +113,13 @@ class HealthMonitor:
 
     @property
     def idle(self) -> bool:
-        """True when observation is provably a no-op (hooked mode): no
-        node is down, stall-suspect, or carrying unobserved dispatches."""
-        return self.hooked and not self._active
+        """True when observation is provably a no-op: no node is down,
+        stall-suspect, or carrying unobserved dispatches."""
+        return not self._active
 
     def on_dispatch(self, node_id: int) -> None:
-        """Hooked-mode notification: one request was dispatched to
-        ``node_id`` (call after incrementing the view's counter).
+        """One request was dispatched to ``node_id`` (call after
+        incrementing the view's counter).
 
         Activates the node, resyncing its completion checkpoint to the
         value the skipped full scans would have left — reads at window
@@ -152,8 +143,6 @@ class HealthMonitor:
         increment. The adaptive-lookahead stride driver uses this to
         coalesce windows without changing a single decision.
         """
-        if not self.hooked:
-            raise RuntimeError("fast_forward requires dispatch-hooked mode")
         if self._active:
             raise RuntimeError(
                 "fast_forward with active nodes would skip observations")
@@ -168,15 +157,11 @@ class HealthMonitor:
         """
         self._window_index += 1
         self._fallback_keys = None
-        if self.hooked:
-            if not self._active:
-                return []
-            candidates = sorted(self._active)
-        else:
-            candidates = range(len(self.views))
+        if not self._active:
+            return []
         newly_down: List[int] = []
         policy = self.policy
-        for i in candidates:
+        for i in sorted(self._active):
             view = self.views[i]
             completed = view.completed()
             delta = completed - self._last_completed[i]
@@ -203,9 +188,7 @@ class HealthMonitor:
                         newly_down.append(i)
                 else:
                     self._stalled[i] = 0
-                    if (self.hooked
-                            and view.outstanding()
-                            < policy.min_outstanding):
+                    if view.outstanding() < policy.min_outstanding:
                         # Provably boring until the next dispatch: it
                         # cannot stall below min_outstanding, and
                         # outstanding only grows via on_dispatch.
@@ -252,8 +235,8 @@ class HealthMonitor:
     def fallback(self, node_id: int) -> int:
         """Least-outstanding healthy node (or ``node_id`` if none).
 
-        Nodes compare by ``(outstanding, node_id)``. In hooked mode node
-        state is frozen within a window and ``down`` changes only in
+        Nodes compare by ``(outstanding, node_id)``. Node state is
+        frozen within a window and ``down`` changes only in
         :meth:`observe_window`, so the keys are built once per window,
         on its first failover, and :meth:`on_dispatch` bumps the routed
         node's key: every choice equals a full scan's.
@@ -263,8 +246,7 @@ class HealthMonitor:
             down = self.down
             keys = {i: (view.outstanding(), view.node_id)
                     for i, view in enumerate(self.views) if not down[i]}
-            if self.hooked:
-                self._fallback_keys = keys
+            self._fallback_keys = keys
         if not keys:
             return node_id
         return min(keys, key=keys.__getitem__)

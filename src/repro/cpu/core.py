@@ -159,22 +159,6 @@ class Core:
         """Current effective clock frequency."""
         return self._freq_hz
 
-    @property
-    def current_work(self) -> Optional[Work]:
-        return self._current
-
-    @property
-    def is_idle(self) -> bool:
-        """True when nothing is running, waking, or pending."""
-        return (self._current is None and not self._waking
-                and not self._pending_n)
-
-    def pending_count(self, priority: Optional[int] = None) -> int:
-        """Number of queued (not running) work items."""
-        if priority is None:
-            return sum(len(q) for q in self._pending)
-        return len(self._pending[priority])
-
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #

@@ -115,11 +115,6 @@ class DvfsController:
         self._pending_ev = None
         self._settle_until = 0
 
-    @property
-    def in_flight(self) -> bool:
-        """True while a requested transition has not yet taken effect."""
-        return self._pending_ev is not None
-
     def request(self, index: int) -> Optional[int]:
         """Request P-state ``index``; returns the latency charged (ns).
 

@@ -135,14 +135,6 @@ class Processor:
             for ctrl in self.dvfs:
                 ctrl.request(target)
 
-    def set_all_pstates_now(self, index: int) -> None:
-        """Force every core to ``index`` immediately (test/bootstrap aid)."""
-        index = self.pstates.clamp(index)
-        for cid, core in enumerate(self.cores):
-            self._requested[cid] = index
-            core.set_pstate_index(index)
-            self.dvfs[cid].target_index = index
-
     def finalize(self) -> None:
         """Flush all per-core accounting to the current time."""
         for core in self.cores:

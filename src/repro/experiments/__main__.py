@@ -7,6 +7,7 @@ Usage::
     python -m repro.experiments --full tab1     # paper-sized run
     python -m repro.experiments --workers 4 fig12   # parallel grid cells
     python -m repro.experiments --markdown out.md
+    python -m repro.experiments --workers 2 --markdown EXPERIMENTS.md
     python -m repro.experiments trace fig9      # Perfetto span trace
     python -m repro.experiments trace fig9 --telemetry --prometheus m.txt
     python -m repro.experiments watch slo       # live timeline dashboard
@@ -18,17 +19,26 @@ Independent simulation runs fan out over ``--workers`` processes (or
 runs persist in an on-disk cache (``.repro_cache/`` or
 ``$REPRO_CACHE_DIR``), so re-invocations are served without simulating —
 the per-experiment cache line shows where results came from.
+
+The markdown report is a pure function of (scale, seed): wall times and
+cache lines go to stdout only. When the ``--markdown`` file already has a
+``<!-- REPORT -->`` marker line, only the text after that line is
+rewritten, so a hand-written head above it survives regeneration.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
 from repro.experiments import runner
 from repro.experiments.base import FULL, QUICK
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+
+#: Where a hand-kept document's generated report section begins.
+REPORT_MARKER = "<!-- REPORT -->"
 
 
 def main(argv=None) -> int:
@@ -54,9 +64,6 @@ def main(argv=None) -> int:
                              f"{', '.join(EXPERIMENTS)})")
     parser.add_argument("--full", action="store_true",
                         help="paper-sized scale (8 cores, longer runs)")
-    parser.add_argument("--quick", action="store_true",
-                        help="quick scale (the default; explicit spelling "
-                             "for scripts)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="processes for independent runs (default: "
                              "$REPRO_WORKERS or serial)")
@@ -69,15 +76,15 @@ def main(argv=None) -> int:
                              "checked at runtime; results are "
                              "bit-identical, wall time up to 2x")
     parser.add_argument("--markdown", metavar="PATH",
-                        help="also write a markdown report to PATH")
+                        help="also write a markdown report to PATH "
+                             f"(after its {REPORT_MARKER} marker, if it "
+                             "has one)")
     args = parser.parse_args(argv)
 
     ids = args.ids or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment ids: {unknown}")
-    if args.full and args.quick:
-        parser.error("--full and --quick are mutually exclusive")
     scale = FULL if args.full else QUICK
     if args.no_cache:
         import os
@@ -86,7 +93,7 @@ def main(argv=None) -> int:
         import os
         os.environ["REPRO_SANITIZE"] = "1"
 
-    sections = []
+    results = []
     all_ok = True
     for experiment_id in ids:
         runner.reset_cache_stats()
@@ -99,31 +106,48 @@ def main(argv=None) -> int:
         text = result.render()
         print(text)
         print(f"({elapsed:.1f}s; {stats.describe()})\n")
-        sections.append((result, elapsed, stats))
+        results.append(result)
         all_ok &= result.all_expectations_met
 
     if args.markdown:
-        with open(args.markdown, "w") as fh:
-            fh.write(render_markdown(sections, scale.name))
+        write_markdown(args.markdown, results, scale.name)
         print(f"wrote {args.markdown}")
     return 0 if all_ok else 1
 
 
-def render_markdown(sections, scale_name: str) -> str:
-    """Render experiment results as a markdown report."""
-    lines = ["# NMAP reproduction — experiment results",
-             "",
-             f"Scale: `{scale_name}`. Every table/figure of the paper's "
+def write_markdown(path: str, results, scale_name: str) -> None:
+    """Write the report to ``path``. If the file already has a line
+    holding only :data:`REPORT_MARKER`, keep everything above that line
+    and replace only what follows it; otherwise write a standalone
+    report."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            old = fh.read()
+    except FileNotFoundError:
+        old = ""
+    report = render_markdown(results, scale_name)
+    marker = re.search(f"^{re.escape(REPORT_MARKER)}$", old, re.MULTILINE)
+    if marker:
+        text = old[:marker.start()] + REPORT_MARKER + "\n\n" + report
+    else:
+        text = "# NMAP reproduction — experiment results\n\n" + report
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def render_markdown(results, scale_name: str) -> str:
+    """One section per experiment. No host timings: the text depends
+    only on the scale and the results."""
+    lines = [f"Scale: `{scale_name}`. Every table/figure of the paper's "
              "evaluation, regenerated on the simulated substrate. "
              "'Shape checks' are the reproduction criteria from DESIGN.md.",
              ""]
-    for result, elapsed, stats in sections:
+    for result in results:
         lines.append(f"## {result.experiment_id}: {result.title}")
         lines.append("")
         lines.append("```")
         lines.append(result.render())
         lines.append("```")
-        lines.append(f"*({elapsed:.1f}s; {stats.describe()})*")
         lines.append("")
     return "\n".join(lines)
 

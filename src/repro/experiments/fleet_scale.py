@@ -50,7 +50,7 @@ def fleet_config(scale: ExperimentScale, policy: str) -> FleetConfig:
 
 def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
     headers = ["policy", "nodes", "fleet p99/SLO", "worst node p99/SLO",
-               "imbalance", "energy (J)", "coalesce", "wall (s)"]
+               "imbalance", "energy (J)", "coalesce"]
     rows = []
     norm = {}
     for policy in POLICIES:
@@ -64,8 +64,7 @@ def run(scale: ExperimentScale = QUICK) -> ExperimentResult:
         rows.append([policy, config.n_nodes, round(fleet_norm, 2),
                      round(worst_norm, 2), round(result.imbalance(), 2),
                      round(result.energy_j, 3),
-                     round(perf.coalesce_ratio, 1) if perf else None,
-                     round(perf.wall_s, 2) if perf else None])
+                     round(perf.coalesce_ratio, 1) if perf else None])
 
     expectations = {
         "affine round-robin violates the SLO on the diurnal trace":

@@ -33,6 +33,11 @@ EXPERIMENTS: Dict[str, str] = {
     "robustness": "robustness",
     # Per-core vs chip-wide advantage under skewed RSS (Sec. 6.3 claim).
     "imbalance": "imbalance",
+    # Ablations of the design arguments (Secs. 5.1, 6.3; NI_TH, ITR).
+    "ablation_retransition": "ablation_retransition",
+    "ablation_ni_th": "ablation_ni_th",
+    "ablation_itr": "ablation_itr",
+    "ablation_dvfs": "ablation_dvfs",
     # Fleet extensions (repro.cluster): multi-node co-simulation.
     "fleet_tail": "fleet_tail",
     "fleet_energy": "fleet_energy",

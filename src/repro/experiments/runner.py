@@ -232,10 +232,6 @@ def clear_cache() -> None:
         shutil.rmtree(directory, ignore_errors=True)
 
 
-def cache_size() -> int:
-    return len(_cache)
-
-
 def cache_stats() -> CacheStats:
     """Counters since the last :func:`reset_cache_stats`."""
     return _stats

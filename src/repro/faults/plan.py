@@ -168,10 +168,6 @@ class FaultPlan:
                 seen.append(window.kind)
         return tuple(seen)
 
-    def horizon_ns(self) -> int:
-        """Latest window end — useful for sizing drain periods."""
-        return max((w.end_ns for w in self.windows), default=0)
-
 
 def merged(*plans: "FaultPlan") -> FaultPlan:
     """Combine plans into one, windows ordered by (start, kind)."""

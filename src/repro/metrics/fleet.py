@@ -23,12 +23,6 @@ def node_p99s_ns(node_results: Sequence) -> List[float]:
     return out
 
 
-def worst_node_p99_ns(node_results: Sequence) -> float:
-    """The worst single node's p99 (ns)."""
-    p99s = node_p99s_ns(node_results)
-    return max(p99s) if p99s else 0.0
-
-
 def imbalance_ratio(node_p99s: Sequence[float], fleet_p99_ns: float) -> float:
     """Worst node p99 / fleet p99; 1.0 means perfectly balanced."""
     if fleet_p99_ns <= 0 or not node_p99s:

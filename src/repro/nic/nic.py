@@ -171,9 +171,6 @@ class MultiQueueNic:
     # IRQ enable/disable (driven by NAPI)
     # ------------------------------------------------------------------ #
 
-    def irq_enabled(self, qid: int) -> bool:
-        return self._irq_enabled[qid]
-
     def disable_irq(self, qid: int) -> None:
         """Mask the queue's interrupt (NAPI entering polling)."""
         self._irq_enabled[qid] = False

@@ -42,10 +42,6 @@ class NicQueue:
         """True when the poll loop would find anything to process."""
         return bool(self.rx) or self.txc_pending > 0
 
-    @property
-    def rx_depth(self) -> int:
-        return len(self.rx)
-
     def push_rx(self, packet: RxItem) -> bool:
         """Enqueue an Rx packet; returns False (and drops) when full."""
         if len(self.rx) >= self.rx_capacity:

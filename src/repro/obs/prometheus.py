@@ -124,11 +124,3 @@ def prometheus_timeline_text(result, prefix: str = "timeline") -> str:
         emit(result.fleet.series_names, [({}, result.fleet)],
              " per sample window, fleet-level (simulated-ms timestamps)")
     return "\n".join(lines) + "\n"
-
-
-def write_prometheus(registry: TelemetryRegistry, path: str) -> int:
-    """Write the text dump to ``path``; returns the line count."""
-    text = prometheus_text(registry)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text.count("\n")

@@ -258,10 +258,6 @@ class TelemetryRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
-    def kind_of(self, name: str) -> Optional[str]:
-        meta = self._meta.get(name)
-        return meta[0] if meta else None
-
     def help_of(self, name: str) -> str:
         meta = self._meta.get(name)
         return meta[1] if meta else ""

@@ -113,11 +113,6 @@ class RequestTrace:
         return [(stage, b[i], b[i + 1] - b[i])
                 for i, stage in enumerate(STAGES)]
 
-    def stage_durations(self) -> Dict[str, int]:
-        """Stage name -> duration_ns."""
-        b = self.bounds
-        return {stage: b[i + 1] - b[i] for i, stage in enumerate(STAGES)}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<RequestTrace {self.request_id} core={self.core_id} "
                 f"{self.total_ns}ns>")

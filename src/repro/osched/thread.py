@@ -94,14 +94,3 @@ class SimThread:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SimThread {self.name!r} {self.state}>"
-
-
-class CallbackThread(SimThread):
-    """A thread whose work supply is an injected callable (test aid)."""
-
-    def __init__(self, name: str, supply: Callable[[], Optional[Work]]):
-        super().__init__(name)
-        self._supply = supply
-
-    def next_work(self) -> Optional[Work]:
-        return self._supply()

@@ -295,13 +295,4 @@ class PipelineEngine:
                             read=lambda rt=rt, a=attr: getattr(rt, a) or None,
                             action=action, **table)
 
-    def table_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-table hit/miss/action counters (tests and experiments)."""
-        return {rt.stage.name: {
-            "hits": rt.hits, "misses": rt.misses, "steers": rt.steers,
-            "drops": rt.drops, "mirrors": rt.mirrors, "marks": rt.marks,
-            "meter_exceeded": rt.meter_exceeded}
-            for rt in self._tables}
-
-
 __all__ = ["PipelineEngine"]

@@ -60,11 +60,6 @@ class Simulator:
         """Total number of events executed so far."""
         return self._events_processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live events still scheduled."""
-        return len(self.queue)
-
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
@@ -169,7 +164,3 @@ class PeriodicTimer:
         if self._ev is not None:
             self._ev.cancel()
             self._ev = None
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped

@@ -30,10 +30,3 @@ def cycles_to_ns(cycles: float, freq_hz: float) -> int:
     if cycles <= 0:
         return 0
     return max(1, int(round(cycles * S / freq_hz)))
-
-
-def ns_to_cycles(t_ns: float, freq_hz: float) -> float:
-    """Number of cycles executed in ``t_ns`` at ``freq_hz``."""
-    if freq_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_hz}")
-    return t_ns * freq_hz / S

@@ -26,6 +26,14 @@ def make_monitor(n=3, **policy_kwargs):
     return HealthMonitor(views, policy), views
 
 
+def dispatch(monitor, views, nid, n=1):
+    """Dispatch ``n`` requests to node ``nid`` the way the fleet driver
+    does: bump the view's counter, then notify the monitor."""
+    for _ in range(n):
+        views[nid]._outstanding += 1
+        monitor.on_dispatch(nid)
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         HealthPolicy(down_after_windows=0)
@@ -41,7 +49,7 @@ def test_policy_validation():
 
 def test_stalled_node_is_marked_down_after_threshold():
     monitor, views = make_monitor(down_after_windows=3, min_outstanding=4)
-    views[1]._outstanding = 10  # stuck with work, completing nothing
+    dispatch(monitor, views, 1, 10)  # stuck with work, completing nothing
     assert monitor.observe_window() == []
     assert monitor.observe_window() == []
     assert monitor.observe_window() == [1]
@@ -51,7 +59,7 @@ def test_stalled_node_is_marked_down_after_threshold():
 
 def test_idle_node_is_not_a_dead_node():
     monitor, views = make_monitor(down_after_windows=2, min_outstanding=4)
-    views[1]._outstanding = 2  # below min_outstanding: just idle
+    dispatch(monitor, views, 1, 2)  # below min_outstanding: just idle
     for _ in range(10):
         assert monitor.observe_window() == []
     assert not monitor.down[1]
@@ -59,7 +67,7 @@ def test_idle_node_is_not_a_dead_node():
 
 def test_completions_reset_the_stall_counter():
     monitor, views = make_monitor(down_after_windows=3, min_outstanding=4)
-    views[1]._outstanding = 10
+    dispatch(monitor, views, 1, 10)
     monitor.observe_window()
     monitor.observe_window()
     views[1]._completed += 1  # a response arrived just in time
@@ -68,7 +76,7 @@ def test_completions_reset_the_stall_counter():
 
 
 def _mark_down(monitor, views, nid):
-    views[nid]._outstanding = 10
+    dispatch(monitor, views, nid, 10)
     while not monitor.down[nid]:
         monitor.observe_window()
 
@@ -92,8 +100,8 @@ def test_route_passes_healthy_probes_sparsely_and_fails_over():
                                   probe_every_windows=5)
     assert monitor.route(0) == 0  # healthy: untouched
     _mark_down(monitor, views, 1)
-    views[0]._outstanding = 3
-    views[2]._outstanding = 1
+    dispatch(monitor, views, 0, 3)
+    dispatch(monitor, views, 2, 1)
     # Advance to a probe window (multiple of probe_every_windows).
     while monitor._window_index % 5 != 0:
         monitor.observe_window()
@@ -109,8 +117,8 @@ def test_route_passes_healthy_probes_sparsely_and_fails_over():
 def test_fallback_prefers_least_outstanding_healthy_node():
     monitor, views = make_monitor()
     _mark_down(monitor, views, 0)
-    views[1]._outstanding = 7
-    views[2]._outstanding = 2
+    dispatch(monitor, views, 1, 7)
+    dispatch(monitor, views, 2, 2)
     assert monitor.fallback(0) == 2
 
 
@@ -123,7 +131,7 @@ def test_fallback_returns_self_when_no_node_is_healthy():
 
 def test_redispatch_consumes_a_finite_budget():
     monitor, views = make_monitor(redispatch_budget=15)
-    views[1]._outstanding = 10
+    dispatch(monitor, views, 1, 10)
     assert monitor.take_redispatch(1) == 10
     assert monitor.take_redispatch(1) == 5  # budget exhausted at 15
     assert monitor.take_redispatch(1) == 0
@@ -139,7 +147,7 @@ def test_register_into_exposes_counters():
     assert reg.value("lb_failovers_total", subsystem="fleet") == 0
 
 
-# -- hooked failover against the full scan ------------------------------ #
+# -- failover against a full scan of the views ------------------------- #
 
 _HEALTH_OP = st.one_of(
     # A window barrier: some nodes complete requests, then observation.
@@ -152,6 +160,8 @@ _HEALTH_OP = st.one_of(
 
 
 def _full_scan(monitor, views, node_id):
+    """Naive reference: least-outstanding healthy node by a scan of
+    every view."""
     healthy = [(view.outstanding(), view.node_id, i)
                for i, view in enumerate(views) if not monitor.down[i]]
     return min(healthy)[2] if healthy else node_id
@@ -160,17 +170,11 @@ def _full_scan(monitor, views, node_id):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(_HEALTH_OP, max_size=120))
 def test_hooked_fallback_matches_a_full_scan(ops):
-    """Dispatch-hooked failover reads the window's keys, built on its
-    first failover and bumped on each dispatch; every choice equals a
-    full scan of the live views, as nodes go down and come back."""
-    views = [FakeView(i) for i in range(5)]
-    monitor = HealthMonitor(views, HealthPolicy(
-        down_after_windows=1, up_after_windows=1, min_outstanding=2),
-        hooked=True)
-
-    def dispatch(nid):
-        views[nid]._outstanding += 1
-        monitor.on_dispatch(nid)
+    """Failover reads the window's keys, built on its first failover
+    and bumped on each dispatch; every choice equals a full scan of the
+    live views, as nodes go down and come back."""
+    monitor, views = make_monitor(
+        n=5, down_after_windows=1, up_after_windows=1, min_outstanding=2)
 
     for op in ops:
         if op[0] == "window":
@@ -180,8 +184,8 @@ def test_hooked_fallback_matches_a_full_scan(ops):
                 view._completed += done
             monitor.observe_window()
         elif op[0] == "dispatch":
-            dispatch(op[1])
+            dispatch(monitor, views, op[1])
         else:
             target = monitor.fallback(op[1])
             assert target == _full_scan(monitor, views, op[1])
-            dispatch(target)
+            dispatch(monitor, views, target)

@@ -181,7 +181,8 @@ def test_node_view_relative_speed():
         return NodeView.read_window([view], True)[1][0]
 
     assert speed() == 1.0
-    processor.set_all_pstates_now(pstates.max_index)
+    for core in processor.cores:
+        core.set_pstate_index(pstates.max_index)
     assert speed() == pytest.approx(pstates.pmin.freq_hz / pstates.p0.freq_hz)
     processor.cores[0].set_pstate_index(0)
     assert speed() == full_scan_speed(processor)

@@ -63,7 +63,7 @@ def test_completion_callback_submissions_start_after_it_returns(sim, core):
     def on_complete(work):
         core.submit(Work(3200, PRIORITY_TASK,
                          on_complete=lambda w: order.append("task")))
-        assert core.current_work is None
+        assert not core.pause(work)  # finished: no longer on the core
         core.submit(Work(3200, PRIORITY_SOFTIRQ,
                          on_complete=lambda w: order.append("softirq")))
 
@@ -111,7 +111,9 @@ def test_pause_running_work_preserves_remaining_cycles(sim, core):
     sim.run_until(1 * US)
     assert core.pause(work)
     assert work.cycles_remaining == pytest.approx(3200, abs=5)
-    assert core.current_work is None
+    assert not core.pause(work)  # no longer running
+    sim.run_until(1 * MS)
+    assert core.works_completed == 0
 
 
 def test_pause_queued_work(sim, core):
@@ -120,7 +122,9 @@ def test_pause_queued_work(sim, core):
     core.submit(first)
     core.submit(queued)
     assert core.pause(queued)
-    assert core.pending_count() == 0
+    assert not core.pause(queued)  # no longer queued
+    sim.run_until(1 * MS)
+    assert core.works_completed == 1
 
 
 def test_pause_unknown_work_returns_false(sim, core):
@@ -144,11 +148,15 @@ def test_c0_residency_includes_busy_and_c0_idle(sim, core):
 
 
 def test_is_idle(sim, core):
-    assert core.is_idle
-    core.submit(Work(3200, PRIORITY_TASK))
-    assert not core.is_idle
+    """Once its only work completes the core is idle: nothing left to
+    pause, and the rest of the run accounts as idle time."""
+    work = Work(3200, PRIORITY_TASK)
+    core.submit(work)
     sim.run_until(1 * MS)
-    assert core.is_idle
+    assert core.works_completed == 1
+    assert not core.pause(work)
+    core.finalize()
+    assert core.idle_ns == 1 * MS - 1 * US
 
 
 def test_work_validation():

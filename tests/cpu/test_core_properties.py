@@ -32,8 +32,7 @@ def test_no_work_is_ever_lost(specs):
         sim.schedule_at(t, lambda c=cycles, p=priority: core.submit(
             Work(c, p, on_complete=lambda w: completed.append(w))))
     sim.run_until(1 * S)
-    assert len(completed) == len(specs)
-    assert core.is_idle
+    assert len(completed) == core.works_completed == len(specs)
     assert all(w.cycles_remaining == 0 for w in completed)
 
 
@@ -80,5 +79,4 @@ def test_work_survives_random_frequency_changes(specs, freq_changes):
     for t, idx in freq_changes:
         sim.schedule_at(t, core.set_pstate_index, idx)
     sim.run_until(1 * S)
-    assert len(completed) == len(specs)
-    assert core.is_idle
+    assert len(completed) == core.works_completed == len(specs)

@@ -50,21 +50,12 @@ def test_unknown_domain_rejected(sim):
         Processor(sim, dvfs_domain="socket-wide")
 
 
-def test_set_all_pstates_now(sim):
-    proc = make_processor(sim)
-    proc.set_all_pstates_now(7)
-    assert all(c.pstate_index == 7 for c in proc.cores)
-
-
 def test_uncore_follows_fastest_core(sim):
     proc = make_processor(sim)
     meter = proc.energy._uncore
     p0_power = meter.power_w
-    proc.set_all_pstates_now(15)
-    # set_all bypasses controllers; trigger the listener explicitly via
-    # a real pstate change.
-    proc.cores[0].set_pstate_index(0)
-    proc.cores[0].set_pstate_index(15)
+    for core in proc.cores:
+        core.set_pstate_index(15)
     assert meter.power_w < p0_power
 
 

@@ -38,10 +38,10 @@ def test_fig4_harness_structure():
 @pytest.mark.slow
 def test_fig10_fig11_share_runs():
     first = fig10_nmap_latency.run(TINY)
-    from repro.experiments.runner import cache_size
-    size_after_fig10 = cache_size()
+    from repro.experiments.runner import cache_stats, reset_cache_stats
+    reset_cache_stats()
     second = fig11_nmap_cdf.run(TINY)
-    assert cache_size() == size_after_fig10  # fully cached
+    assert cache_stats().fresh_runs == 0  # fully cached
     assert len(first.rows) == 2
     assert len(second.rows) == 2
 

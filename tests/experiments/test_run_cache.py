@@ -82,7 +82,7 @@ def test_clear_cache_removes_only_this_models_namespace(disk_cache):
     runner.clear_cache()
     assert not runner.cache_dir().exists()
     assert (other / "keep.pkl").exists()
-    assert runner.cache_size() == 0
+    assert runner.peek_cached(CONFIG, 15 * MS) is None
 
 
 def test_env_knob_disables_persistence(disk_cache, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.base import FULL, QUICK, ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.runner import cache_size, clear_cache, run_cached
+from repro.experiments.runner import clear_cache, peek_cached, run_cached
 from repro.system import ServerConfig
 from repro.units import MS
 
@@ -35,20 +35,21 @@ def test_run_cached_memoizes():
     config = ServerConfig(app="memcached", load_level="low",
                           freq_governor="performance", n_cores=1, seed=77)
     a = run_cached(config, 20 * MS)
-    assert cache_size() == 1
     b = run_cached(config, 20 * MS)
     assert a is b
     clear_cache()
-    assert cache_size() == 0
+    assert peek_cached(config, 20 * MS) is None
 
 
 def test_different_configs_cached_separately():
     clear_cache()
     base = ServerConfig(app="memcached", load_level="low", n_cores=1,
                         freq_governor="performance", seed=77)
-    run_cached(base, 20 * MS)
-    run_cached(base.with_overrides(seed=78), 20 * MS)
-    assert cache_size() == 2
+    a = run_cached(base, 20 * MS)
+    b = run_cached(base.with_overrides(seed=78), 20 * MS)
+    assert a is not b
+    assert peek_cached(base, 20 * MS) is a
+    assert peek_cached(base.with_overrides(seed=78), 20 * MS) is b
     clear_cache()
 
 

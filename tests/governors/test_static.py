@@ -13,8 +13,8 @@ def proc(sim):
     return Processor(sim, n_cores=2)
 
 
-def test_performance_pins_p0(sim, proc):
-    proc.set_all_pstates_now(10)
+def test_performance_pins_p0(sim, proc, settle):
+    settle(proc, 10)
     gov = PerformanceGovernor(sim, proc, 0)
     gov.start()
     sim.run_until(5 * MS)

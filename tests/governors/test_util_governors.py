@@ -27,12 +27,12 @@ def keep_busy(sim, core, duty: float, period_ns: int = 1 * MS,
         t += period_ns
 
 
-def test_ondemand_jumps_to_max_when_saturated(sim, proc):
+def test_ondemand_jumps_to_max_when_saturated(sim, proc, settle):
     core = proc.cores[0]
-    proc.set_all_pstates_now(10)
+    keep_busy(sim, core, duty=1.0)
+    settle(proc, 10)
     gov = OndemandGovernor(sim, proc, 0)
     gov.start()
-    keep_busy(sim, core, duty=1.0)
     sim.run_until(50 * MS)
     assert core.pstate_index == 0
 
@@ -91,10 +91,10 @@ def test_intel_powersave_uses_c0_residency(sim, proc):
     assert core.pstate_index == proc.pstates.max_index
 
 
-def test_intel_powersave_pins_p0_with_cstates_disabled(sim, proc):
+def test_intel_powersave_pins_p0_with_cstates_disabled(sim, proc, settle):
     """The Sec. 6.2 footnote: disable + intel_powersave == performance."""
     core = proc.cores[0]
-    proc.set_all_pstates_now(15)
+    settle(proc, 15)
     core.idle_governor = None  # never leaves C0
     gov = IntelPowersaveGovernor(sim, proc, 0)
     gov.start()

@@ -44,7 +44,7 @@ def test_single_packet_processed_in_interrupt_mode(sim, core):
     assert napi.pkts_interrupt_mode == 1
     assert napi.pkts_polling_mode == 0
     assert napi.state == STATE_IRQ
-    assert nic.irq_enabled(0)
+    assert nic._irq_enabled[0]
 
 
 def test_backlog_beyond_budget_counts_as_polling(sim, core):
@@ -68,10 +68,10 @@ def test_irq_masked_while_polling(sim, core):
         nic.receive(pkt())
     sim.run_until(10 * US)
     assert napi.state == STATE_SOFTIRQ
-    assert not nic.irq_enabled(0)
+    assert not nic._irq_enabled[0]
     sim.run_until(50 * MS)
     assert napi.state == STATE_IRQ
-    assert nic.irq_enabled(0)
+    assert nic._irq_enabled[0]
 
 
 def test_interrupt_while_polling_is_a_bug(sim, core):

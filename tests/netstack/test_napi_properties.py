@@ -59,7 +59,7 @@ def test_every_data_packet_is_delivered_exactly_once(batches):
     assert napi.pkts_interrupt_mode + napi.pkts_polling_mode == total
     # All sessions closed; interrupts re-enabled.
     assert napi.state == "irq"
-    assert nic.irq_enabled(0)
+    assert nic._irq_enabled[0]
 
 
 @settings(max_examples=20, deadline=None)

@@ -25,8 +25,8 @@ def test_receive_steers_by_rss(sim):
     nic.bind(1, lambda q: None)
     nic.receive(pkt(flow=0))
     nic.receive(pkt(flow=1))
-    assert nic.queues[0].rx_depth == 1
-    assert nic.queues[1].rx_depth == 1
+    assert len(nic.queues[0].rx) == 1
+    assert len(nic.queues[1].rx) == 1
 
 
 def test_interrupt_fires_after_moderation(sim):
@@ -64,7 +64,7 @@ def test_masked_queue_never_interrupts(sim):
     nic.receive(pkt(flow=0))
     sim.run_until(1 * MS)
     assert fired == []
-    assert nic.queues[0].rx_depth == 1
+    assert len(nic.queues[0].rx) == 1
 
 
 def test_enable_irq_rearms_pending_work(sim):

@@ -61,7 +61,7 @@ def test_rx_depth():
     q = NicQueue(0)
     q.push_rx(pkt())
     q.push_rx(pkt())
-    assert q.rx_depth == 2
+    assert len(q.rx) == 2
 
 
 def test_invalid_capacity():

@@ -9,9 +9,7 @@ import json
 from pathlib import Path
 
 from repro.obs.perfetto import perfetto_trace, write_perfetto
-from repro.obs.prometheus import (prometheus_text,
-                                  prometheus_timeline_text,
-                                  write_prometheus)
+from repro.obs.prometheus import prometheus_text, prometheus_timeline_text
 from repro.obs.registry import TelemetryRegistry
 from repro.obs.span import RequestTrace, SpanLog
 from repro.obs.timeline import (FLEET_SERIES, NODE_SERIES, Timeline,
@@ -175,9 +173,6 @@ def test_writers_roundtrip(tmp_path):
     out = tmp_path / "trace.json"
     n = write_perfetto(result, str(out))
     assert n == len(json.loads(out.read_text())["traceEvents"])
-    prom = tmp_path / "metrics.txt"
-    lines = write_prometheus(_sample_registry(), str(prom))
-    assert lines == prom.read_text().count("\n")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,11 @@ from repro.obs.registry import (Counter, Gauge, Histogram,
                                 TelemetryRegistry, _MAX_EXP)
 
 
+def _kind_of(reg, name):
+    """The kind ``reg.items()`` reports for ``name`` (None if absent)."""
+    return next((kind for n, _, kind, _ in reg.items() if n == name), None)
+
+
 def test_counter_monotone():
     c = Counter()
     c.inc()
@@ -103,7 +108,7 @@ def test_registry_memoizes_per_name_and_labels():
     c = reg.counter("reqs", core="1")
     assert a is b and a is not c
     assert len(reg) == 2
-    assert reg.kind_of("reqs") == "counter"
+    assert _kind_of(reg, "reqs") == "counter"
     assert reg.help_of("reqs") == "Requests"
 
 
@@ -225,7 +230,7 @@ def test_none_reader_drops_the_instrument_and_its_meta():
     reg.counter("mixed", "Mixed", read=lambda: None, kind="a")
     reg.counter("mixed", read=lambda: 1, kind="b")
     reg.freeze()
-    assert reg.kind_of("actions") is None and reg.help_of("actions") == ""
+    assert _kind_of(reg, "actions") is None and reg.help_of("actions") == ""
     assert reg.select("actions") == [] and "actions" not in reg.as_dict()
     assert reg.help_of("mixed") == "Mixed"
     assert reg.as_dict()["mixed"] == {"kind=b": 1}
@@ -292,5 +297,5 @@ def test_merge_from_preserves_kind_and_help():
     node.counter("pkts_total", "Packets seen").inc(1)
     fleet = TelemetryRegistry()
     fleet.merge_from(node, node=0)
-    assert fleet.kind_of("pkts_total") == "counter"
+    assert _kind_of(fleet, "pkts_total") == "counter"
     assert fleet.help_of("pkts_total") == "Packets seen"

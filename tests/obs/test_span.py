@@ -41,7 +41,7 @@ def test_record_requires_all_boundaries():
 
 def test_stage_durations_named():
     r = _record((0, 5, 12, 30, 31, 60, 65))
-    d = r.stage_durations()
+    d = {stage: dur for stage, _, dur in r.spans()}
     assert d["wire-rx"] == 5
     assert d["tx-wire"] == 5
     assert sum(d.values()) == 65

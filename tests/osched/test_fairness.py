@@ -9,8 +9,8 @@ import pytest
 
 from repro.cpu.core import PRIORITY_TASK, Work
 from repro.osched.scheduler import CoreScheduler
-from repro.osched.thread import CallbackThread
 from repro.units import MS
+from tests.osched.callback import CallbackThread
 
 
 class GreedyThread(CallbackThread):

@@ -4,8 +4,9 @@ import pytest
 
 from repro.cpu.core import PRIORITY_SOFTIRQ, PRIORITY_TASK, Work
 from repro.osched.scheduler import CoreScheduler
-from repro.osched.thread import RUNNING, SLEEPING, CallbackThread
+from repro.osched.thread import RUNNING, SLEEPING
 from repro.units import MS, US
+from tests.osched.callback import CallbackThread
 
 
 def make_thread(name, chunks):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cpu.core import PRIORITY_TASK, Work
-from repro.osched.thread import CallbackThread, SimThread
+from repro.osched.thread import SimThread
+from tests.osched.callback import CallbackThread
 
 
 def test_base_thread_next_work_abstract():

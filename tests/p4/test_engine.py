@@ -17,6 +17,12 @@ DURATION = 60 * MS
 SKEW = (20, 10, 5, 5, 2, 2, 1, 1)
 
 
+def _table_counter(result, name, table, **labels):
+    """A per-table pipeline counter, read from the run's telemetry."""
+    return result.telemetry.sum_of(name, subsystem="p4", table=table,
+                                   **labels)
+
+
 def _config(**overrides):
     base = dict(app="memcached", load_level="high", n_cores=2,
                 freq_governor="nmap", seed=7, n_flows=8, flow_weights=SKEW)
@@ -55,8 +61,10 @@ def test_steer_overrides_rss_placement():
     result = system.run(DURATION)
     engine = system.pipeline
     assert engine.steered == engine.parsed == result.sent
-    stats = engine.table_stats()["flow_affinity"]
-    assert stats["hits"] == result.sent and stats["misses"] == 0
+    assert _table_counter(result, "p4_table_hits_total",
+                          "flow_affinity") == result.sent
+    assert _table_counter(result, "p4_table_misses_total",
+                          "flow_affinity") == 0
 
 
 def test_steer_queue_validated_against_nic():
@@ -96,9 +104,12 @@ def test_miss_action_drop_inverts_the_acl():
     system = ServerSystem(_config(pipeline=allow, trace=True))
     result = system.run(DURATION)
     engine = system.pipeline
-    stats = engine.table_stats()["allowlist"]
-    assert engine.dropped == stats["misses"] > 0
-    assert stats["mirrors"] == stats["hits"] == engine.mirrored > 0
+    misses = _table_counter(result, "p4_table_misses_total", "allowlist")
+    hits = _table_counter(result, "p4_table_hits_total", "allowlist")
+    mirrors = _table_counter(result, "p4_table_actions_total",
+                             "allowlist", action="mirror")
+    assert engine.dropped == misses > 0
+    assert mirrors == hits == engine.mirrored > 0
     t, _ = result.trace.to_arrays("fault.p4.mirror")
     assert len(t) == engine.mirrored
 
@@ -110,15 +121,16 @@ def test_meter_drop_sheds_and_mark_forwards():
         rate_pps=20_000.0, burst_pkts=32)))
     shed = dropping.run(DURATION)
     assert shed.dropped > 0
-    assert dropping.pipeline.table_stats()["meter"]["meter_exceeded"] == \
-        shed.dropped
+    assert _table_counter(shed, "p4_table_actions_total", "meter",
+                          action="meter-exceeded") == shed.dropped
 
     marking = ServerSystem(_config(pipeline=meter_program(
         rate_pps=20_000.0, burst_pkts=32, exceed_action="mark")))
     marked = marking.run(DURATION)
     assert marked.dropped == 0
-    assert marking.pipeline.marked == \
-        marking.pipeline.table_stats()["meter"]["meter_exceeded"] > 0
+    assert marking.pipeline.marked == _table_counter(
+        marked, "p4_table_actions_total", "meter",
+        action="meter-exceeded") > 0
     assert marked.completed == marked.sent
 
 

@@ -58,7 +58,7 @@ def _execute(sim, ops):
             horizon += op[1]
             sim.run_until(horizon)
     sim.run_until(horizon + 10_000)  # drain everything still pending
-    return log, sim.events_processed, sim.pending_events
+    return log, sim.events_processed, len(sim.queue)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

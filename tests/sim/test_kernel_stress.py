@@ -86,8 +86,7 @@ def test_periodic_timer_stop_during_fire():
     timers.append(sim.every(10, tick))
     sim.run_until(1000)
     assert ticks == [10, 20, 30]
-    assert timers[0].stopped
-    assert sim.pending_events == 0
+    assert len(sim.queue) == 0
 
 
 def test_cancel_paths_share_one_implementation():
@@ -118,7 +117,7 @@ def test_cancel_through_stale_handle_is_harmless():
     # The event already fired; a late cancel through the retained handle
     # must not disturb live accounting or any later event.
     ev.cancel()
-    assert sim.pending_events == 0
+    assert len(sim.queue) == 0
     assert sim.queue.cancelled_total == 0
     sim.schedule(1, fired.append, 2)
     sim.run_until(20)

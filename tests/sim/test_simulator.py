@@ -59,7 +59,7 @@ def test_run_executes_until_drained(sim):
     sim.schedule(15, fired.append, 2)
     sim.run()
     assert fired == [1, 2]
-    assert sim.pending_events == 0
+    assert len(sim.queue) == 0
 
 
 def test_events_processed_counter(sim):
@@ -83,7 +83,7 @@ def test_periodic_timer_stop(sim):
     timer.stop()
     sim.run_until(100)
     assert ticks == [10, 20]
-    assert timer.stopped
+    assert len(sim.queue) == 0  # no next firing scheduled
 
 
 def test_periodic_timer_custom_start_delay(sim):

@@ -1,5 +1,7 @@
 """The `python -m repro` and `python -m repro.experiments` CLIs."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main as repro_main
@@ -93,3 +95,41 @@ def test_list_subcommand_names_every_experiment(capsys):
         assert experiment_id in out
     assert "fleet_tail" in out
     assert "fleet_energy" in out
+
+
+def test_markdown_report_carries_no_host_timing(capsys, tmp_path):
+    # tab1 runs no simulation, so this stays fast.
+    report = tmp_path / "report.md"
+    assert experiments_main(["tab1", "--markdown", str(report)]) == 0
+    printed = capsys.readouterr().out
+    assert "cache:" in printed  # stdout keeps the wall-time/cache line
+    text = report.read_text(encoding="utf-8")
+    assert text.startswith("# NMAP reproduction")
+    assert "## tab1:" in text
+    assert "cache:" not in text
+    assert not re.search(r"\(\d+\.\d+s", text)
+
+
+def test_markdown_rewrites_only_after_the_report_marker(capsys, tmp_path):
+    from repro.experiments.__main__ import REPORT_MARKER
+    head = (f"# Hand-kept head\n\nprose citing the `{REPORT_MARKER}` "
+            "line, kept byte for byte µs\n\n")
+    doc = tmp_path / "EXPERIMENTS.md"
+    doc.write_text(head + REPORT_MARKER + "\nstale report\n",
+                   encoding="utf-8")
+    assert experiments_main(["tab1", "--markdown", str(doc)]) == 0
+    first = doc.read_bytes()
+    assert first.startswith((head + REPORT_MARKER).encode("utf-8"))
+    assert b"stale report" not in first
+    assert b"## tab1:" in first
+    assert b"# NMAP reproduction" not in first  # no second title
+    assert experiments_main(["tab1", "--markdown", str(doc)]) == 0
+    assert doc.read_bytes() == first
+
+
+def test_ablations_are_registry_experiments():
+    from repro.experiments.registry import describe_experiments
+    described = describe_experiments()
+    for experiment_id in ("ablation_retransition", "ablation_ni_th",
+                          "ablation_itr", "ablation_dvfs"):
+        assert described[experiment_id].startswith("Ablation:")
